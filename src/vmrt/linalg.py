@@ -116,7 +116,11 @@ class QMatrix:
                 for j in range(c + 1, self.cols):
                     num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
                     q, rem = divmod(num, prev)
-                    assert rem == 0, "fraction-free step must divide exactly"
+                    # Bareiss (1968), by Sylvester's identity: each entry is a
+                    # minor of the input, so the cross product divides exactly
+                    # by the previous pivot; a remainder means corrupted rows.
+                    if rem:
+                        raise ArithmeticError("fraction-free step must divide exactly")
                     m[i][j] = q
                 m[i][c] = 0
             prev = m[r][c]

@@ -46,6 +46,12 @@ def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, .
     return vals
 
 
+def _require_off_branch(a0: Fraction, y: Sequence[Fraction]) -> None:
+    """Raise BasePointOnBranch when a0 = f(1, y) vanishes."""
+    if a0 == 0:
+        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
+
+
 class Hypersurface:
     """Hypersurface of even degree 2m in projective n-space, f in t0..tn."""
 
@@ -106,8 +112,7 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     """
     y = _as_fractions(point, "point", hyp.n)
     a0 = hyp.affine_value(y)
-    if a0 == 0:
-        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
+    _require_off_branch(a0, y)
     rest = restrict_to_line(hyp.f, y)
     fam = build_family(hyp.m)
     inv = 1 / a0
@@ -129,10 +134,9 @@ def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) ->
     z = _as_fractions(direction, "direction", hyp.n)
     if all(c == 0 for c in z):
         raise InvalidInput("direction must be nonzero")
-    a0 = hyp.affine_value(y)
-    if a0 == 0:
-        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
     rest = restrict_to_line(hyp.f, y, z)
+    a0 = rest.coeff(0)  # f(1, y): the restriction at lam = 0
+    _require_off_branch(a0, y)
     return certify([rest.coeff(k) / a0 for k in range(1, 2 * hyp.m + 1)])
 
 
@@ -148,11 +152,10 @@ def is_eco_line(hyp: Hypersurface, point: Sequence, direction: Sequence) -> bool
     z = _as_fractions(direction, "direction", hyp.n)
     if all(c == 0 for c in z):
         raise InvalidInput("direction must be nonzero")
-    a0 = hyp.affine_value(y)
-    if a0 == 0:
-        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
-    rest = restrict_to_line(hyp.f, y, z).scale(1 / a0)
-    ok, _ = is_perfect_square(rest)
+    rest = restrict_to_line(hyp.f, y, z)
+    a0 = rest.coeff(0)
+    _require_off_branch(a0, y)
+    ok, _ = is_perfect_square(rest.scale(1 / a0))
     return ok
 
 
@@ -289,8 +292,7 @@ def recenter(hyp: Hypersurface, point: Sequence) -> Hypersurface:
     """
     y = _as_fractions(point, "point", hyp.n)
     a0 = hyp.affine_value(y)
-    if a0 == 0:
-        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
+    _require_off_branch(a0, y)
     tvars = hyp.f.vars
     t0 = SparsePoly.variable(tvars, "t0")
     args = [t0]

@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, ParseError, VariableMismatch
@@ -197,6 +198,14 @@ class SparsePoly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        """Product with a scalar or with a polynomial over the same variables.
+
+        Two polynomials are multiplied as integer polynomials over a common
+        denominator (FLINT's fmpq_poly representation): each operand is
+        scaled by the lcm of its own denominators, the integer products are
+        accumulated per exponent, and each surviving term is reduced once.
+        Terms come out in the order of their first product.
+        """
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
@@ -205,12 +214,18 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_vars(other)
-        acc: dict[Exponent, Fraction] = {}
+        l1 = lcm(*(c.denominator for c in self.terms.values()))
+        l2 = lcm(*(c.denominator for c in other.terms.values()))
+        right = [(e2, c2.numerator * (l2 // c2.denominator)) for e2, c2 in other.terms.items()]
+        acc: dict[Exponent, int] = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc[exp] = acc.get(exp, _ZERO) + c1 * c2
-        return SparsePoly(self.vars, acc)
+            k1 = c1.numerator * (l1 // c1.denominator)
+            for e2, k2 in right:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + k1 * k2
+        den = l1 * l2
+        return SparsePoly(self.vars, {e: Fraction(v, den) for e, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -520,7 +535,10 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
             if not factor:
                 raise ParseError(f"empty factor in term {body!r}")
             if _NUMBER_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {factor!r}") from None
                 continue
             mt = _FACTOR_RE.match(factor)
             if not mt:

@@ -8,6 +8,14 @@ flavor may carry a nominal degree bound so trailing zero coefficients
 stay addressable (a restriction of a degree-2m form keeps slots 0..2m
 even when the top coefficients vanish).
 
+The numeric restriction keeps an integer polynomial over one common
+denominator, like FLINT's fmpq_poly
+(https://flintlib.org/doc/fmpq_poly.html): it clears the denominators of
+f, the point and the direction once, substitutes one variable at a time
+in Python ints, and divides each lam^k coefficient by the common
+denominator at the end, so one gcd reduction is paid per coefficient
+instead of one per product and sum.
+
 Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable with SparsePoly coefficients,
 and the Sylvester determinant is expanded by fraction-free (Bareiss)
@@ -19,7 +27,7 @@ carry meaning downstream, the sign is fixed for reproducibility.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import Sequence
 
 from .errors import InvalidInput
@@ -285,7 +293,8 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     `direction` the z_i are evaluated and the result has Fraction
     coefficients; with direction None the z_i stay symbolic and the lam^k
     coefficient is a SparsePoly homogeneous of degree k in z1..zn.  Either
-    way the nominal degree bound equals deg f.
+    way the nominal degree bound equals deg f.  The numeric case expands
+    over the integers after clearing denominators (see the module notes).
     """
     n = len(f.vars) - 1
     if len(point) != n:
@@ -297,26 +306,44 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
         raise InvalidInput(f"direction must have {n} coordinates")
     y = [Fraction(v) for v in point]
     z = [Fraction(v) for v in direction]
-    out = [_ZERO] * (d + 1)
+    # Clear denominators once: f = F/L, y = Y/D, z = Z/E with F, Y, Z integral.
+    # By homogeneity f(1, y + lam*z) = F(DE, E*Y + lam*D*Z) / (L * (DE)^d), so
+    # the expansion runs over the integers and one division per coefficient
+    # remains at the end.
+    den_f = lcm(*(c.denominator for c in f.terms.values()))
+    t0 = lcm(*(v.denominator for v in y)) * lcm(*(v.denominator for v in z))
+    # acc maps the exponents of the variables not yet substituted to the
+    # integer lam-coefficients gathered so far; substituting t_i merges the
+    # terms that agree on the remaining exponents
+    acc: dict[tuple, list[int]] = {}
     for exp, c in f.terms.items():
-        cur = [c]
-        for i in range(1, n + 1):
-            e = exp[i]
-            if e == 0:
-                continue
-            yi, zi = y[i - 1], z[i - 1]
-            fac = [comb(e, k) * yi ** (e - k) * zi ** k for k in range(e + 1)]
-            new = [_ZERO] * (len(cur) + e)
-            for a, ca in enumerate(cur):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(fac):
-                    if cb != 0:
-                        new[a + b] += ca * cb
-            cur = new
-        for k, val in enumerate(cur):
-            out[k] += val
-    return UniPoly(out, bound=d)
+        cur = [0] * (d + 1)
+        cur[0] = c.numerator * (den_f // c.denominator) * t0 ** exp[0]
+        acc[exp[1:]] = cur
+    for yi, zi in zip(y, z):
+        a = yi.numerator * (t0 // yi.denominator)
+        b = zi.numerator * (t0 // zi.denominator)
+        # e -> the nonzero (j, coefficient of lam^j) of (a + lam*b)^e
+        powers: dict[int, tuple] = {}
+        nxt: dict[tuple, list[int]] = {}
+        for key, cur in acc.items():
+            tgt = nxt.get(key[1:])
+            if tgt is None:
+                tgt = nxt[key[1:]] = [0] * (d + 1)
+            e = key[0]
+            fac = powers.get(e)
+            if fac is None:
+                fac = tuple((j, v) for j in range(e + 1) if (v := comb(e, j) * a ** (e - j) * b ** j))
+                powers[e] = fac
+            # cur has degree <= d - e: the exponents of each term sum to d
+            for k in range(d + 1 - e):
+                ck = cur[k]
+                if ck:
+                    for j, cj in fac:
+                        tgt[k + j] += ck * cj
+        acc = nxt
+    den = den_f * t0 ** d
+    return UniPoly([Fraction(v, den) for v in acc[()]], bound=d)
 
 
 # -- resultants ---------------------------------------------------------------

@@ -170,3 +170,13 @@ class TestErrors:
         assert code == 2
         record = json.loads(out)
         assert record["error"]["type"] == "BasePointOnBranch"
+
+    def test_zero_denominator_in_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^4 + 1/0*t1^4 + t2^4 + t3^4")
+        code = main(["eqs", "--f", str(path), "--point", "1,1,1", "--json"])
+        out = capsys.readouterr().out
+        assert code == 1
+        record = json.loads(out)
+        assert record["error"]["type"] == "ParseError"
+        assert "1/0" in record["error"]["message"]

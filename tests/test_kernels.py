@@ -1,0 +1,160 @@
+"""Integer kernels against term-by-term Fraction references.
+
+The numeric line restriction and the sparse product clear denominators
+once and work over the integers.  The reference functions below are plain
+term-by-term Fraction loops; each fast result must equal its reference
+exactly, coefficient by coefficient and in the same term order.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from vmrt import SparsePoly, UniPoly, parse_poly, restrict_to_line
+from vmrt.sampling import rand_direction, rand_homogeneous, rand_point
+from vmrt.selftest import WITNESS_COMBOS
+
+_ZERO = Fraction(0)
+
+
+def reference_restrict(f, point, direction):
+    """f(1, y + lam*z) expanded term by term in Fraction arithmetic."""
+    n = len(f.vars) - 1
+    d = f.homogeneous_degree()
+    y = [Fraction(v) for v in point]
+    z = [Fraction(v) for v in direction]
+    out = [_ZERO] * (d + 1)
+    for exp, c in f.terms.items():
+        cur = [c]
+        for i in range(1, n + 1):
+            e = exp[i]
+            if e == 0:
+                continue
+            yi, zi = y[i - 1], z[i - 1]
+            fac = [comb(e, k) * yi ** (e - k) * zi ** k for k in range(e + 1)]
+            new = [_ZERO] * (len(cur) + e)
+            for a, ca in enumerate(cur):
+                if ca == 0:
+                    continue
+                for b, cb in enumerate(fac):
+                    if cb != 0:
+                        new[a + b] += ca * cb
+            cur = new
+        for k, val in enumerate(cur):
+            out[k] += val
+    return UniPoly(out, bound=d)
+
+
+def reference_mul(p, q):
+    """p * q accumulated term by term in Fraction arithmetic."""
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            acc[exp] = acc.get(exp, _ZERO) + c1 * c2
+    return SparsePoly(p.vars, acc)
+
+
+def tvars(n):
+    return tuple(f"t{i}" for i in range(n + 1))
+
+
+def integer_form(rng, n, degree):
+    """Dense form of the given degree with nonzero integer coefficients."""
+    monos = rand_homogeneous(rng, tvars(n), degree).terms
+    return SparsePoly(tvars(n), {e: Fraction(rng.choice((-9, -2, 1, 7))) for e in monos})
+
+
+def assert_same_restriction(f, y, z):
+    fast = restrict_to_line(f, y, z)
+    ref = reference_restrict(f, y, z)
+    assert fast.coeffs == ref.coeffs
+    assert fast.bound == ref.bound
+    assert all(type(c) is Fraction for c in fast.coeffs)
+
+
+def assert_same_product(p, q):
+    fast = p * q
+    ref = reference_mul(p, q)
+    assert fast.terms == ref.terms
+    assert list(fast.terms) == list(ref.terms)
+    assert all(type(c) is Fraction for c in fast.terms.values())
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_restriction_matches_reference_on_random_lines(n, m):
+    rng = random.Random(1000 * n + m)
+    for _ in range(2):
+        f = rand_homogeneous(rng, tvars(n), 2 * m)
+        assert_same_restriction(f, rand_point(rng, n), rand_direction(rng, n))
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_product_matches_reference_on_witness_factors(n, m):
+    rng = random.Random(2000 * n + m)
+    q = rand_homogeneous(rng, tvars(n), m)
+    r = rand_homogeneous(rng, tvars(n), 2 * m - 1)
+    assert_same_product(q, q)
+    assert_same_product(q, r)
+    linear = rand_homogeneous(rng, tvars(n), 1)
+    assert_same_product(linear, r)
+
+
+class TestRestrictionEdges:
+    def test_integer_only_inputs(self):
+        f = integer_form(random.Random(5), 3, 4)
+        assert_same_restriction(f, [2, -1, 3], [1, 0, -4])
+
+    def test_heterogeneous_and_negative_denominators(self):
+        f = parse_poly("1/3*t0^4 - 5/7*t1^2*t2^2 + 2/9*t0*t3^3 - 11/4*t1*t2*t3^2")
+        y = [Fraction(1, 2), Fraction(-5, 3), Fraction(7, -11)]
+        z = [Fraction(-3, 8), Fraction(4, 5), Fraction(1, 6)]
+        assert_same_restriction(f, y, z)
+
+    def test_zero_point_coordinates(self):
+        rng = random.Random(7)
+        f = rand_homogeneous(rng, tvars(4), 4)
+        assert_same_restriction(f, [0, 0, 0, 0], rand_direction(rng, 4))
+        assert_same_restriction(f, [0, Fraction(2, 3), 0, -1], rand_direction(rng, 4))
+
+    def test_all_zero_direction(self):
+        rng = random.Random(8)
+        f = rand_homogeneous(rng, tvars(3), 4)
+        y = rand_point(rng, 3)
+        assert_same_restriction(f, y, [0, 0, 0])
+        assert restrict_to_line(f, y, [0, 0, 0]).coeffs[1:] == (_ZERO,) * 4
+
+    def test_pure_t0_power(self):
+        f = parse_poly("3/5*t0^6", tvars(3))
+        assert_same_restriction(f, [Fraction(1, 2), 3, -1], [1, Fraction(2, 7), 0])
+        assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]).coeffs == (Fraction(3, 5),) + (_ZERO,) * 6
+
+
+class TestProductEdges:
+    def test_zero_operand(self):
+        p = parse_poly("1/2*t0^2 - t1*t2", tvars(2))
+        zero = SparsePoly.zero(tvars(2))
+        assert_same_product(p, zero)
+        assert_same_product(zero, p)
+        assert (p * zero).is_zero
+
+    def test_constant_operand(self):
+        p = parse_poly("1/2*t0^2 - 3/4*t1*t2 + 5*t2^2", tvars(2))
+        assert_same_product(p, SparsePoly.constant(tvars(2), Fraction(-2, 3)))
+        assert_same_product(SparsePoly.constant(tvars(2), 6), p)
+
+    def test_single_term_operand(self):
+        p = parse_poly("1/2*t0^2 - 3/4*t1*t2 + 5*t2^2", tvars(2))
+        assert_same_product(p, parse_poly("-7/6*t1", tvars(2)))
+
+    def test_cancellation_drops_terms(self):
+        a = parse_poly("1/2*t1 + 1/3*t2", tvars(2))
+        b = parse_poly("1/2*t1 - 1/3*t2", tvars(2))
+        assert_same_product(a, b)
+        assert (a * b) == parse_poly("1/4*t1^2 - 1/9*t2^2", tvars(2))
+
+    def test_integer_only_operands(self):
+        rng = random.Random(11)
+        assert_same_product(integer_form(rng, 3, 2), integer_form(rng, 3, 3))

@@ -149,6 +149,10 @@ class TestTextFormat:
             with pytest.raises(ParseError):
                 parse_poly(text, ("t1",))
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly("t0^4 + 1/0*t1^4 + t2^4 + t3^4")
+
     def test_inferred_families(self):
         assert parse_poly("t2 + t0").vars == ("t0", "t1", "t2")
         assert parse_poly("z3").vars == ("z1", "z2", "z3")
