@@ -9,6 +9,13 @@ Exit codes: 0 success, 1 malformed input (including usage errors),
 2 violated precondition (base point on the hypersurface, degenerate
 elimination, missing normalization, ...).  The environment variable
 VMRT_LOG enables progress logging on stderr and never affects results.
+
+Size limits: the dimension n is at most MAX_N = 12 and the degree 2m (of
+a hypersurface, a prescribed equation or a coefficient vector a1..a2m) at
+most MAX_DEGREE = 24.  They are checked before any heavy work, so an
+oversized input exits 2 with an InvalidInput record instead of running
+away.  Both are twice the largest size the tests, demos, selftest and
+benchmark use (n = 6, degree 12).
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .eco import certify
-from .errors import ParseError, VmrtError
+from .errors import InvalidInput, ParseError, VmrtError
 from .lines import (
     Hypersurface,
     build_converse,
@@ -36,6 +44,11 @@ from .selftest import run_selftest
 from .variation import explicit_family, variation_report
 
 log = logging.getLogger("vmrt")
+
+MAX_N = 12
+MAX_DEGREE = 24
+
+_INDEXED_RE = re.compile(r"(?<![A-Za-z0-9_])[tz](\d+)(?![A-Za-z0-9_])")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,13 +74,37 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(s) for s in items]
 
 
-def _load_hypersurface(path: str, n: int | None) -> Hypersurface:
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise InvalidInput(f"n = {n} exceeds the limit n <= {MAX_N}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InvalidInput(f"degree {degree} exceeds the limit 2m <= {MAX_DEGREE}")
+
+
+def _read_poly(path: str, variables=None):
+    """Parse a polynomial file, refusing oversized inputs before any heavy work."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    # a variable index bounds n; check it before the parser builds the variable list
+    for digits in _INDEXED_RE.findall("".join(text.split())):
+        digits = digits.lstrip("0")
+        if len(digits) > len(str(MAX_N)) or int(digits or 0) > MAX_N:
+            raise InvalidInput(f"a variable index exceeds the limit n <= {MAX_N}")
+    p = parse_poly(text, variables)
+    _check_degree(p.total_degree())
+    return p
+
+
+def _load_hypersurface(path: str, n: int | None) -> Hypersurface:
+    if n is not None:
+        _check_n(n)
     variables = tuple(f"t{i}" for i in range(n + 1)) if n is not None else None
-    return Hypersurface(parse_poly(text, variables))
+    return Hypersurface(_read_poly(path, variables))
 
 
 def _emit(report: dict, as_json: bool, text_lines) -> None:
@@ -124,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eco_cert(args) -> None:
     coeffs = _fraction_list(args.coeffs)
+    _check_degree(len(coeffs))
     cert = certify(coeffs)
     report = {
         "command": "eco-cert",
@@ -193,14 +231,7 @@ def _cmd_eco_line(args) -> None:
 
 
 def _cmd_converse(args) -> None:
-    paths = [s for s in args.b.split(",") if s.strip()]
-    polys = []
-    for path in paths:
-        try:
-            text = Path(path.strip()).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from None
-        polys.append(parse_poly(text))
+    polys = [_read_poly(path.strip()) for path in args.b.split(",") if path.strip()]
     # align all inputs on one z1..zn list before validation
     n = max(len(p.vars) for p in polys)
     zvars = tuple(f"z{i}" for i in range(1, n + 1))
@@ -253,6 +284,8 @@ def _cmd_variation(args) -> None:
         else:
             if m is None or m < 3:
                 raise ParseError("--family mge3 requires --m >= 3")
+        _check_n(args.n)
+        _check_degree(2 * m)
         hyp = explicit_family(args.n, m, _fraction(args.b), _fraction(args.c))
     else:
         hyp = _load_hypersurface(args.f, args.n)

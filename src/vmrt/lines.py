@@ -111,9 +111,9 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     hyperplane at infinity).  Equation k is homogeneous of degree k in z.
     """
     y = _as_fractions(point, "point", hyp.n)
-    a0 = hyp.affine_value(y)
-    _require_off_branch(a0, y)
     rest = restrict_to_line(hyp.f, y)
+    a0 = rest.coeff(0).constant_value()  # f(1, y): the restriction at lam = 0
+    _require_off_branch(a0, y)
     fam = build_family(hyp.m)
     inv = 1 / a0
     ratios = [rest.coeff(k) * inv for k in range(1, hyp.m + 1)]

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
-from math import comb, lcm
+from functools import lru_cache
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -38,8 +38,14 @@ def grevlex_key(exp: Exponent):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, grevlex-descending."""
+@lru_cache(maxsize=None)
+def monomials_of_degree(nvars: int, degree: int) -> tuple[Exponent, ...]:
+    """All exponent tuples of the given total degree, grevlex-descending.
+
+    Memoized: samplers and monomial bases ask for the same few (nvars,
+    degree) pairs over and over.  The result is a tuple, so the cached
+    list cannot be changed by a caller.
+    """
     if nvars < 1 or degree < 0:
         raise InvalidInput("need nvars >= 1 and degree >= 0")
     out: list[Exponent] = []
@@ -53,7 +59,7 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
 
     rec((), degree, nvars)
     out.sort(key=grevlex_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 class SparsePoly:
@@ -413,40 +419,6 @@ def assemble_graded(parts: Sequence[SparsePoly], var: str, position: int = 0) ->
     return SparsePoly(new_vars, acc)
 
 
-def expand_line_substitution(f: SparsePoly, point: Sequence[Fraction]):
-    """Coefficients of f(1, y_1 + s*z_1, ..., y_n + s*z_n) in the line parameter s.
-
-    The direction z stays symbolic: entry k of the returned list is the
-    degree-k part in z, as a SparsePoly over z1..zn.  Used by the line
-    restriction; kept here so the binomial bookkeeping lives next to the
-    term representation.
-    """
-    n = len(f.vars) - 1
-    if len(point) != n:
-        raise InvalidInput(f"point must have {n} coordinates")
-    d = f.homogeneous_degree()
-    y = [Fraction(v) for v in point]
-    zvars = tuple(f"z{i}" for i in range(1, n + 1))
-    buckets: list[dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
-    for exp, c in f.terms.items():
-        options = []
-        for i in range(1, n + 1):
-            e = exp[i]
-            yi = y[i - 1]
-            if yi == 0:
-                options.append(((e, _ONE),))
-            else:
-                options.append(tuple((k, comb(e, k) * yi ** (e - k)) for k in range(e + 1)))
-        for combo in product(*options):
-            val = c
-            for _, w in combo:
-                val *= w
-            zexp = tuple(k for k, _ in combo)
-            bucket = buckets[sum(zexp)]
-            bucket[zexp] = bucket.get(zexp, _ZERO) + val
-    return [SparsePoly(zvars, b) for b in buckets]
-
-
 # -- text format --------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
@@ -539,11 +511,16 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
                     raise ParseError(f"zero denominator in {factor!r}") from None
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long: {factor[:20]!r}...") from None
                 continue
             mt = _FACTOR_RE.match(factor)
             if not mt:
                 raise ParseError(f"bad factor {factor!r}")
-            name, exp = mt.group(1), int(mt.group(2) or 1)
+            try:
+                name, exp = mt.group(1), int(mt.group(2) or 1)
+            except ValueError:
+                raise ParseError(f"exponent too long: {factor[:20]!r}...") from None
             powers[name] = powers.get(name, 0) + exp
             seen.add(name)
         raw.append((sgn, powers, coeff))

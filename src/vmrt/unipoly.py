@@ -8,13 +8,17 @@ flavor may carry a nominal degree bound so trailing zero coefficients
 stay addressable (a restriction of a degree-2m form keeps slots 0..2m
 even when the top coefficients vanish).
 
-The numeric restriction keeps an integer polynomial over one common
-denominator, like FLINT's fmpq_poly
-(https://flintlib.org/doc/fmpq_poly.html): it clears the denominators of
-f, the point and the direction once, substitutes one variable at a time
-in Python ints, and divides each lam^k coefficient by the common
-denominator at the end, so one gcd reduction is paid per coefficient
-instead of one per product and sum.
+Both restriction flavours run through one integer kernel that keeps an
+integer polynomial over one common denominator, like FLINT's fmpq_poly
+(https://flintlib.org/doc/fmpq_poly.html).  It clears the denominators of
+f, the point and (when numeric) the direction once, substitutes one
+variable at a time in Python ints, and divides each output coefficient by
+the common denominator at the end, so one gcd reduction is paid per
+coefficient instead of one per product and sum.  The flavours differ only
+in the key of the integer accumulator: the lam-degree for a numeric
+direction, the tuple of z-exponents for a symbolic one.  A power table
+entry stores the key increment (j, or the 1-tuple (j,)), so substituting a
+variable is `key + increment` in both cases.
 
 Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable with SparsePoly coefficients,
@@ -31,7 +35,7 @@ from math import comb, isqrt, lcm
 from typing import Sequence
 
 from .errors import InvalidInput
-from .poly import SparsePoly, expand_line_substitution
+from .poly import SparsePoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -293,57 +297,75 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     `direction` the z_i are evaluated and the result has Fraction
     coefficients; with direction None the z_i stay symbolic and the lam^k
     coefficient is a SparsePoly homogeneous of degree k in z1..zn.  Either
-    way the nominal degree bound equals deg f.  The numeric case expands
-    over the integers after clearing denominators (see the module notes).
+    way the nominal degree bound equals deg f.  Both flavours expand over
+    the integers after clearing denominators (see the module notes).
     """
     n = len(f.vars) - 1
     if len(point) != n:
         raise InvalidInput(f"point must have {n} coordinates")
     d = f.homogeneous_degree()
-    if direction is None:
-        return UniPoly(expand_line_substitution(f, point), bound=d)
-    if len(direction) != n:
-        raise InvalidInput(f"direction must have {n} coordinates")
     y = [Fraction(v) for v in point]
-    z = [Fraction(v) for v in direction]
-    # Clear denominators once: f = F/L, y = Y/D, z = Z/E with F, Y, Z integral.
-    # By homogeneity f(1, y + lam*z) = F(DE, E*Y + lam*D*Z) / (L * (DE)^d), so
-    # the expansion runs over the integers and one division per coefficient
-    # remains at the end.
+    # Clear denominators once: f = F/L and y = Y/D with F, Y integral.  By
+    # homogeneity f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where
+    # t0 = D*E for a rational direction z = Z/E, and t0 = D, E = 1, Z = z for
+    # the symbolic one.  The expansion runs over the integers and one
+    # division per output coefficient remains at the end.
     den_f = lcm(*(c.denominator for c in f.terms.values()))
-    t0 = lcm(*(v.denominator for v in y)) * lcm(*(v.denominator for v in z))
+    den_y = lcm(*(v.denominator for v in y))
+    if direction is None:
+        # key: the z-exponents substituted so far; the power table of
+        # (Y_i + D*z_i)^e stores the increment (j,) of z_i^j
+        t0, zero_key, incs = den_y, (), [(j,) for j in range(d + 1)]
+        linear = [(v.numerator * (den_y // v.denominator), den_y) for v in y]
+    else:
+        if len(direction) != n:
+            raise InvalidInput(f"direction must have {n} coordinates")
+        z = [Fraction(v) for v in direction]
+        # key: the lam-degree; the power table of (a + lam*b)^e stores j
+        t0, zero_key, incs = den_y * lcm(*(v.denominator for v in z)), 0, range(d + 1)
+        linear = [
+            (yi.numerator * (t0 // yi.denominator), zi.numerator * (t0 // zi.denominator))
+            for yi, zi in zip(y, z)
+        ]
     # acc maps the exponents of the variables not yet substituted to the
-    # integer lam-coefficients gathered so far; substituting t_i merges the
-    # terms that agree on the remaining exponents
-    acc: dict[tuple, list[int]] = {}
-    for exp, c in f.terms.items():
-        cur = [0] * (d + 1)
-        cur[0] = c.numerator * (den_f // c.denominator) * t0 ** exp[0]
-        acc[exp[1:]] = cur
-    for yi, zi in zip(y, z):
-        a = yi.numerator * (t0 // yi.denominator)
-        b = zi.numerator * (t0 // zi.denominator)
-        # e -> the nonzero (j, coefficient of lam^j) of (a + lam*b)^e
+    # integer coefficients gathered so far, by key; substituting t_i merges
+    # the terms that agree on the remaining exponents
+    acc: dict[tuple, dict] = {
+        exp[1:]: {zero_key: c.numerator * (den_f // c.denominator) * t0 ** exp[0]}
+        for exp, c in f.terms.items()
+    }
+    for a, b in linear:
+        # e -> the nonzero (increment of z_i^j or lam^j, coefficient) of (a + b*.)^e
         powers: dict[int, tuple] = {}
-        nxt: dict[tuple, list[int]] = {}
-        for key, cur in acc.items():
-            tgt = nxt.get(key[1:])
+        nxt: dict[tuple, dict] = {}
+        for rest, cur in acc.items():
+            tgt = nxt.get(rest[1:])
             if tgt is None:
-                tgt = nxt[key[1:]] = [0] * (d + 1)
-            e = key[0]
+                tgt = nxt[rest[1:]] = {}
+            e = rest[0]
             fac = powers.get(e)
             if fac is None:
-                fac = tuple((j, v) for j in range(e + 1) if (v := comb(e, j) * a ** (e - j) * b ** j))
+                fac = tuple(
+                    (incs[j], v) for j in range(e + 1) if (v := comb(e, j) * a ** (e - j) * b ** j)
+                )
                 powers[e] = fac
-            # cur has degree <= d - e: the exponents of each term sum to d
-            for k in range(d + 1 - e):
-                ck = cur[k]
-                if ck:
-                    for j, cj in fac:
-                        tgt[k + j] += ck * cj
+            get = tgt.get
+            for key, ck in cur.items():
+                for inc, cj in fac:
+                    k = key + inc
+                    tgt[k] = get(k, 0) + ck * cj
         acc = nxt
     den = den_f * t0 ** d
-    return UniPoly([Fraction(v, den) for v in acc[()]], bound=d)
+    out = acc[()]
+    if direction is not None:
+        return UniPoly([Fraction(out.get(k, 0), den) for k in range(d + 1)], bound=d)
+    # bucket the z-monomials by degree: the lam^k coefficient has degree k
+    zvars = tuple(f"z{i}" for i in range(1, n + 1))
+    buckets: list[dict] = [{} for _ in range(d + 1)]
+    for zexp, v in out.items():
+        if v:
+            buckets[sum(zexp)][zexp] = Fraction(v, den)
+    return UniPoly([SparsePoly(zvars, b) for b in buckets], bound=d)
 
 
 # -- resultants ---------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Sequence
 from .eco import build_family
 from .errors import InvalidInput, NormalizationViolated
 from .jets import Jet1, restrict_to_line_jets
-from .linalg import QMatrix, span_intersection
+from .linalg import QMatrix
 from .lines import Hypersurface, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
 
@@ -45,7 +45,7 @@ class MonomialBasis:
         self.n = n
         self.degree = degree
         self.variables = tuple(f"z{i}" for i in range(1, n + 1))
-        self.monomials = tuple(monomials_of_degree(n, degree))
+        self.monomials = monomials_of_degree(n, degree)
         self._index = {exp: i for i, exp in enumerate(self.monomials)}
 
     @property
@@ -195,7 +195,8 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     orbit = orbit_tangent(lowest, degree=m + 1)
     rank_dmu = differential.rank()
     dim_orbit = orbit.rank()
-    dim_intersection = span_intersection(differential, orbit)
+    # the span_intersection formula, reusing the two ranks just taken
+    dim_intersection = rank_dmu + dim_orbit - differential.hstack(orbit).rank()
     return VariationReport(
         n=n,
         m=m,

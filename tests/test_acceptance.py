@@ -2,7 +2,7 @@
 
 Criteria 1-7 call the selftest runners at full size with seed 42; criterion
 8 invokes the CLI selftest twice in fresh interpreter processes (separate
-hash seeds) and compares output bytes.  Each test prints a PASS/FAIL line.
+hash seeds, run side by side) and compares output bytes.  Each test prints a PASS/FAIL line.
 """
 
 import json
@@ -94,11 +94,19 @@ def test_criterion_7_point_count_degree_twelve():
 
 def test_criterion_8_selftest_determinism():
     argv = [sys.executable, "-m", "vmrt", "selftest", "--seed", str(SEED)]
-    first = subprocess.run(argv, capture_output=True, text=True, timeout=600)
-    second = subprocess.run(argv, capture_output=True, text=True, timeout=600)
-    assert first.returncode == 0 and second.returncode == 0
-    identical = first.stdout == second.stdout
-    report = json.loads(first.stdout)
+    # the two runs are independent processes, so they run side by side
+    procs = [
+        subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    try:
+        first, second = (proc.communicate(timeout=600)[0] for proc in procs)
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert all(proc.returncode == 0 for proc in procs)
+    identical = first == second
+    report = json.loads(first)
     _report(8, "selftest --seed 42 twice is byte-identical JSON", identical and report["all_pass"])
     assert identical
     assert report["all_pass"]

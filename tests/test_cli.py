@@ -5,6 +5,7 @@ import json
 import pytest
 
 from vmrt import parse_poly
+from vmrt import cli
 from vmrt.cli import build_parser, main
 
 
@@ -180,3 +181,66 @@ class TestErrors:
         record = json.loads(out)
         assert record["error"]["type"] == "ParseError"
         assert "1/0" in record["error"]["message"]
+
+
+class TestSizeLimits:
+    """Oversized inputs are refused with exit 2 before any heavy work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        for name in ("vmrt_equations", "explicit_family", "build_converse", "certify"):
+            monkeypatch.setattr(cli, name, started)
+
+    def assert_invalid_input(self, capsys, argv, fragment):
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        record = json.loads(out)
+        assert record["error"]["type"] == "InvalidInput"
+        assert fragment in record["error"]["message"]
+
+    def test_huge_exponent_file(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^100000000 + t1^100000000")
+        self.assert_invalid_input(capsys, ["eqs", "--f", str(path), "--point", "1", "--json"], "degree")
+
+    def test_variation_family_with_huge_n(self, capsys):
+        argv = ["variation", "--family", "m2", "--n", "100000", "--json"]
+        self.assert_invalid_input(capsys, argv, "n = 100000")
+
+    def test_variation_family_with_huge_m(self, capsys):
+        argv = ["variation", "--family", "mge3", "--n", "5", "--m", "13", "--json"]
+        self.assert_invalid_input(capsys, argv, "degree 26")
+
+    def test_huge_variable_index(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^4 + t1000000^4")
+        self.assert_invalid_input(capsys, ["variation", "--f", str(path), "--json"], "variable index")
+
+    def test_long_point(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^4 + t1^4")
+        point = ",".join(["1"] * (cli.MAX_N + 1))
+        self.assert_invalid_input(capsys, ["eqs", "--f", str(path), "--point", point, "--json"], "n = 13")
+
+    def test_converse_equation_degree(self, tmp_path, capsys):
+        path = tmp_path / "b.poly"
+        path.write_text(f"z1^{cli.MAX_DEGREE + 1} + z2^{cli.MAX_DEGREE + 1}")
+        self.assert_invalid_input(capsys, ["converse", "--b", str(path), "--json"], "degree 25")
+
+    def test_long_coefficient_vector(self, capsys):
+        coeffs = ",".join(["1"] * (cli.MAX_DEGREE + 2))
+        self.assert_invalid_input(capsys, ["eco-cert", "--coeffs", coeffs, "--json"], "degree 26")
+
+    def test_limits_themselves_are_accepted(self):
+        with pytest.raises(AssertionError, match="started"):
+            main(["variation", "--family", "mge3", "--n", str(cli.MAX_N), "--m", str(cli.MAX_DEGREE // 2)])
+
+    def test_oversized_exponent_digits_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^" + "9" * 5000 + " + t1^4")
+        code, out = run_cli(capsys, ["eqs", "--f", str(path), "--point", "1", "--json"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"

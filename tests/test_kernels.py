@@ -1,18 +1,28 @@
 """Integer kernels against term-by-term Fraction references.
 
-The numeric line restriction and the sparse product clear denominators
-once and work over the integers.  The reference functions below are plain
-term-by-term Fraction loops; each fast result must equal its reference
-exactly, coefficient by coefficient and in the same term order.
+The line restriction (numeric and symbolic direction) and the sparse
+product clear denominators once and work over the integers.  The reference
+functions below are plain term-by-term Fraction loops; each fast result
+must equal its reference exactly, coefficient by coefficient (and, for the
+product, in the same term order).
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from vmrt import SparsePoly, UniPoly, parse_poly, restrict_to_line
+from vmrt import (
+    BasePointOnBranch,
+    Hypersurface,
+    SparsePoly,
+    UniPoly,
+    parse_poly,
+    restrict_to_line,
+    vmrt_equations,
+)
 from vmrt.sampling import rand_direction, rand_homogeneous, rand_point
 from vmrt.selftest import WITNESS_COMBOS
 
@@ -47,6 +57,35 @@ def reference_restrict(f, point, direction):
     return UniPoly(out, bound=d)
 
 
+def reference_symbolic_restrict(f, point):
+    """f(1, y + lam*z) with symbolic z, expanded term by term in Fractions.
+
+    Entry k is the degree-k part in z, a SparsePoly over z1..zn.
+    """
+    n = len(f.vars) - 1
+    d = f.homogeneous_degree()
+    y = [Fraction(v) for v in point]
+    zvars = tuple(f"z{i}" for i in range(1, n + 1))
+    buckets = [dict() for _ in range(d + 1)]
+    for exp, c in f.terms.items():
+        options = []
+        for i in range(1, n + 1):
+            e = exp[i]
+            yi = y[i - 1]
+            if yi == 0:
+                options.append(((e, Fraction(1)),))
+            else:
+                options.append(tuple((k, comb(e, k) * yi ** (e - k)) for k in range(e + 1)))
+        for combo in product(*options):
+            val = c
+            for _, w in combo:
+                val *= w
+            zexp = tuple(k for k, _ in combo)
+            bucket = buckets[sum(zexp)]
+            bucket[zexp] = bucket.get(zexp, _ZERO) + val
+    return UniPoly([SparsePoly(zvars, b) for b in buckets], bound=d)
+
+
 def reference_mul(p, q):
     """p * q accumulated term by term in Fraction arithmetic."""
     acc = {}
@@ -75,6 +114,16 @@ def assert_same_restriction(f, y, z):
     assert all(type(c) is Fraction for c in fast.coeffs)
 
 
+def assert_same_symbolic_restriction(f, y):
+    fast = restrict_to_line(f, y)
+    ref = reference_symbolic_restrict(f, y)
+    assert fast.bound == ref.bound == f.homogeneous_degree()
+    for k in range(ref.bound + 1):
+        assert isinstance(fast.coeff(k), SparsePoly)
+        assert fast.coeff(k) == ref.coeff(k)
+        assert all(type(c) is Fraction for c in fast.coeff(k).terms.values())
+
+
 def assert_same_product(p, q):
     fast = p * q
     ref = reference_mul(p, q)
@@ -89,6 +138,13 @@ def test_restriction_matches_reference_on_random_lines(n, m):
     for _ in range(2):
         f = rand_homogeneous(rng, tvars(n), 2 * m)
         assert_same_restriction(f, rand_point(rng, n), rand_direction(rng, n))
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_symbolic_restriction_matches_reference(n, m):
+    rng = random.Random(3000 * n + m)
+    f = rand_homogeneous(rng, tvars(n), 2 * m)
+    assert_same_symbolic_restriction(f, rand_point(rng, n))
 
 
 @pytest.mark.parametrize("n,m", WITNESS_COMBOS)
@@ -130,6 +186,41 @@ class TestRestrictionEdges:
         f = parse_poly("3/5*t0^6", tvars(3))
         assert_same_restriction(f, [Fraction(1, 2), 3, -1], [1, Fraction(2, 7), 0])
         assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]).coeffs == (Fraction(3, 5),) + (_ZERO,) * 6
+
+
+class TestSymbolicRestrictionEdges:
+    def test_integer_only_inputs(self):
+        f = integer_form(random.Random(15), 3, 4)
+        assert_same_symbolic_restriction(f, [2, -1, 3])
+
+    def test_heterogeneous_and_negative_denominators(self):
+        f = parse_poly("1/3*t0^4 - 5/7*t1^2*t2^2 + 2/9*t0*t3^3 - 11/4*t1*t2*t3^2")
+        assert_same_symbolic_restriction(f, [Fraction(1, 2), Fraction(-5, 3), Fraction(7, -11)])
+
+    def test_zero_coordinates_and_origin(self):
+        rng = random.Random(17)
+        f = rand_homogeneous(rng, tvars(4), 4)
+        assert_same_symbolic_restriction(f, [0, 0, 0, 0])
+        assert_same_symbolic_restriction(f, [0, Fraction(2, 3), 0, -1])
+
+    def test_pure_t0_power(self):
+        f = parse_poly("3/5*t0^6", tvars(3))
+        assert_same_symbolic_restriction(f, [Fraction(1, 2), 3, -1])
+        rest = restrict_to_line(f, [1, 2, 3])
+        assert rest.coeff(0).constant_value() == Fraction(3, 5)
+        assert all(rest.coeff(k).is_zero for k in range(1, 7))
+
+    def test_single_term(self):
+        f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
+        assert_same_symbolic_restriction(f, [Fraction(2, 3), 5, Fraction(-1, 2)])
+        assert_same_symbolic_restriction(f, [1, 0, 0])
+
+
+def test_equations_at_a_point_on_the_branch_raise_with_the_point():
+    hyp = Hypersurface(parse_poly("t0^4 - t1^4 + 1/2*t2^4"))
+    with pytest.raises(BasePointOnBranch) as err:
+        vmrt_equations(hyp, [1, 0])
+    assert str(err.value) == "f(1, 1, 0) = 0"
 
 
 class TestProductEdges:

@@ -153,6 +153,13 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly("t0^4 + 1/0*t1^4 + t2^4 + t3^4")
 
+    def test_overlong_numbers_rejected(self):
+        # more digits than int() converts by default
+        with pytest.raises(ParseError, match="exponent too long"):
+            parse_poly("t0^" + "9" * 5000 + " + t1^4")
+        with pytest.raises(ParseError, match="number too long"):
+            parse_poly("9" * 5000 + "*t0^4 + t1^4")
+
     def test_inferred_families(self):
         assert parse_poly("t2 + t0").vars == ("t0", "t1", "t2")
         assert parse_poly("z3").vars == ("z1", "z2", "z3")
