@@ -23,12 +23,12 @@ print()
 print("Certifying 1 + lam^4 (squarefree, so it must fail)")
 cert = certify([0, 0, 0, 1])
 print(f"  pass={cert.passed}  residuals={tuple(map(str, cert.residuals))}")
-ok, _ = is_perfect_square(UniPoly.from_scalars([1, 0, 0, 0, 1]))
+ok, _ = is_perfect_square(UniPoly([1, 0, 0, 0, 1]))
 print(f"  independent square oracle agrees: {ok is False}")
 print()
 
 print("A rational square recovered with its root")
-p = UniPoly.from_scalars([1, 6, 13, 12, 4])
+p = UniPoly([1, 6, 13, 12, 4])
 ok, root = is_perfect_square(p)
 print(f"  {p} = ({root})^2: {ok}")
 print()

@@ -19,7 +19,7 @@ from .errors import (
     VmrtError,
 )
 from .jets import Jet1, restrict_to_line_jets
-from .linalg import QMatrix, intersection_basis, kernel, rank, span_intersection
+from .linalg import QMatrix, span_intersection
 from .lines import (
     Hypersurface,
     VmrtSystem,
@@ -33,8 +33,6 @@ from .lines import (
 )
 from .poly import (
     SparsePoly,
-    arith,
-    assemble_graded,
     format_poly,
     graded_parts,
     monomials_of_degree,
@@ -58,7 +56,6 @@ from .variation import (
     mu,
     orbit_tangent,
     variation_report,
-    vector_to_poly,
 )
 
 __version__ = "0.1.0"
@@ -81,8 +78,6 @@ __all__ = [
     "VariationReport",
     "VmrtError",
     "VmrtSystem",
-    "arith",
-    "assemble_graded",
     "build_converse",
     "build_family",
     "certify",
@@ -94,17 +89,14 @@ __all__ = [
     "explicit_family",
     "format_poly",
     "graded_parts",
-    "intersection_basis",
     "is_eco_line",
     "is_perfect_square",
     "is_weighted_homogeneous",
-    "kernel",
     "line_certificate",
     "monomials_of_degree",
     "mu",
     "orbit_tangent",
     "parse_poly",
-    "rank",
     "recenter",
     "restrict_to_line",
     "restrict_to_line_jets",
@@ -113,6 +105,5 @@ __all__ = [
     "span_intersection",
     "squarefree_factorization",
     "variation_report",
-    "vector_to_poly",
     "vmrt_equations",
 ]

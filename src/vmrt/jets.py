@@ -2,21 +2,30 @@
 
 A Jet1 carries a pair of SparsePoly in the same variables.  Running an
 exact rational pipeline on jets yields the pipeline's directional
-derivative for free, which gives an oracle for hand-derived derivative
-formulas that never shares code with them.
+derivative for free.  `variation.dmu_jet` uses this as the oracle for the
+closed-form differential `dmu_formula`.  It replays the pipeline of
+`vmrt_equations` (restriction, normalization, certificate tail) at a jet
+base point and uses none of the formula's ingredients: graded parts,
+partial derivatives and the tail partials of the certificate family.  A
+mistake in the hand-derived formula therefore cannot reappear in the
+oracle.  What the oracle shares with `vmrt_equations`, the substitution
+loop of the line restriction, defines the map being differentiated, and
+the tests check it against a term-by-term reference of its own.
+
+The jet restriction runs the one substitution loop of
+`unipoly.restrict_to_line` over dual integers value + eps*derivative
+(eps^2 = 0), after clearing the denominators of the jet point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidInput
 from .poly import SparsePoly
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .unipoly import _by_z_degree, _expand_line
 
 
 class Jet1:
@@ -107,9 +116,41 @@ class Jet1:
         return f"Jet1({self.value} + eps*({self.derivative}))"
 
 
-def evaluate_on_jets(p: SparsePoly, args: Sequence[Jet1]) -> Jet1:
-    """Evaluate a polynomial at jet arguments (generic compose)."""
-    return p.compose(list(args))
+class _DualInt:
+    """Dual integer value + eps*derivative, eps^2 = 0: the ring of a jet base point."""
+
+    __slots__ = ("value", "derivative")
+
+    def __init__(self, value: int, derivative: int):
+        self.value = value
+        self.derivative = derivative
+
+    def __add__(self, other):
+        if isinstance(other, _DualInt):
+            return _DualInt(self.value + other.value, self.derivative + other.derivative)
+        return _DualInt(self.value + other, self.derivative)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _DualInt):
+            return _DualInt(
+                self.value * other.value,
+                self.value * other.derivative + self.derivative * other.value,
+            )
+        return _DualInt(self.value * other, self.derivative * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return _DualInt(1, 0)
+        # (a + eps*b)^k = a^k + eps*k*a^(k-1)*b; with 0**0 = 1 this is eps*b
+        # for a = 0, k = 1 and 0 for a = 0, k >= 2
+        return _DualInt(self.value ** k, k * self.value ** (k - 1) * self.derivative)
+
+    def __bool__(self):
+        return bool(self.value or self.derivative)
 
 
 def restrict_to_line_jets(f: SparsePoly, point_jets: Sequence[tuple]) -> list[Jet1]:
@@ -118,59 +159,23 @@ def restrict_to_line_jets(f: SparsePoly, point_jets: Sequence[tuple]) -> list[Je
     `point_jets` holds one (value, derivative) Fraction pair per affine
     coordinate.  Substitutes t0 = 1, t_i = y_i + lam*z_i with y_i the given
     jet scalars and symbolic z, and returns the list of lam^k coefficients
-    as Jet1 over z1..zn.  This is the same binomial expansion as the plain
-    restriction, replayed through jet arithmetic.
+    as Jet1 over z1..zn.  The pairs are scaled to dual integers by their
+    common denominator and run through the substitution loop of the plain
+    restriction.
     """
     n = len(f.vars) - 1
     if len(point_jets) != n:
         raise InvalidInput(f"need {n} jet coordinates")
     d = f.homogeneous_degree()
     y = [(Fraction(v), Fraction(dv)) for v, dv in point_jets]
-    zvars = tuple(f"z{i}" for i in range(1, n + 1))
-    vals: list[dict] = [dict() for _ in range(d + 1)]
-    ders: list[dict] = [dict() for _ in range(d + 1)]
-
-    def jet_pow(v, dv, p):
-        if p == 0:
-            return (_ONE, _ZERO)
-        if v == 0:
-            # eps^p with eps^2 = 0
-            return (_ZERO, dv) if p == 1 else (_ZERO, _ZERO)
-        return (v ** p, p * v ** (p - 1) * dv)
-
-    for exp, c in f.terms.items():
-        options = []
-        dead = False
-        for i in range(1, n + 1):
-            e = exp[i]
-            vi, di = y[i - 1]
-            opts = []
-            for k in range(e + 1):
-                pv, pd = jet_pow(vi, di, e - k)
-                if pv == 0 and pd == 0:
-                    continue
-                b = comb(e, k)
-                opts.append((k, b * pv, b * pd))
-            if not opts:
-                dead = True
-                break
-            options.append(opts)
-        if dead:
-            continue
-        stack = [((), _ONE, _ZERO)]
-        for opts in options:
-            nxt = []
-            for zpart, av, ad in stack:
-                for k, bv, bd in opts:
-                    nxt.append((zpart + (k,), av * bv, av * bd + ad * bv))
-            stack = nxt
-        for zexp, av, ad in stack:
-            k = sum(zexp)
-            if av:
-                vals[k][zexp] = vals[k].get(zexp, _ZERO) + c * av
-            if ad:
-                ders[k][zexp] = ders[k].get(zexp, _ZERO) + c * ad
-    return [
-        Jet1(SparsePoly(zvars, vals[k]), SparsePoly(zvars, ders[k]))
-        for k in range(d + 1)
+    den = lcm(*(c.denominator for pair in y for c in pair))
+    linear = [
+        (_DualInt(v.numerator * (den // v.denominator), dv.numerator * (den // dv.denominator)), den)
+        for v, dv in y
     ]
+    out, divisor = _expand_line(f, d, linear, den, symbolic=True)
+    if not linear:  # f = c*t0^d: nothing substituted, the coefficient stays an int
+        out = {key: _DualInt(c, 0) for key, c in out.items()}
+    values = _by_z_degree({key: c.value for key, c in out.items()}, divisor, n, d)
+    slopes = _by_z_degree({key: c.derivative for key, c in out.items()}, divisor, n, d)
+    return [Jet1(v, s) for v, s in zip(values, slopes)]

@@ -1,9 +1,8 @@
-"""Exact rational matrices: rank, kernel and column-span intersections.
+"""Exact rational matrices: rank and the dimension of column-span intersections.
 
 Forward elimination is fraction-free (Bareiss) on denominator-cleared
 integer rows, so intermediate growth stays polynomial and every pivot
-decision is exact.  Kernel vectors are recovered from the echelon form by
-rational back-substitution.
+decision is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class QMatrix:
@@ -100,10 +98,9 @@ class QMatrix:
             out.append([int(x * mult) for x in row])
         return out
 
-    def _echelon(self) -> tuple[list[list[int]], list[tuple[int, int]]]:
-        """Fraction-free row echelon; returns (matrix, [(pivot_row, pivot_col)])."""
+    def rank(self) -> int:
+        """Number of pivots of a fraction-free (Bareiss) row echelon form."""
         m = self._integer_rows()
-        pivots: list[tuple[int, int]] = []
         r, prev = 0, 1
         for c in range(self.cols):
             if r >= self.rows:
@@ -124,35 +121,8 @@ class QMatrix:
                     m[i][j] = q
                 m[i][c] = 0
             prev = m[r][c]
-            pivots.append((r, c))
             r += 1
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self._echelon()[1])
-
-    def kernel(self) -> "QMatrix":
-        """Matrix whose columns form a basis of the right null space."""
-        m, pivots = self._echelon()
-        pivot_cols = [c for _, c in pivots]
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        basis = []
-        for fc in free_cols:
-            x = [_ZERO] * self.cols
-            x[fc] = _ONE
-            for r, c in reversed(pivots):
-                s = sum((Fraction(m[r][j]) * x[j] for j in range(c + 1, self.cols)), _ZERO)
-                x[c] = -s / m[r][c]
-            basis.append(x)
-        return QMatrix.from_columns(basis, rows=self.cols)
-
-
-def rank(a: QMatrix) -> int:
-    return a.rank()
-
-
-def kernel(a: QMatrix) -> QMatrix:
-    return a.kernel()
+        return r
 
 
 def span_intersection(a: QMatrix, b: QMatrix) -> int:
@@ -160,21 +130,3 @@ def span_intersection(a: QMatrix, b: QMatrix) -> int:
     if a.rows != b.rows:
         raise InvalidInput("matrices must share the ambient space")
     return a.rank() + b.rank() - a.hstack(b).rank()
-
-
-def intersection_basis(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Columns spanning the intersection of the two column spans (diagnostic)."""
-    if a.rows != b.rows:
-        raise InvalidInput("matrices must share the ambient space")
-    null = a.hstack(QMatrix([[-x for x in row] for row in b.data])).kernel()
-    vectors = []
-    for j in range(null.cols):
-        u = [null.entry(i, j) for i in range(a.cols)]
-        vec = [
-            sum((a.entry(i, k) * u[k] for k in range(a.cols)), _ZERO)
-            for i in range(a.rows)
-        ]
-        if any(vec):
-            vectors.append(vec)
-    result = QMatrix.from_columns(vectors, rows=a.rows)
-    return result

@@ -112,16 +112,28 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     """
     y = _as_fractions(point, "point", hyp.n)
     rest = restrict_to_line(hyp.f, y)
-    a0 = rest.coeff(0).constant_value()  # f(1, y): the restriction at lam = 0
+    a0 = rest[0].constant_value()  # f(1, y): the restriction at lam = 0
     _require_off_branch(a0, y)
     fam = build_family(hyp.m)
     inv = 1 / a0
-    ratios = [rest.coeff(k) * inv for k in range(1, hyp.m + 1)]
+    ratios = [rest[k] * inv for k in range(1, hyp.m + 1)]
     equations = []
     for k in range(hyp.m + 1, 2 * hyp.m + 1):
-        eq = rest.coeff(k) * inv - fam.tail_polys[k].compose(ratios)
+        eq = rest[k] * inv - fam.tail_polys[k].compose(ratios)
         equations.append(eq)
     return VmrtSystem(n=hyp.n, m=hyp.m, point=y, equations=tuple(equations))
+
+
+def _normalized_restriction(hyp: Hypersurface, point: Sequence, direction: Sequence) -> list[Fraction]:
+    """[a_0/a_0, ..., a_2m/a_0] for f(1, y + lam*z) along one concrete line."""
+    y = _as_fractions(point, "point", hyp.n)
+    z = _as_fractions(direction, "direction", hyp.n)
+    if all(c == 0 for c in z):
+        raise InvalidInput("direction must be nonzero")
+    rest = restrict_to_line(hyp.f, y, z)
+    a0 = rest[0]  # f(1, y): the restriction at lam = 0
+    _require_off_branch(a0, y)
+    return [a / a0 for a in rest]
 
 
 def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) -> EcoCertificate:
@@ -130,14 +142,7 @@ def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) ->
     Its residual vector equals (B_{m+1}(y;z), ..., B_{2m}(y;z)), so this is
     the cheap numeric route to the defining-equation values at a direction.
     """
-    y = _as_fractions(point, "point", hyp.n)
-    z = _as_fractions(direction, "direction", hyp.n)
-    if all(c == 0 for c in z):
-        raise InvalidInput("direction must be nonzero")
-    rest = restrict_to_line(hyp.f, y, z)
-    a0 = rest.coeff(0)  # f(1, y): the restriction at lam = 0
-    _require_off_branch(a0, y)
-    return certify([rest.coeff(k) / a0 for k in range(1, 2 * hyp.m + 1)])
+    return certify(_normalized_restriction(hyp, point, direction)[1:])
 
 
 def is_eco_line(hyp: Hypersurface, point: Sequence, direction: Sequence) -> bool:
@@ -148,14 +153,7 @@ def is_eco_line(hyp: Hypersurface, point: Sequence, direction: Sequence) -> bool
     < 2m encodes contact at infinity; squareness of the whole degree-<=2m
     polynomial is exactly even total multiplicity there as well.
     """
-    y = _as_fractions(point, "point", hyp.n)
-    z = _as_fractions(direction, "direction", hyp.n)
-    if all(c == 0 for c in z):
-        raise InvalidInput("direction must be nonzero")
-    rest = restrict_to_line(hyp.f, y, z)
-    a0 = rest.coeff(0)
-    _require_off_branch(a0, y)
-    ok, _ = is_perfect_square(rest.scale(1 / a0))
+    ok, _ = is_perfect_square(UniPoly(_normalized_restriction(hyp, point, direction)))
     return ok
 
 

@@ -320,23 +320,6 @@ class SparsePoly:
             total = term if total is None else total + term
         return total
 
-    def substitute(self, assignment: Mapping[str, Fraction]) -> "SparsePoly":
-        """Partially evaluate some variables at rationals; the rest survive."""
-        idx = {self._var_index(k): Fraction(v) for k, v in assignment.items()}
-        keep = [i for i in range(len(self.vars)) if i not in idx]
-        new_vars = tuple(self.vars[i] for i in keep)
-        acc: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            val = c
-            for i, v in idx.items():
-                if exp[i]:
-                    val *= v ** exp[i]
-            if val == 0:
-                continue
-            new = tuple(exp[i] for i in keep)
-            acc[new] = acc.get(new, _ZERO) + val
-        return SparsePoly(new_vars, acc)
-
     def rename(self, new_vars: Sequence[str]) -> "SparsePoly":
         """Same terms over a renamed variable tuple (order preserved)."""
         new_vars = tuple(new_vars)
@@ -377,17 +360,6 @@ class SparsePoly:
         return f"SparsePoly({format_poly(self)!r}, vars={self.vars})"
 
 
-def arith(p: SparsePoly, q: SparsePoly, op: str) -> SparsePoly:
-    """Dispatch add/sub/mul by name; operands must share a variable list."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise InvalidInput(f"unknown operation {op!r}")
-
-
 def graded_parts(f: SparsePoly, var: str) -> list[SparsePoly]:
     """Split a homogeneous form by powers of one distinguished variable.
 
@@ -404,19 +376,6 @@ def graded_parts(f: SparsePoly, var: str) -> list[SparsePoly]:
         rexp = exp[:i] + exp[i + 1:]
         buckets[k][rexp] = c
     return [SparsePoly(rest, b) for b in buckets]
-
-
-def assemble_graded(parts: Sequence[SparsePoly], var: str, position: int = 0) -> SparsePoly:
-    """Inverse of graded_parts: rebuild sum(var^(d-k) * parts[k])."""
-    d = len(parts) - 1
-    rest = parts[0].vars
-    new_vars = rest[:position] + (var,) + rest[position:]
-    acc: dict[Exponent, Fraction] = {}
-    for k, part in enumerate(parts):
-        for exp, c in part.terms.items():
-            full = exp[:position] + (d - k,) + exp[position:]
-            acc[full] = acc.get(full, _ZERO) + c
-    return SparsePoly(new_vars, acc)
 
 
 # -- text format --------------------------------------------------------------

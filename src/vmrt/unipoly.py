@@ -1,24 +1,25 @@
 """Univariate polynomial tools: restrictions, Yun factorization, resultants.
 
-UniPoly stores coefficients by ascending power of an abstract parameter
-(printed as `lam`).  Two flavors share the class: scalar coefficients
-(Fraction) for restrictions along a concrete line, and SparsePoly
-coefficients for restrictions with a symbolic direction.  The polynomial
-flavor may carry a nominal degree bound so trailing zero coefficients
-stay addressable (a restriction of a degree-2m form keeps slots 0..2m
-even when the top coefficients vanish).
+UniPoly is a dense polynomial in an abstract parameter (printed as `lam`)
+with Fraction coefficients by ascending power; trailing zeros are never
+stored.  It is the ring of the Yun squarefree factorization and the
+square oracle.
 
-Both restriction flavours run through one integer kernel that keeps an
-integer polynomial over one common denominator, like FLINT's fmpq_poly
-(https://flintlib.org/doc/fmpq_poly.html).  It clears the denominators of
-f, the point and (when numeric) the direction once, substitutes one
-variable at a time in Python ints, and divides each output coefficient by
+Line restriction returns a plain list of the lam^0..lam^d coefficients of
+f(1, y + lam*z): Fractions for a numeric direction, SparsePoly forms in
+z1..zn for a symbolic one.  All three flavours (these two and the jet
+restriction in `jets`) run through one substitution loop, `_expand_line`,
+that keeps an integer polynomial over one common denominator, like FLINT's
+fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The caller clears
+the denominators of the point (and direction) once, the loop substitutes
+one variable at a time and the caller divides each output coefficient by
 the common denominator at the end, so one gcd reduction is paid per
-coefficient instead of one per product and sum.  The flavours differ only
-in the key of the integer accumulator: the lam-degree for a numeric
-direction, the tuple of z-exponents for a symbolic one.  A power table
-entry stores the key increment (j, or the 1-tuple (j,)), so substituting a
-variable is `key + increment` in both cases.
+coefficient instead of one per product and sum.  The loop is generic over
+the ring of the point coordinates: Python ints, or dual integers
+a + eps*b for a jet base point.  The accumulator key is the lam-degree for
+a numeric direction and the tuple of z-exponents for a symbolic one; a
+power-table entry stores the key increment (j, or the 1-tuple (j,)), so
+substituting a variable is `key + increment` in both cases.
 
 Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable with SparsePoly coefficients,
@@ -41,70 +42,32 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _is_zero_coeff(c) -> bool:
-    return c.is_zero if isinstance(c, SparsePoly) else c == 0
-
-
 class UniPoly:
-    """Dense univariate polynomial, coefficients ascending by power."""
+    """Dense univariate polynomial, Fraction coefficients ascending by power."""
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, bound: int | None = None):
-        cs = list(coeffs)
-        if bound is None:
-            while cs and _is_zero_coeff(cs[-1]):
-                cs.pop()
-            self.coeffs = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in cs)
-        else:
-            if len(cs) > bound + 1 and any(not _is_zero_coeff(c) for c in cs[bound + 1:]):
-                raise InvalidInput("coefficients exceed the declared degree bound")
-            cs = cs[: bound + 1]
-            if cs and isinstance(cs[0], SparsePoly):
-                pad = SparsePoly.zero(cs[0].vars)
-            else:
-                pad = _ZERO
-            cs += [pad] * (bound + 1 - len(cs))
-            self.coeffs = tuple(cs)
-        self.bound = bound
-
-    @classmethod
-    def from_scalars(cls, values: Sequence) -> "UniPoly":
-        return cls([Fraction(v) for v in values])
+    def __init__(self, coeffs: Sequence):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(c) for c in self.coeffs)
-
-    @property
-    def is_scalar(self) -> bool:
-        return all(not isinstance(c, SparsePoly) for c in self.coeffs)
+        return not self.coeffs
 
     def degree(self) -> int:
-        """Degree ignoring trailing zeros; -1 for the zero polynomial."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not _is_zero_coeff(self.coeffs[i]):
-                return i
-        return -1
+        """Degree; -1 for the zero polynomial (trailing zeros are never stored)."""
+        return len(self.coeffs) - 1
 
-    def coeff(self, k: int):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        if self.coeffs and isinstance(self.coeffs[0], SparsePoly):
-            return SparsePoly.zero(self.coeffs[0].vars)
-        return _ZERO
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else _ZERO
 
-    def leading(self):
-        d = self.degree()
-        if d < 0:
+    def leading(self) -> Fraction:
+        if not self.coeffs:
             raise InvalidInput("zero polynomial has no leading coefficient")
-        return self.coeffs[d]
-
-    # scalar-flavor arithmetic ------------------------------------------------
-
-    def _require_scalar(self):
-        if not self.is_scalar:
-            raise InvalidInput("operation requires rational (scalar) coefficients")
+        return self.coeffs[-1]
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -115,7 +78,7 @@ class UniPoly:
         return UniPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs], bound=self.bound)
+        return UniPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,10 +103,9 @@ class UniPoly:
 
     def scale(self, c) -> "UniPoly":
         c = Fraction(c)
-        return UniPoly([x * c for x in self.coeffs], bound=self.bound)
+        return UniPoly([x * c for x in self.coeffs])
 
     def derivative(self) -> "UniPoly":
-        self._require_scalar()
         return UniPoly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
 
     def monic(self) -> "UniPoly":
@@ -151,7 +113,6 @@ class UniPoly:
         return self.scale(1 / lc)
 
     def evaluate(self, x) -> Fraction:
-        self._require_scalar()
         x = Fraction(x)
         acc = _ZERO
         for c in reversed(self.coeffs):
@@ -161,45 +122,34 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        d = self.degree()
-        return hash(tuple(self.coeffs[: d + 1]))
+        return hash(self.coeffs)
 
     def __str__(self):
-        d = self.degree()
-        if d < 0:
-            return "0"
         parts = []
-        for k in range(d + 1):
-            c = self.coeffs[k]
-            if _is_zero_coeff(c):
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
                 continue
-            if isinstance(c, SparsePoly):
-                body = f"({c})"
-            else:
-                body = str(c)
             if k == 0:
-                parts.append(body)
+                parts.append(str(c))
             elif k == 1:
-                parts.append(f"{body}*lam")
+                parts.append(f"{c}*lam")
             else:
-                parts.append(f"{body}*lam^{k}")
-        return " + ".join(parts)
+                parts.append(f"{c}*lam^{k}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"UniPoly({self})"
 
 
 def _divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    a._require_scalar(), b._require_scalar()
     if b.is_zero:
         raise InvalidInput("division by the zero polynomial")
     db = b.degree()
     inv = 1 / b.leading()
-    rem = list(a.coeffs[: a.degree() + 1])
+    rem = list(a.coeffs)
     quot = [_ZERO] * max(len(rem) - db, 1)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] * inv
@@ -228,7 +178,6 @@ def squarefree_factorization(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, 
     """
     if p.is_zero:
         raise InvalidInput("zero polynomial has no squarefree factorization")
-    p._require_scalar()
     if p.degree() == 0:
         return p.coeffs[0], []
     content = p.leading()
@@ -290,52 +239,30 @@ def is_perfect_square(p: UniPoly) -> tuple[bool, UniPoly | None]:
     return True, q
 
 
-def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None = None) -> UniPoly:
-    """Restrict a homogeneous form f(t0..tn) to the line through an affine point.
+def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbolic: bool) -> tuple[dict, int]:
+    """The one substitution loop: F(t0, a_1 + b_1*w_1, ..., a_n + b_n*w_n) with F = L*f.
 
-    Substitutes t0 = 1, t_i = point[i-1] + lam * z_i.  With a rational
-    `direction` the z_i are evaluated and the result has Fraction
-    coefficients; with direction None the z_i stay symbolic and the lam^k
-    coefficient is a SparsePoly homogeneous of degree k in z1..zn.  Either
-    way the nominal degree bound equals deg f.  Both flavours expand over
-    the integers after clearing denominators (see the module notes).
+    f is homogeneous of degree d and L clears its denominators.  `linear`
+    holds one pair (a_i, b_i) per affine coordinate; b_i and t0 are ints and
+    a_i lives in any ring with +, *, ** and a truth value (ints, or the dual
+    integers of the jet restriction).  With `symbolic` false every w_i is the
+    one parameter lam and the result maps lam-degrees to coefficients; with
+    `symbolic` true w_i = lam*z_i and it maps z-exponent tuples (whose sum
+    is the lam-degree).  Returns that map and the divisor L*t0^d.
     """
-    n = len(f.vars) - 1
-    if len(point) != n:
-        raise InvalidInput(f"point must have {n} coordinates")
-    d = f.homogeneous_degree()
-    y = [Fraction(v) for v in point]
-    # Clear denominators once: f = F/L and y = Y/D with F, Y integral.  By
-    # homogeneity f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where
-    # t0 = D*E for a rational direction z = Z/E, and t0 = D, E = 1, Z = z for
-    # the symbolic one.  The expansion runs over the integers and one
-    # division per output coefficient remains at the end.
     den_f = lcm(*(c.denominator for c in f.terms.values()))
-    den_y = lcm(*(v.denominator for v in y))
-    if direction is None:
-        # key: the z-exponents substituted so far; the power table of
-        # (Y_i + D*z_i)^e stores the increment (j,) of z_i^j
-        t0, zero_key, incs = den_y, (), [(j,) for j in range(d + 1)]
-        linear = [(v.numerator * (den_y // v.denominator), den_y) for v in y]
-    else:
-        if len(direction) != n:
-            raise InvalidInput(f"direction must have {n} coordinates")
-        z = [Fraction(v) for v in direction]
-        # key: the lam-degree; the power table of (a + lam*b)^e stores j
-        t0, zero_key, incs = den_y * lcm(*(v.denominator for v in z)), 0, range(d + 1)
-        linear = [
-            (yi.numerator * (t0 // yi.denominator), zi.numerator * (t0 // zi.denominator))
-            for yi, zi in zip(y, z)
-        ]
+    # a power-table entry stores the key increment of w_i^j: the 1-tuple (j,)
+    # appends the z_i exponent, j adds to the lam-degree
+    zero_key, incs = ((), [(j,) for j in range(d + 1)]) if symbolic else (0, range(d + 1))
     # acc maps the exponents of the variables not yet substituted to the
-    # integer coefficients gathered so far, by key; substituting t_i merges
-    # the terms that agree on the remaining exponents
+    # coefficients gathered so far, by key; substituting t_i merges the
+    # terms that agree on the remaining exponents
     acc: dict[tuple, dict] = {
         exp[1:]: {zero_key: c.numerator * (den_f // c.denominator) * t0 ** exp[0]}
         for exp, c in f.terms.items()
     }
     for a, b in linear:
-        # e -> the nonzero (increment of z_i^j or lam^j, coefficient) of (a + b*.)^e
+        # e -> the nonzero (increment of w_i^j, coefficient) of (a + b*w_i)^e
         powers: dict[int, tuple] = {}
         nxt: dict[tuple, dict] = {}
         for rest, cur in acc.items():
@@ -355,17 +282,52 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
                     k = key + inc
                     tgt[k] = get(k, 0) + ck * cj
         acc = nxt
-    den = den_f * t0 ** d
-    out = acc[()]
-    if direction is not None:
-        return UniPoly([Fraction(out.get(k, 0), den) for k in range(d + 1)], bound=d)
-    # bucket the z-monomials by degree: the lam^k coefficient has degree k
+    return acc[()], den_f * t0 ** d
+
+
+def _by_z_degree(out: dict, den: int, n: int, d: int) -> list[SparsePoly]:
+    """Integers keyed by z-exponents, over den, as the forms of degree 0..d in z1..zn."""
     zvars = tuple(f"z{i}" for i in range(1, n + 1))
     buckets: list[dict] = [{} for _ in range(d + 1)]
     for zexp, v in out.items():
         if v:
             buckets[sum(zexp)][zexp] = Fraction(v, den)
-    return UniPoly([SparsePoly(zvars, b) for b in buckets], bound=d)
+    return [SparsePoly(zvars, b) for b in buckets]
+
+
+def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None = None) -> list:
+    """Coefficients of lam^0..lam^d in f(1, y + lam*z) for a form f of degree d.
+
+    Substitutes t0 = 1, t_i = point[i-1] + lam * z_i.  With a rational
+    `direction` the z_i are evaluated and the entries are Fractions; with
+    direction None the z_i stay symbolic and entry k is a SparsePoly
+    homogeneous of degree k in z1..zn.  The list always has d + 1 entries,
+    vanishing ones included.
+    """
+    n = len(f.vars) - 1
+    if len(point) != n:
+        raise InvalidInput(f"point must have {n} coordinates")
+    d = f.homogeneous_degree()
+    y = [Fraction(v) for v in point]
+    # Clear denominators once: y = Y/D with Y integral, and by homogeneity
+    # f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where t0 = D*E for
+    # a rational direction z = Z/E, and t0 = D, E = 1, Z = z for the
+    # symbolic one.
+    den_y = lcm(*(v.denominator for v in y))
+    if direction is None:
+        linear = [(v.numerator * (den_y // v.denominator), den_y) for v in y]
+        out, den = _expand_line(f, d, linear, den_y, symbolic=True)
+        return _by_z_degree(out, den, n, d)
+    if len(direction) != n:
+        raise InvalidInput(f"direction must have {n} coordinates")
+    z = [Fraction(v) for v in direction]
+    t0 = den_y * lcm(*(v.denominator for v in z))
+    linear = [
+        (yi.numerator * (t0 // yi.denominator), zi.numerator * (t0 // zi.denominator))
+        for yi, zi in zip(y, z)
+    ]
+    out, den = _expand_line(f, d, linear, t0, symbolic=False)
+    return [Fraction(out.get(k, 0), den) for k in range(d + 1)]
 
 
 # -- resultants ---------------------------------------------------------------

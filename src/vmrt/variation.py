@@ -71,16 +71,6 @@ def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> QMatrix:
     return QMatrix.from_columns([col])
 
 
-def vector_to_poly(column: Sequence[Fraction], basis: MonomialBasis) -> SparsePoly:
-    """Inverse of coeff_vector."""
-    if len(column) != basis.size:
-        raise InvalidInput("column height does not match the basis")
-    return SparsePoly(
-        basis.variables,
-        {exp: Fraction(c) for exp, c in zip(basis.monomials, column)},
-    )
-
-
 def mu(hyp: Hypersurface, point: Sequence) -> QMatrix:
     """Coefficient vector of the lowest defining equation at a base point."""
     system = vmrt_equations(hyp, point)
@@ -124,8 +114,7 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
     resulting jet is dB_{m+1}/dy_i at the origin.
     """
     m, n = hyp.m, hyp.n
-    parts = hyp.graded_parts()
-    if not (parts[0].is_constant and parts[0].constant_value() == 1):
+    if hyp.f.coefficient((2 * m,) + (0,) * n) != 1:  # f(1, 0, ..., 0)
         raise NormalizationViolated("requires f(1, 0, ..., 0) = 1")
     fam = build_family(m)
     basis = MonomialBasis(n, m + 1)

@@ -19,7 +19,7 @@ from vmrt.sampling import rand_fraction, rand_nonzero_fraction
 
 def square_coeffs(sigma):
     """Coefficient vector a_1..a_2m of (1 + sigma_1 lam + ... + sigma_m lam^m)^2."""
-    root = UniPoly.from_scalars([1] + list(sigma))
+    root = UniPoly([1] + list(sigma))
     sq = root * root
     return [sq.coeff(k) for k in range(1, 2 * len(sigma) + 1)]
 
@@ -98,7 +98,7 @@ class TestCertify:
                 a = square_coeffs([rand_fraction(rng) for _ in range(m)])
             else:
                 a = [rand_fraction(rng) for _ in range(2 * m)]
-            poly = UniPoly.from_scalars([1] + a)
+            poly = UniPoly([1] + a)
             assert certify(a).passed == is_perfect_square(poly)[0]
 
     def test_scaling_equivariance(self):

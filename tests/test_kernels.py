@@ -1,10 +1,10 @@
 """Integer kernels against term-by-term Fraction references.
 
-The line restriction (numeric and symbolic direction) and the sparse
-product clear denominators once and work over the integers.  The reference
-functions below are plain term-by-term Fraction loops; each fast result
-must equal its reference exactly, coefficient by coefficient (and, for the
-product, in the same term order).
+The line restriction (numeric direction, symbolic direction and jet base
+point) and the sparse product clear denominators once and work over the
+integers.  The reference functions below are plain term-by-term Fraction
+loops; each fast result must equal its reference exactly, coefficient by
+coefficient (and, for the product, in the same term order).
 """
 
 import random
@@ -17,16 +17,18 @@ import pytest
 from vmrt import (
     BasePointOnBranch,
     Hypersurface,
+    Jet1,
     SparsePoly,
-    UniPoly,
     parse_poly,
     restrict_to_line,
+    restrict_to_line_jets,
     vmrt_equations,
 )
 from vmrt.sampling import rand_direction, rand_homogeneous, rand_point
 from vmrt.selftest import WITNESS_COMBOS
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def reference_restrict(f, point, direction):
@@ -54,7 +56,7 @@ def reference_restrict(f, point, direction):
             cur = new
         for k, val in enumerate(cur):
             out[k] += val
-    return UniPoly(out, bound=d)
+    return out
 
 
 def reference_symbolic_restrict(f, point):
@@ -83,7 +85,66 @@ def reference_symbolic_restrict(f, point):
             zexp = tuple(k for k, _ in combo)
             bucket = buckets[sum(zexp)]
             bucket[zexp] = bucket.get(zexp, _ZERO) + val
-    return UniPoly([SparsePoly(zvars, b) for b in buckets], bound=d)
+    return [SparsePoly(zvars, b) for b in buckets]
+
+
+def reference_jet_restrict(f, point_jets):
+    """f(1, y + lam*z) at a jet point y, symbolic z, expanded in Fractions.
+
+    `point_jets` holds one (value, derivative) pair per coordinate; entry k
+    is the Jet1 of the degree-k part in z.
+    """
+    n = len(f.vars) - 1
+    d = f.homogeneous_degree()
+    y = [(Fraction(v), Fraction(dv)) for v, dv in point_jets]
+    zvars = tuple(f"z{i}" for i in range(1, n + 1))
+    vals: list[dict] = [dict() for _ in range(d + 1)]
+    ders: list[dict] = [dict() for _ in range(d + 1)]
+
+    def jet_pow(v, dv, p):
+        if p == 0:
+            return (_ONE, _ZERO)
+        if v == 0:
+            # eps^p with eps^2 = 0
+            return (_ZERO, dv) if p == 1 else (_ZERO, _ZERO)
+        return (v ** p, p * v ** (p - 1) * dv)
+
+    for exp, c in f.terms.items():
+        options = []
+        dead = False
+        for i in range(1, n + 1):
+            e = exp[i]
+            vi, di = y[i - 1]
+            opts = []
+            for k in range(e + 1):
+                pv, pd = jet_pow(vi, di, e - k)
+                if pv == 0 and pd == 0:
+                    continue
+                b = comb(e, k)
+                opts.append((k, b * pv, b * pd))
+            if not opts:
+                dead = True
+                break
+            options.append(opts)
+        if dead:
+            continue
+        stack = [((), _ONE, _ZERO)]
+        for opts in options:
+            nxt = []
+            for zpart, av, ad in stack:
+                for k, bv, bd in opts:
+                    nxt.append((zpart + (k,), av * bv, av * bd + ad * bv))
+            stack = nxt
+        for zexp, av, ad in stack:
+            k = sum(zexp)
+            if av:
+                vals[k][zexp] = vals[k].get(zexp, _ZERO) + c * av
+            if ad:
+                ders[k][zexp] = ders[k].get(zexp, _ZERO) + c * ad
+    return [
+        Jet1(SparsePoly(zvars, vals[k]), SparsePoly(zvars, ders[k]))
+        for k in range(d + 1)
+    ]
 
 
 def reference_mul(p, q):
@@ -109,19 +170,33 @@ def integer_form(rng, n, degree):
 def assert_same_restriction(f, y, z):
     fast = restrict_to_line(f, y, z)
     ref = reference_restrict(f, y, z)
-    assert fast.coeffs == ref.coeffs
-    assert fast.bound == ref.bound
-    assert all(type(c) is Fraction for c in fast.coeffs)
+    assert type(fast) is list
+    assert len(fast) == len(ref) == f.homogeneous_degree() + 1
+    for a, b in zip(fast, ref):
+        assert type(a) is Fraction
+        assert a == b
 
 
 def assert_same_symbolic_restriction(f, y):
     fast = restrict_to_line(f, y)
     ref = reference_symbolic_restrict(f, y)
-    assert fast.bound == ref.bound == f.homogeneous_degree()
-    for k in range(ref.bound + 1):
-        assert isinstance(fast.coeff(k), SparsePoly)
-        assert fast.coeff(k) == ref.coeff(k)
-        assert all(type(c) is Fraction for c in fast.coeff(k).terms.values())
+    assert type(fast) is list
+    assert len(fast) == len(ref) == f.homogeneous_degree() + 1
+    for a, b in zip(fast, ref):
+        assert type(a) is SparsePoly
+        assert a == b
+        assert all(type(c) is Fraction for c in a.terms.values())
+
+
+def assert_same_jet_restriction(f, point_jets):
+    fast = restrict_to_line_jets(f, point_jets)
+    ref = reference_jet_restrict(f, point_jets)
+    assert len(fast) == len(ref) == f.homogeneous_degree() + 1
+    assert fast == ref
+    for a, b in zip(fast, ref):
+        assert a.value == b.value and a.derivative == b.derivative
+        for part in (a.value, a.derivative):
+            assert all(type(c) is Fraction for c in part.terms.values())
 
 
 def assert_same_product(p, q):
@@ -180,12 +255,12 @@ class TestRestrictionEdges:
         f = rand_homogeneous(rng, tvars(3), 4)
         y = rand_point(rng, 3)
         assert_same_restriction(f, y, [0, 0, 0])
-        assert restrict_to_line(f, y, [0, 0, 0]).coeffs[1:] == (_ZERO,) * 4
+        assert restrict_to_line(f, y, [0, 0, 0])[1:] == [_ZERO] * 4
 
     def test_pure_t0_power(self):
         f = parse_poly("3/5*t0^6", tvars(3))
         assert_same_restriction(f, [Fraction(1, 2), 3, -1], [1, Fraction(2, 7), 0])
-        assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]).coeffs == (Fraction(3, 5),) + (_ZERO,) * 6
+        assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]) == [Fraction(3, 5)] + [_ZERO] * 6
 
 
 class TestSymbolicRestrictionEdges:
@@ -207,13 +282,69 @@ class TestSymbolicRestrictionEdges:
         f = parse_poly("3/5*t0^6", tvars(3))
         assert_same_symbolic_restriction(f, [Fraction(1, 2), 3, -1])
         rest = restrict_to_line(f, [1, 2, 3])
-        assert rest.coeff(0).constant_value() == Fraction(3, 5)
-        assert all(rest.coeff(k).is_zero for k in range(1, 7))
+        assert rest[0].constant_value() == Fraction(3, 5)
+        assert all(rest[k].is_zero for k in range(1, 7))
 
     def test_single_term(self):
         f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
         assert_same_symbolic_restriction(f, [Fraction(2, 3), 5, Fraction(-1, 2)])
         assert_same_symbolic_restriction(f, [1, 0, 0])
+
+
+def unit_jets(n, i):
+    """The jet point eps*e_i that dmu_jet restricts at."""
+    return [(0, 1 if j == i else 0) for j in range(n)]
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_jet_restriction_matches_reference_at_unit_jets(n, m):
+    rng = random.Random(4000 * n + m)
+    f = rand_homogeneous(rng, tvars(n), 2 * m)
+    for i in range(n):
+        assert_same_jet_restriction(f, unit_jets(n, i))
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_jet_restriction_matches_reference_on_general_pairs(n, m):
+    rng = random.Random(5000 * n + m)
+    f = rand_homogeneous(rng, tvars(n), 2 * m)
+    dens = (1, 2, -3, 5, -7, 9)
+    pairs = [
+        (Fraction(rng.randint(-9, 9), rng.choice(dens)), Fraction(rng.randint(-9, 9), rng.choice(dens)))
+        for _ in range(n)
+    ]
+    assert_same_jet_restriction(f, pairs)
+    # zero values: every power of a coordinate is eps^p, zero for p >= 2
+    assert_same_jet_restriction(f, [(0, dv) for _, dv in pairs])
+    # zero derivatives: the value parts are the plain restriction
+    assert_same_jet_restriction(f, [(v, 0) for v, _ in pairs])
+
+
+class TestJetRestrictionEdges:
+    def test_mixed_zero_values_and_derivatives(self):
+        f = parse_poly("1/3*t0^4 - 5/7*t1^2*t2^2 + 2/9*t0*t3^3 - 11/4*t1*t2*t3^2")
+        pairs = [(Fraction(1, 2), 0), (0, Fraction(-5, 3)), (Fraction(7, -11), Fraction(3, 4))]
+        assert_same_jet_restriction(f, pairs)
+        assert_same_jet_restriction(f, [(0, 0), (0, 0), (0, 0)])
+
+    def test_all_zero_derivatives_give_the_plain_restriction(self):
+        rng = random.Random(19)
+        f = rand_homogeneous(rng, tvars(4), 4)
+        y = rand_point(rng, 4)
+        jets = restrict_to_line_jets(f, [(c, 0) for c in y])
+        assert_same_jet_restriction(f, [(c, 0) for c in y])
+        assert [j.value for j in jets] == restrict_to_line(f, y)
+        assert all(j.derivative.is_zero for j in jets)
+
+    def test_pure_t0_power(self):
+        f = parse_poly("3/5*t0^6", tvars(3))
+        assert_same_jet_restriction(f, [(Fraction(1, 2), 1), (3, -2), (-1, Fraction(1, 3))])
+        f0 = parse_poly("3/5*t0^6", ("t0",))
+        assert_same_jet_restriction(f0, [])
+
+    def test_single_term(self):
+        f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
+        assert_same_jet_restriction(f, [(Fraction(2, 3), 1), (5, 0), (0, Fraction(-1, 2))])
 
 
 def test_equations_at_a_point_on_the_branch_raise_with_the_point():
