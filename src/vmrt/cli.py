@@ -8,14 +8,21 @@ serialized as "p/q" strings, polynomials in the canonical text format.
 Exit codes: 0 success, 1 malformed input (including usage errors),
 2 violated precondition (base point on the hypersurface, degenerate
 elimination, missing normalization, ...).  The environment variable
-VMRT_LOG enables progress logging on stderr and never affects results.
+VMRT_LOG names a logging level (DEBUG, INFO, ...) for progress logging on
+stderr and never affects results; an unknown name is reported in one
+warning line on stderr and otherwise ignored.  At DEBUG, selftest logs
+each criterion's wall time.
 
 Size limits: the dimension n is at most MAX_N = 12 and the degree 2m (of
 a hypersurface, a prescribed equation or a coefficient vector a1..a2m) at
 most MAX_DEGREE = 24.  They are checked before any heavy work, so an
 oversized input exits 2 with an InvalidInput record instead of running
 away.  Both are twice the largest size the tests, demos, selftest and
-benchmark use (n = 6, degree 12).
+benchmark use (n = 6, degree 12).  A rational argument in decimal
+notation may carry an exponent of at most four digits, so "1e999999999"
+is a parse error instead of a billion-digit integer.  A result with a
+number longer than Python's limit for integer-to-text conversion (4300
+digits by default) exits 2 with an InvalidInput record.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ MAX_N = 12
 MAX_DEGREE = 24
 
 _INDEXED_RE = re.compile(r"(?<![A-Za-z0-9_])[tz](\d+)(?![A-Za-z0-9_])")
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]*)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +69,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT_RE.search(text)
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+        raise ParseError(f"bad rational {text[:20]!r}: exponent too long")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -88,7 +99,7 @@ def _read_poly(path: str, variables=None):
     """Parse a polynomial file, refusing oversized inputs before any heavy work."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     # a variable index bounds n; check it before the parser builds the variable list
     for digits in _INDEXED_RE.findall("".join(text.split())):
@@ -329,19 +340,37 @@ _HANDLERS = {
 }
 
 
+def _configure_logging() -> None:
+    """Log to stderr at the level VMRT_LOG names; warn about and ignore an unknown name."""
+    name = os.environ.get("VMRT_LOG")
+    if not name:
+        return
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        print(f"warning: ignoring VMRT_LOG={name!r}: not a logging level", file=sys.stderr)
+        return
+    logging.basicConfig(stream=sys.stderr, level=level)
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("VMRT_LOG")
-    if level:
-        logging.basicConfig(stream=sys.stderr, level=level.upper())
+    _configure_logging()
     args = build_parser().parse_args(argv)
     log.debug("dispatch %s", args.command)
+    as_json = getattr(args, "json", False)
     try:
         _HANDLERS[args.command](args)
     except ParseError as exc:
-        _report_error(exc, getattr(args, "json", False))
+        _report_error(exc, as_json)
         return 1
     except VmrtError as exc:
-        _report_error(exc, getattr(args, "json", False))
+        _report_error(exc, as_json)
+        return 2
+    except ValueError as exc:
+        # Python refuses str() of an integer longer than its int_max_str_digits
+        # limit (4300 digits by default); an exact result that long is a size limit
+        if "integer string conversion" not in str(exc):
+            raise
+        _report_error(InvalidInput("a number in the result is too long to print"), as_json)
         return 2
     return 0
 

@@ -327,30 +327,6 @@ class SparsePoly:
             raise VariableMismatch("renaming must preserve the variable count")
         return SparsePoly(new_vars, dict(self.terms))
 
-    def exact_div(self, divisor: "SparsePoly") -> "SparsePoly":
-        """Exact quotient self / divisor; raises InvalidInput if not divisible."""
-        self._check_vars(divisor)
-        if divisor.is_zero:
-            raise InvalidInput("division by the zero polynomial")
-        rem = dict(self.terms)
-        quot: dict[Exponent, Fraction] = {}
-        d_exp, d_coeff = divisor.leading_term()
-        while rem:
-            r_exp = max(rem, key=grevlex_key)
-            diff = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in diff):
-                raise InvalidInput("division is not exact")
-            c = rem[r_exp] / d_coeff
-            quot[diff] = quot.get(diff, _ZERO) + c
-            for exp, k in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, exp))
-                val = rem.get(tgt, _ZERO) - c * k
-                if val == 0:
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = val
-        return SparsePoly(self.vars, quot)
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self):

@@ -2,7 +2,8 @@
 
 Each criterion samples with a private generator derived from the master
 seed, so a fixed seed yields byte-identical JSON across runs and machines.
-No wall-clock data enters the report.
+No wall-clock data enters the report: each criterion's wall time goes to
+the `vmrt` logger at DEBUG level (stderr under VMRT_LOG=DEBUG).
 
 Criteria:
   1. certificate recursion agrees with the squarefree perfect-square
@@ -25,6 +26,7 @@ Criteria:
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from .eco import build_family, certify, is_weighted_homogeneous
@@ -292,7 +294,16 @@ CRITERIA = (
 
 def run_selftest(seed: int) -> dict:
     """Run every criterion; the result is JSON-serializable and deterministic."""
-    results = [fn(seed) for fn in CRITERIA]
+    # imported here, not at the top, so that `import vmrt` does not load logging
+    import logging
+
+    log = logging.getLogger("vmrt")
+    results = []
+    for fn in CRITERIA:
+        start = time.perf_counter()
+        result = fn(seed)
+        log.debug("criterion %d %s: %.3f s", result["id"], result["name"], time.perf_counter() - start)
+        results.append(result)
     return {
         "command": "selftest",
         "seed": seed,

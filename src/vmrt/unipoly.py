@@ -21,22 +21,38 @@ a numeric direction and the tuple of z-exponents for a symbolic one; a
 power-table entry stores the key increment (j, or the 1-tuple (j,)), so
 substituting a variable is `key + increment` in both cases.
 
+The squarefree factorization is Yun's (1976): a chain of gcds with the
+derivative.  Each gcd runs over the integers: both operands are cleared to
+primitive integer polynomials and the primitive pseudo-remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1, Algorithm E) divides out the content of every
+remainder, so the coefficients stay at the size of the subresultants
+instead of growing through a Fraction Euclid; only the final gcd is made
+monic in Fractions.  The monic gcd is unique, so the factors are the ones
+Euclid over Q gives.
+
 Resultants are taken over the multivariate ring: both inputs are viewed
-as polynomials in the eliminated variable with SparsePoly coefficients,
-and the Sylvester determinant is expanded by fraction-free (Bareiss)
-elimination.  Convention: coefficient rows in ascending-power layout,
-first argument's rows on top; only vanishing and degree of the result
-carry meaning downstream, the sign is fixed for reproducibility.
+as polynomials in the eliminated variable whose coefficients are
+polynomials in the other variables.  Each input is scaled by the lcm of
+its denominators (L_p, L_q), the Sylvester determinant of the integer
+coefficients is expanded by fraction-free elimination over Z[z] (Bareiss
+1968), every division by the previous pivot being an exact division with
+integer divmod, and the determinant is divided once by L_p^e * L_q^d
+(e, d the degrees of q and p in the eliminated variable).  Convention:
+coefficient rows in ascending-power layout, first argument's rows on top;
+only vanishing and degree of the result carry meaning downstream, the sign
+is fixed for reproducibility.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import InvalidInput
-from .poly import SparsePoly
+from .poly import SparsePoly, grevlex_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -161,13 +177,63 @@ def _divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quot), UniPoly(rem[:db])
 
 
+def _primitive(cs: list[int]) -> list[int]:
+    """Integer coefficients divided by their content (the gcd of all of them)."""
+    g = gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _primitive_part(p: UniPoly) -> list[int]:
+    """The primitive integer polynomial with the roots of p: clear denominators, drop the content."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """The remainder of u by v over Q times a nonzero integer (ascending ints, len(u) >= len(v) >= 2).
+
+    Each step scales the remainder by lc(v)/g and subtracts c/g times a
+    shift of v, g = gcd(lc(v), c) for the top coefficient c, so the top
+    cancels in integers without the full factor lc(v)^(deg u - deg v + 1).
+    """
+    lv, dv = v[-1], len(v) - 1
+    r = list(u)
+    for s in range(len(r) - 1 - dv, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(lv, c)
+        a, b = lv // g, c // g
+        if a != 1:
+            r = [a * x for x in r]
+        for j in range(dv):
+            r[s + j] -= b * v[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (Euclid)."""
-    while not b.is_zero:
-        a, b = b, _divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd over the rationals, by the primitive PRS over the integers.
+
+    Both operands are cleared to primitive integer polynomials; each
+    pseudo-remainder is made primitive again before the next step (Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm E), so the coefficients stay near the
+    size of the subresultants.  The last nonzero remainder, made monic, is
+    the unique monic gcd, the value Euclid's algorithm over Q would give.
+    """
+    if a.is_zero or b.is_zero:
+        rest = b if a.is_zero else a
+        return rest if rest.is_zero else rest.monic()
+    u, v = _primitive_part(a), _primitive_part(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_remainder(u, v)
+        if not r:
+            return UniPoly([Fraction(c, v[-1]) for c in v])
+        u, v = v, _primitive(r)
+    return UniPoly([_ONE])
 
 
 def squarefree_factorization(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
@@ -333,43 +399,101 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
 # -- resultants ---------------------------------------------------------------
 
 
-def _coeff_list_in(p: SparsePoly, var: str) -> list[SparsePoly]:
-    """Ascending coefficients of p in one variable, entries over the full ring."""
+def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
+    """Ascending coefficients of L*p in one variable as integer term dicts, and L.
+
+    L is the lcm of p's denominators; the eliminated variable's slot of
+    every exponent is set to 0, so entries live over the full ring.
+    """
     i = p._var_index(var)
-    d = p.degree_in(var)
-    buckets: list[dict] = [dict() for _ in range(max(d, 0) + 1)]
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    buckets: list[dict] = [{} for _ in range(p.degree_in(var) + 1)]
     for exp, c in p.terms.items():
-        e = exp[i]
-        rest = exp[:i] + (0,) + exp[i + 1:]
-        buckets[e][rest] = buckets[e].get(rest, _ZERO) + c
-    return [SparsePoly(p.vars, b) for b in buckets]
+        buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = c.numerator * (den // c.denominator)
+    return buckets, den
 
 
-def _bareiss_det(matrix: list[list[SparsePoly]], vars_) -> SparsePoly:
-    """Fraction-free determinant over the polynomial ring."""
-    n = len(matrix)
-    if n == 0:
-        return SparsePoly.constant(vars_, 1)
-    m = [row[:] for row in matrix]
+def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """a*b - c*d for integer polynomials keyed by exponent tuples, zeros dropped."""
+    acc: dict = {}
+    get = acc.get
+    for sign, left, right in ((1, a, b), (-1, c, d)):
+        for e1, k1 in left.items():
+            k1 *= sign
+            for e2, k2 in right.items():
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + k1 * k2
+    return {e: k for e, k in acc.items() if k}
+
+
+def _exact_quotient(num: dict, den: dict) -> dict:
+    """num / den for integer polynomials keyed by exponent tuples.
+
+    Divides the grevlex-leading term of the remainder by that of den with
+    integer divmod, one quotient term at a time; raises ArithmeticError
+    when a step leaves a remainder, and ZeroDivisionError for den = 0.  The
+    remainder's exponents wait in a sorted queue keyed once per term (each
+    subtraction only adds terms below the current one), and the quotient
+    terms come out grevlex-descending.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    d_exp = max(den, key=grevlex_key)
+    d_coeff = den[d_exp]
+    rest = [(e, k) for e, k in den.items() if e != d_exp]
+    rem = dict(num)
+    # (-degree, reversed exponents) is smallest for the grevlex-largest term
+    queue = sorted((-sum(e), e[::-1], e) for e in rem)
+    quot: dict = {}
+    while queue:
+        r_exp = queue.pop(0)[2]
+        val = rem.pop(r_exp, 0)
+        if not val:
+            continue  # cancelled after it was queued
+        diff = tuple(a - b for a, b in zip(r_exp, d_exp))
+        c, r = divmod(val, d_coeff)
+        if r or min(diff) < 0:
+            raise ArithmeticError("polynomial division is not exact")
+        quot[diff] = c
+        for exp, k in rest:
+            tgt = tuple(map(add, diff, exp))
+            if tgt in rem:
+                rem[tgt] -= c * k
+            else:
+                rem[tgt] = -c * k
+                insort(queue, (-sum(tgt), tgt[::-1], tgt))
+    return quot
+
+
+def _bareiss_det(m: list[list[dict]]) -> dict:
+    """Determinant of a square matrix of integer polynomials, fraction-free.
+
+    Bareiss (1968): after step k every entry of the trailing block is a
+    (k+1)-minor, so dividing each 2x2 cross difference by the previous
+    pivot is exact over Z[z].  Rows are swapped for a zero pivot; the
+    matrix is overwritten.
+    """
+    n = len(m)
     sign = 1
-    prev = SparsePoly.constant(vars_, 1)
+    prev: dict | None = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return SparsePoly.zero(vars_)
-        for i in range(k + 1, n):
+                return {}
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                elt = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = elt.exact_div(prev)
-            m[i][k] = SparsePoly.zero(vars_)
-        prev = m[k][k]
+                elt = _cross_difference(pivot, row[j], lead, row_k[j])
+                row[j] = elt if prev is None else _exact_quotient(elt, prev)
+        prev = pivot
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return det if sign > 0 else {e: -k for e, k in det.items()}
 
 
 def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
@@ -384,22 +508,18 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
         raise InvalidInput("resultant operands must share a variable list")
     if p.is_zero or q.is_zero:
         raise InvalidInput("resultant of a zero polynomial")
-    pc = _coeff_list_in(p, var)
-    qc = _coeff_list_in(q, var)
+    pc, lp = _integer_coeffs_in(p, var)
+    qc, lq = _integer_coeffs_in(q, var)
     d, e = len(pc) - 1, len(qc) - 1
     if d == 0 and e == 0:
         raise InvalidInput("neither operand involves the eliminated variable")
     size = d + e
-    zero = SparsePoly.zero(p.vars)
-    rows: list[list[SparsePoly]] = []
-    for i in range(e):
-        row = [zero] * size
-        for j, cj in enumerate(pc):
-            row[i + j] = cj
-        rows.append(row)
-    for i in range(d):
-        row = [zero] * size
-        for j, cj in enumerate(qc):
-            row[i + j] = cj
-        rows.append(row)
-    return _bareiss_det(rows, p.vars)
+    rows = [[{}] * i + pc + [{}] * (e - 1 - i) for i in range(e)]
+    rows += [[{}] * i + qc + [{}] * (d - 1 - i) for i in range(d)]
+    det = _bareiss_det(rows)
+    if size > 1:
+        # the quotient order of the last Bareiss step, also when no step divided
+        det = dict(sorted(det.items(), key=lambda t: grevlex_key(t[0]), reverse=True))
+    # the rows of p were scaled by lp, those of q by lq
+    den = lp ** e * lq ** d
+    return SparsePoly(p.vars, {exp: Fraction(k, den) for exp, k in det.items()})

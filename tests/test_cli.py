@@ -1,6 +1,8 @@
 """Command-line surface: wiring, JSON schemas, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +185,45 @@ class TestErrors:
         assert "1/0" in record["error"]["message"]
 
 
+class TestLogging:
+    def test_unknown_level_warns_once_and_runs_as_if_unset(self, monkeypatch, capsys):
+        argv = ["eco-cert", "--coeffs", "0,0,0,0", "--json"]
+        monkeypatch.delenv("VMRT_LOG", raising=False)
+        plain_code = main(argv)
+        plain = capsys.readouterr()
+        monkeypatch.setenv("VMRT_LOG", "bogus")
+        code = main(argv)
+        bogus = capsys.readouterr()
+        assert (code, bogus.out) == (plain_code, plain.out) == (0, plain.out)
+        assert bogus.err == "warning: ignoring VMRT_LOG='bogus': not a logging level\n"
+
+    def test_selftest_timings_leave_stdout_unchanged(self, monkeypatch):
+        # two fast criteria stand in for the full selftest
+        script = (
+            "import vmrt.selftest as s\n"
+            "s.CRITERIA = (s.criterion_weighted_homogeneity, s.criterion_explicit_families)\n"
+            "from vmrt.cli import main\n"
+            "raise SystemExit(main(['selftest', '--seed', '42']))\n"
+        )
+        runs = {}
+        for level in ("", "DEBUG"):
+            monkeypatch.setenv("VMRT_LOG", level)
+            runs[level] = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+            )
+        plain, debug = runs[""], runs["DEBUG"]
+        assert plain.returncode == debug.returncode == 0
+        assert debug.stdout == plain.stdout
+        assert json.loads(plain.stdout)["all_pass"] is True
+        assert plain.stderr == ""
+        timings = [line for line in debug.stderr.splitlines() if ":criterion " in line]
+        assert [line.split(":criterion ")[1].split(":")[0] for line in timings] == [
+            "2 weighted-homogeneity",
+            "6 explicit-family-numbers",
+        ]
+        assert all(line.endswith(" s") for line in timings)
+
+
 class TestSizeLimits:
     """Oversized inputs are refused with exit 2 before any heavy work starts."""
 
@@ -244,3 +285,19 @@ class TestSizeLimits:
         code, out = run_cli(capsys, ["eqs", "--f", str(path), "--point", "1", "--json"])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_huge_decimal_exponent_is_a_parse_error(self, capsys):
+        code, out = run_cli(capsys, ["eco-cert", "--coeffs=1e999999999,1", "--json"])
+        assert code == 1
+        record = json.loads(out)
+        assert record["error"]["type"] == "ParseError"
+        assert "exponent too long" in record["error"]["message"]
+
+
+def test_result_too_long_to_print_exits_two(capsys):
+    # sigma_1^2 has about 6000 digits, beyond the interpreter's default conversion limit
+    code, out = run_cli(capsys, ["eco-cert", "--coeffs=" + "7" * 3000 + ",1", "--json"])
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"]["type"] == "InvalidInput"
+    assert "too long to print" in record["error"]["message"]

@@ -1,16 +1,20 @@
 """Integer kernels against term-by-term Fraction references.
 
 The line restriction (numeric direction, symbolic direction and jet base
-point) and the sparse product clear denominators once and work over the
-integers.  The reference functions below are plain term-by-term Fraction
-loops; each fast result must equal its reference exactly, coefficient by
-coefficient (and, for the product, in the same term order).
+point), the sparse product, the gcd of the squarefree factorization and
+the resultant clear denominators once and work over the integers.  The
+reference functions below are plain Fraction loops (Euclid over Q for the
+gcd, Bareiss over SparsePoly entries with a Fraction exact division for
+the resultant); each fast result must equal its reference exactly,
+coefficient by coefficient (and, for the product and the resultant, in
+the same term order).
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -19,13 +23,22 @@ from vmrt import (
     Hypersurface,
     Jet1,
     SparsePoly,
+    UniPoly,
+    build_converse,
+    count_vmrt_points,
+    lines,
     parse_poly,
     restrict_to_line,
     restrict_to_line_jets,
+    resultant,
+    squarefree_factorization,
+    unipoly,
     vmrt_equations,
 )
-from vmrt.sampling import rand_direction, rand_homogeneous, rand_point
+from vmrt.poly import grevlex_key
+from vmrt.sampling import rand_direction, rand_homogeneous, rand_point, rand_point_off_branch
 from vmrt.selftest import WITNESS_COMBOS
+from vmrt.unipoly import poly_gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -155,6 +168,82 @@ def reference_mul(p, q):
             exp = tuple(a + b for a, b in zip(e1, e2))
             acc[exp] = acc.get(exp, _ZERO) + c1 * c2
     return SparsePoly(p.vars, acc)
+
+
+def reference_poly_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
+    while not b.is_zero:
+        rem = list(a.coeffs)
+        inv = 1 / b.leading()
+        db = b.degree()
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i] * inv
+            for j in range(db + 1):
+                rem[i - db + j] -= c * b.coeffs[j]
+        a, b = b, UniPoly(rem[:db])
+    return a if a.is_zero else a.monic()
+
+
+def reference_squarefree(p):
+    """Yun's factorization with every gcd taken by reference_poly_gcd."""
+    with mock.patch.object(unipoly, "poly_gcd", reference_poly_gcd):
+        return squarefree_factorization(p)
+
+
+def reference_exact_div(num, den):
+    """num / den for SparsePolys, leading grevlex term at a time, in Fractions."""
+    rem = dict(num.terms)
+    quot = {}
+    d_exp, d_coeff = den.leading_term()
+    while rem:
+        r_exp = max(rem, key=grevlex_key)
+        diff = tuple(a - b for a, b in zip(r_exp, d_exp))
+        assert min(diff) >= 0, "division is not exact"
+        c = rem[r_exp] / d_coeff
+        quot[diff] = quot.get(diff, _ZERO) + c
+        for exp, k in den.terms.items():
+            tgt = tuple(a + b for a, b in zip(diff, exp))
+            val = rem.get(tgt, _ZERO) - c * k
+            if val == 0:
+                rem.pop(tgt, None)
+            else:
+                rem[tgt] = val
+    return SparsePoly(num.vars, quot)
+
+
+def reference_resultant(p, q, var):
+    """Sylvester resultant by Bareiss over SparsePoly entries in Fractions (p's rows on top)."""
+    i = p.vars.index(var)
+
+    def coeff_list(f):
+        buckets = [dict() for _ in range(f.degree_in(var) + 1)]
+        for exp, c in f.terms.items():
+            buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = c
+        return [SparsePoly(f.vars, b) for b in buckets]
+
+    pc, qc = coeff_list(p), coeff_list(q)
+    d, e = len(pc) - 1, len(qc) - 1
+    n = d + e
+    zero = SparsePoly.zero(p.vars)
+    m = [[zero] * k + pc + [zero] * (e - 1 - k) for k in range(e)]
+    m += [[zero] * k + qc + [zero] * (d - 1 - k) for k in range(d)]
+    sign = 1
+    prev = SparsePoly.constant(p.vars, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
+            if swap is None:
+                return zero
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for j in range(k + 1, n):
+                elt = m[k][k] * m[r][j] - m[r][k] * m[k][j]
+                m[r][j] = reference_exact_div(elt, prev)
+            m[r][k] = zero
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def tvars(n):
@@ -380,3 +469,133 @@ class TestProductEdges:
     def test_integer_only_operands(self):
         rng = random.Random(11)
         assert_same_product(integer_form(rng, 3, 2), integer_form(rng, 3, 3))
+
+
+def assert_same_resultant(p, q, var):
+    fast = resultant(p, q, var)
+    ref = reference_resultant(p, q, var)
+    assert list(fast.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is Fraction for c in fast.terms.values())
+    return fast
+
+
+def assert_same_gcd(a, b):
+    fast = poly_gcd(a, b)
+    assert fast.coeffs == reference_poly_gcd(a, b).coeffs
+    assert all(type(c) is Fraction for c in fast.coeffs)
+    return fast
+
+
+def point_count_inputs(monkeypatch, hyp, point, seed):
+    """The resultant operands and the squarefree-tested form of one count_vmrt_points run."""
+    seen = {}
+
+    def spy_resultant(p, q, var):
+        seen["resultant"] = (p, q, var)
+        return resultant(p, q, var)
+
+    def spy_squarefree(p):
+        seen["squarefree"] = p
+        return squarefree_factorization(p)
+
+    monkeypatch.setattr(lines, "resultant", spy_resultant)
+    monkeypatch.setattr(lines, "squarefree_factorization", spy_squarefree)
+    count_vmrt_points(hyp, point, seed)
+    monkeypatch.undo()
+    return seen["resultant"], seen["squarefree"]
+
+
+def assert_same_point_count_kernels(monkeypatch, hyp, point, seed):
+    (p, q, var), form = point_count_inputs(monkeypatch, hyp, point, seed)
+    assert_same_resultant(p, q, var)
+    monic = form.monic()
+    assert_same_gcd(monic, monic.derivative())
+    assert squarefree_factorization(form) == reference_squarefree(form)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_point_count_kernels_match_references(monkeypatch, seed):
+    rng = random.Random(seed)
+    zv = ("z1", "z2", "z3")
+    hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
+    assert_same_point_count_kernels(monkeypatch, hyp, rand_point_off_branch(rng, hyp), seed)
+
+
+def test_decomposable_point_count_system_matches_references(monkeypatch):
+    # the system of tests/test_lines.py::TestBezoutEnumeration
+    zv = ("z1", "z2", "z3")
+    b4 = SparsePoly.constant(zv, 1)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for c in ((1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1)):
+        b4 = b4 * SparsePoly(zv, {e: Fraction(k) for e, k in zip(units, c)})
+    hyp = build_converse([parse_poly("z1*z2*z3", zv), b4])
+    assert_same_point_count_kernels(monkeypatch, hyp, [0, 0, 0], 2)
+
+
+class TestResultantEdges:
+    ZV = ("z1", "z2", "z3")
+
+    def test_row_swap_for_a_pair_divisible_by_z3(self):
+        p = parse_poly("z3^2 + z1*z3", self.ZV)  # no z3^0 coefficient: zero first pivot
+        q = parse_poly("2*z3^3 - z1^2*z3 + z2^3 + 1/2*z1*z2^2", self.ZV)
+        assert not assert_same_resultant(p, q, "z3").is_zero
+        assert_same_resultant(q, p, "z3")
+
+    def test_shared_factor_gives_zero(self):
+        common = parse_poly("z3 - 2*z1 + 1/3*z2", self.ZV)
+        p = common * parse_poly("z3 + z2", self.ZV)
+        q = common * parse_poly("z3^2 - 5/4*z1*z2", self.ZV)
+        assert assert_same_resultant(p, q, "z3").is_zero
+
+    def test_integer_only_operands(self):
+        rng = random.Random(41)
+        p = integer_form(rng, 2, 3).rename(self.ZV)
+        q = integer_form(rng, 2, 2).rename(self.ZV)
+        assert_same_resultant(p, q, "z3")
+
+    def test_negative_and_mixed_denominators(self):
+        p = parse_poly("-3/7*z3^3 + 5/4*z1*z3^2 - 2/9*z2^2*z3 + z1^3", self.ZV)
+        q = parse_poly("1/6*z3^2 - 7*z1*z2 + 11/10*z2*z3", self.ZV)
+        assert_same_resultant(p, q, "z3")
+        assert_same_resultant(q, p, "z3")
+        assert_same_resultant(p, q, "z1")
+
+    def test_linear_pair(self):
+        # one Bareiss step divides by nothing; the terms still come out in quotient order
+        p = parse_poly("z1*z3 + 1/2*z2^2 - z1*z2 + 3*z1^2", self.ZV)
+        q = parse_poly("-4/3*z2*z3 + z1^2 + 5*z2^2", self.ZV)
+        assert_same_resultant(p, q, "z3")
+
+    def test_degree_zero_operand(self):
+        p = parse_poly("2/3*z3 - z1", self.ZV)
+        q = parse_poly("-5/2*z1^2 + z2^2", self.ZV)
+        assert_same_resultant(p, q, "z3")
+        assert_same_resultant(q, p, "z3")
+
+
+class TestGcdEdges:
+    def test_constant_operand(self):
+        p = UniPoly([Fraction(1, 2), -3, Fraction(5, 7)])
+        assert assert_same_gcd(p, UniPoly([Fraction(-4, 9)])).coeffs == (1,)
+        assert assert_same_gcd(UniPoly([3]), p).coeffs == (1,)
+
+    def test_zero_operands(self):
+        p = UniPoly([Fraction(1, 2), -3, Fraction(5, 7)])
+        assert_same_gcd(p, UniPoly([]))
+        assert_same_gcd(UniPoly([]), p)
+        assert assert_same_gcd(UniPoly([]), UniPoly([])).is_zero
+
+    def test_equal_operands(self):
+        p = UniPoly([Fraction(-1, 3), 0, Fraction(7, 2), Fraction(-2, 5)])
+        assert assert_same_gcd(p, p) == p.monic()
+
+    def test_coprime_operands(self):
+        a = UniPoly([1, 0, 1])
+        b = UniPoly([Fraction(-2, 3), 0, 0, Fraction(9, 4)])
+        assert assert_same_gcd(a, b).coeffs == (1,)
+
+    def test_integer_negative_and_mixed_denominators(self):
+        g = UniPoly([Fraction(3, -4), 1, Fraction(-5, 6)])
+        assert_same_gcd(g * UniPoly([2, -7, 1]), g * UniPoly([-3, 0, 0, 11]))
+        assert_same_gcd(g * UniPoly([Fraction(1, 9), Fraction(-2, 5)]), g * g)
+        assert_same_gcd(UniPoly([6, -4, 12]) * UniPoly([5, 1]), UniPoly([10, 2]))
