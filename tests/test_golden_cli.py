@@ -1,0 +1,62 @@
+"""Golden CLI outputs: the stdout of fixed commands, byte for byte.
+
+Each case runs one `vmrt` command on the fixed inputs under tests/data/
+and compares its stdout with tests/data/golden/<name>.txt.  A change that
+keeps results must keep these bytes; a change that means to alter an
+output regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and commits the difference for review.
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from vmrt.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+_CONVERSE = ",".join(str(DATA / f"converse_b{k}.poly") for k in (4, 5, 6))
+
+CASES = {
+    "eqs_4_3": ["eqs", "--f", str(DATA / "witness_4_3.poly"), "--point", "1,0,-1,2"],
+    "eqs_5_4": ["eqs", "--f", str(DATA / "sparse_5_4.poly"), "--point", "1,0,-1,1,1/2"],
+    "eco_cert_square": ["eco-cert", "--coeffs", "4,6,4,1"],
+    "eco_cert": ["eco-cert", "--coeffs", "1/2,-3,5/7,2,0,1"],
+    "converse": ["converse", "--b", _CONVERSE],
+    "count": ["count", "--f", str(DATA / "witness_3_2.poly"), "--point", "1,-2,1/3", "--seed", "5"],
+    "variation": ["variation", "--f", str(DATA / "recentred_4_3.poly")],
+}
+# every command in plain text and as JSON
+RUNS = {
+    f"{name}{suffix}": argv + flags
+    for name, argv in CASES.items()
+    for suffix, flags in (("", []), ("_json", ["--json"]))
+}
+
+
+def run(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"vmrt {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_stdout_matches_golden(name):
+    assert run(RUNS[name]) == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(RUNS.items()):
+        (GOLDEN / f"{name}.txt").write_text(run(argv))
+        print(f"wrote {name}.txt", file=sys.stderr)
