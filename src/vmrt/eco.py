@@ -1,19 +1,27 @@
 """Even-contact-order certificates for degree-2m polynomials with constant term 1.
 
 A polynomial 1 + a_1*lam + ... + a_2m*lam^2m is the square of a degree-m
-polynomial with constant term 1 exactly when its top coefficients are the
-values of fixed weighted-homogeneous polynomials in the bottom ones:
-a_k = A_k(a_1, ..., a_m) for k = m+1 .. 2m.  The A_k come from the
-half-square recursion
+polynomial 1 + sigma_1*lam + ... + sigma_m*lam^m exactly when its top
+coefficients equal the tails of that square:
 
-    sigma_0 = 1,  sigma_k = (a_k - sum_{i=1}^{k-1} sigma_i*sigma_{k-i}) / 2,
+    sigma_k = (a_k - sum_{i=1}^{k-1} sigma_i*sigma_{k-i}) / 2,   k = 1 .. m,
+    a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l},                   k = m+1 .. 2m.
 
-whose symbolic solutions G_k(t_1..t_m) give sigma_k = G_k(a), and
-A_k = sum_l G_l * G_{k-l} (with G_l = 0 for l > m).  Everything divides
-only by 2, so the whole certificate stays inside the rationals.
+This half-square recursion is written once, in `_half_square`, and needs
+only +, -, * and scaling by 1/2 of its ring.  It runs over Fractions in
+`certify`, over the symbolic t_i in `build_family`, over the ratio forms
+a_k/a_0 in z in `lines.vmrt_equations`, over first-order jets in
+`variation.dmu_jet` and over the graded parts of f in
+`variation.variation_report`.  Everything divides only by 2, so the whole
+certificate stays inside the rationals.
 
-Variable t_i carries weight i; G_k and A_k are weighted homogeneous of
-weighted degree k.
+`build_family` keeps the symbolic solutions: root_polys[k] = G_k(t) with
+sigma_k = G_k(a_1..a_m), and the certificate polynomials
+tail_polys[k] = A_k = sum_l G_l*G_{k-l} (G_l = 0 for l > m).  No caller
+composes A_k with its inputs: the A_k serve the weighted-homogeneity
+check of selftest criterion 2 and, through their partial derivatives,
+the closed-form differential `variation.dmu_formula`.  Variable t_i carries weight i; G_k and A_k are
+weighted homogeneous of weighted degree k.
 """
 
 from __future__ import annotations
@@ -63,31 +71,46 @@ class EcoCertificate:
         return len(self.sigma)
 
 
+def _half_square(a: Sequence, top: int) -> tuple[list, list]:
+    """Half-square recursion on a = (a_1, ..., a_m) over any ring.
+
+    Returns (sigma_1..sigma_m, tails) with tails[k-m-1] = the predicted
+    a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l} for k = m+1 .. top, top <= 2m.
+    A caller that needs only the lowest tail passes top = m+1 and pays for
+    no other.
+    """
+    m = len(a)
+    sigma = [None]  # sigma_0 = 1 never enters a product
+
+    def pair_sum(k, lo):
+        """sum_{l=lo}^{k-lo} sigma_l*sigma_{k-l}, each cross product taken once and doubled."""
+        total = sigma[k // 2] * sigma[k // 2] if k % 2 == 0 else None
+        for ell in range(lo, (k + 1) // 2):
+            term = sigma[ell] * sigma[k - ell] * 2
+            total = term if total is None else total + term
+        return total
+
+    for k in range(1, m + 1):
+        below = pair_sum(k, 1)
+        sigma.append((a[k - 1] if below is None else a[k - 1] - below) * _HALF)
+    return sigma[1:], [pair_sum(k, k - m) for k in range(m + 1, top + 1)]
+
+
 @lru_cache(maxsize=None)
 def build_family(m: int) -> EcoFamily:
     """Solve the half-square recursion symbolically for half-degree m."""
     if not isinstance(m, int) or m < 1:
         raise InvalidInput("m must be a positive integer")
     variables = tuple(f"t{i}" for i in range(1, m + 1))
-    one = SparsePoly.constant(variables, 1)
-    g: list[SparsePoly] = [one]
-    for k in range(1, m + 1):
-        acc = SparsePoly.variable(variables, f"t{k}")
-        for i in range(1, k):
-            acc = acc - g[i] * g[k - i]
-        g.append(acc * _HALF)
-    tails: dict[int, SparsePoly] = {}
-    for k in range(m + 1, 2 * m + 1):
-        acc = SparsePoly.zero(variables)
-        for ell in range(k - m, m + 1):
-            acc = acc + g[ell] * g[k - ell]
-        tails[k] = acc
+    sigma, tails = _half_square([SparsePoly.variable(variables, v) for v in variables], 2 * m)
+    tail_polys = dict(enumerate(tails, start=m + 1))
     partials = {
-        (k, j): tails[k].partial(f"t{j}")
-        for k in tails
+        (k, j): tail_polys[k].partial(f"t{j}")
+        for k in tail_polys
         for j in range(1, m + 1)
     }
-    return EcoFamily(m, variables, tuple(g), tails, partials)
+    root_polys = (SparsePoly.constant(variables, 1), *sigma)
+    return EcoFamily(m, variables, root_polys, tail_polys, partials)
 
 
 def certify(coeffs: Sequence) -> EcoCertificate:
@@ -102,21 +125,11 @@ def certify(coeffs: Sequence) -> EcoCertificate:
     if not a or len(a) % 2:
         raise InvalidInput("coefficient vector must have even positive length 2m")
     m = len(a) // 2
-    sigma = [Fraction(1)]
-    for k in range(1, m + 1):
-        s = a[k - 1]
-        for i in range(1, k):
-            s -= sigma[i] * sigma[k - i]
-        sigma.append(s * _HALF)
-    residuals = []
-    for k in range(m + 1, 2 * m + 1):
-        pred = Fraction(0)
-        for ell in range(k - m, m + 1):
-            pred += sigma[ell] * sigma[k - ell]
-        residuals.append(a[k - 1] - pred)
+    sigma, tails = _half_square(a[:m], 2 * m)
+    residuals = tuple(ak - t for ak, t in zip(a[m:], tails))
     return EcoCertificate(
-        sigma=tuple(sigma[1:]),
-        residuals=tuple(residuals),
+        sigma=tuple(sigma),
+        residuals=residuals,
         passed=all(r == 0 for r in residuals),
     )
 

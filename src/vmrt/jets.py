@@ -4,17 +4,23 @@ A Jet1 carries a pair of SparsePoly in the same variables.  Running an
 exact rational pipeline on jets yields the pipeline's directional
 derivative for free.  `variation.dmu_jet` uses this as the oracle for the
 closed-form differential `dmu_formula`.  It replays the pipeline of
-`vmrt_equations` (restriction, normalization, certificate tail) at a jet
-base point and uses none of the formula's ingredients: graded parts,
-partial derivatives and the tail partials of the certificate family.  A
-mistake in the hand-derived formula therefore cannot reappear in the
-oracle.  What the oracle shares with `vmrt_equations`, the substitution
-loop of the line restriction, defines the map being differentiated, and
-the tests check it against a term-by-term reference of its own.
+`vmrt_equations` at a jet base point, and it shares two pieces with
+`vmrt_equations`: the substitution loop of the line restriction and the
+half-square recursion `eco._half_square`, run here over Jet1 up to the
+lowest tail.  Those two pieces define the map being differentiated, and
+tests/test_kernels.py checks each against a reference of its own: a
+term-by-term expansion for the restriction, the composed certificate
+polynomial A_{m+1} for the recursion.  The oracle uses none of the
+formula's ingredients: graded parts, partial derivatives, and the
+certificate family with its tail partials (it never calls
+`build_family`).  A mistake in the hand-derived formula therefore
+cannot reappear in the oracle.
 
 The jet restriction runs the one substitution loop of
 `unipoly.restrict_to_line` over dual integers value + eps*derivative
 (eps^2 = 0), after clearing the denominators of the jet point.
+Powers of a Jet1 use the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d
+instead of k jet products, which keeps `SparsePoly.compose` over jets cheap.
 """
 
 from __future__ import annotations
@@ -87,12 +93,13 @@ class Jet1:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, and 1 for k = 0."""
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("jet power must be a non-negative integer")
-        result = Jet1.constant(self.value.vars, 1)
-        for _ in range(k):
-            result = result * self
-        return result
+        if k == 0:
+            return Jet1.constant(self.value.vars, 1)
+        below = self.value ** (k - 1)
+        return Jet1(below * self.value, below * self.derivative * k)
 
     def inverse(self) -> "Jet1":
         """Inverse when the value part is an invertible scalar (Leibniz-exact)."""

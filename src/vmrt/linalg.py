@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
-_ZERO = Fraction(0)
-
 
 class QMatrix:
     """Immutable dense matrix with Fraction entries."""
@@ -28,14 +26,6 @@ class QMatrix:
         self.data = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "QMatrix":
@@ -55,28 +45,10 @@ class QMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
             raise InvalidInput("row counts differ")
         return QMatrix([list(a) + list(b) for a, b in zip(self.data, other.data)])
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise InvalidInput("inner dimensions differ")
-        return QMatrix(
-            [
-                [
-                    sum((self.data[i][k] * other.data[k][j] for k in range(self.cols)), _ZERO)
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    __matmul__ = matmul
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):

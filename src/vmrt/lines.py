@@ -13,10 +13,15 @@ defining equations in z,
     B_k(y; z) = a_k(y;z)/a_0(y) - A_k(a_1/a_0, ..., a_m/a_0),
     k = m+1 .. 2m,
 
-with B_k homogeneous of degree k in z.  At a general base point off the
-hypersurface, the common zero locus of the B_k is the variety of
-tangent directions of ECO lines; for (n, m) = (3, 2) it is a finite set
-of length 12 counted by a resultant.
+with B_k homogeneous of degree k in z.  `vmrt_equations` never composes
+A_k with the ratio forms a_j/a_0 (SparsePolys in z from the symbolic
+restriction): it runs the half-square recursion of `eco` on them, whose
+tails are exactly A_k(a_1/a_0, ..., a_m/a_0).  Every intermediate
+sigma_k is a form of degree k in z, no larger than an equation.
+
+At a general base point off the hypersurface, the common zero locus of
+the B_k is the variety of tangent directions of ECO lines; for
+(n, m) = (3, 2) it is a finite set of length 12 counted by a resultant.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .eco import EcoCertificate, build_family, certify
+from .eco import EcoCertificate, _half_square, certify
 from .errors import (
     BasePointOnBranch,
     InvalidInput,
@@ -114,14 +119,11 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     rest = restrict_to_line(hyp.f, y)
     a0 = rest[0].constant_value()  # f(1, y): the restriction at lam = 0
     _require_off_branch(a0, y)
-    fam = build_family(hyp.m)
     inv = 1 / a0
-    ratios = [rest[k] * inv for k in range(1, hyp.m + 1)]
-    equations = []
-    for k in range(hyp.m + 1, 2 * hyp.m + 1):
-        eq = rest[k] * inv - fam.tail_polys[k].compose(ratios)
-        equations.append(eq)
-    return VmrtSystem(n=hyp.n, m=hyp.m, point=y, equations=tuple(equations))
+    m = hyp.m
+    _, tails = _half_square([rest[k] * inv for k in range(1, m + 1)], 2 * m)
+    equations = tuple(rest[k] * inv - tail for k, tail in enumerate(tails, start=m + 1))
+    return VmrtSystem(n=hyp.n, m=m, point=y, equations=equations)
 
 
 def _normalized_restriction(hyp: Hypersurface, point: Sequence, direction: Sequence) -> list[Fraction]:

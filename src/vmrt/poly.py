@@ -159,12 +159,6 @@ class SparsePoly:
         """Terms in canonical grevlex-descending order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise InvalidInput("zero polynomial has no leading term")
-        exp = max(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
-
     def _var_index(self, name: str) -> int:
         try:
             return self.vars.index(name)
@@ -295,7 +289,14 @@ class SparsePoly:
 
         Arguments only need +, * and integer powers, plus multiplication by
         Fraction, so the same code evaluates coefficients numerically,
-        composes with polynomials, or pushes first-order jets through.
+        composes with polynomials (the coordinate changes of `recenter` and
+        `count_vmrt_points`, the tail partials in `dmu_formula`), or pushes
+        first-order jets through.  Each power of each argument is taken
+        once and every term costs one product per variable it contains, so
+        substituting into a polynomial with many terms (such as the
+        certificate polynomials A_k) is dear; the equations and the jet
+        differential avoid it by running the half-square recursion of
+        `eco` on their inputs instead.
         """
         if len(args) != len(self.vars):
             raise InvalidInput("wrong number of substitution arguments")

@@ -98,7 +98,8 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            c = Fraction(other)
+            return UniPoly([x * c for x in self.coeffs])
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -117,16 +118,12 @@ class UniPoly:
             result = result * self
         return result
 
-    def scale(self, c) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly([x * c for x in self.coeffs])
-
     def derivative(self) -> "UniPoly":
         return UniPoly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
 
     def monic(self) -> "UniPoly":
-        lc = self.leading()
-        return self.scale(1 / lc)
+        inv = 1 / self.leading()
+        return UniPoly([x * inv for x in self.coeffs])
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)

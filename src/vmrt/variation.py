@@ -24,9 +24,9 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .eco import build_family
+from .eco import _half_square, build_family
 from .errors import InvalidInput, NormalizationViolated
-from .jets import Jet1, restrict_to_line_jets
+from .jets import restrict_to_line_jets
 from .linalg import QMatrix
 from .lines import Hypersurface, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
@@ -110,21 +110,20 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
 
     Column i replays the full equation pipeline at the jet base point
     y = eps*e_i: restriction, inversion of a_0 = 1 + eps*(...), and the
-    certificate tail evaluated on jets.  The derivative component of the
-    resulting jet is dB_{m+1}/dy_i at the origin.
+    half-square recursion on the jet ratios up to the lowest tail.  The
+    derivative component of the resulting jet is dB_{m+1}/dy_i at the
+    origin.
     """
     m, n = hyp.m, hyp.n
     if hyp.f.coefficient((2 * m,) + (0,) * n) != 1:  # f(1, 0, ..., 0)
         raise NormalizationViolated("requires f(1, 0, ..., 0) = 1")
-    fam = build_family(m)
     basis = MonomialBasis(n, m + 1)
     columns = []
     for i in range(n):
         jets = [(_ZERO, Fraction(1) if j == i else _ZERO) for j in range(n)]
         a = restrict_to_line_jets(hyp.f, jets)
         inv0 = a[0].inverse()
-        ratios = [a[j] * inv0 for j in range(1, m + 1)]
-        tail: Jet1 = fam.tail_polys[m + 1].compose(ratios)
+        _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
         bk = a[m + 1] * inv0 - tail
         columns.append(coeff_vector(bk.derivative, basis).column(0))
     return QMatrix.from_columns(columns)
@@ -178,9 +177,9 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     """
     parts = _normalized_parts(hyp)
     m, n = hyp.m, hyp.n
-    fam = build_family(m)
     differential = dmu_formula(hyp)
-    lowest = parts[m + 1] - fam.tail_polys[m + 1].compose(parts[1 : m + 1])
+    _, (tail,) = _half_square(parts[1 : m + 1], m + 1)
+    lowest = parts[m + 1] - tail
     orbit = orbit_tangent(lowest, degree=m + 1)
     rank_dmu = differential.rank()
     dim_orbit = orbit.rank()

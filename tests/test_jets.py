@@ -76,3 +76,27 @@ def test_jet_restriction_matches_plain_restriction_at_value_level():
     for k in range(5):
         assert jets[k].value == plain[k]
         assert jets[k].derivative.is_zero
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_power_matches_repeated_products(k):
+    rng = random.Random(20 + k)
+    one = Jet1.constant(ZV, 1)
+    jets = [
+        Jet1(rand_poly(rng, ZV, max_degree=2, terms=4), rand_poly(rng, ZV, max_degree=2, terms=4)),
+        Jet1(SparsePoly.zero(ZV), rand_poly(rng, ZV, max_degree=2, terms=4)),  # eps^k = 0 for k >= 2
+        Jet1(SparsePoly.constant(ZV, Fraction(-3, 2)), SparsePoly.zero(ZV)),
+    ]
+    for j in jets:
+        expected = one
+        for _ in range(k):
+            expected = expected * j
+        assert j ** k == expected
+
+
+def test_power_rejects_negative_and_non_integer_exponents():
+    j = Jet1.constant(ZV, 2, 1)
+    with pytest.raises(InvalidInput):
+        j ** -1
+    with pytest.raises(InvalidInput):
+        j ** Fraction(1, 2)

@@ -8,6 +8,12 @@ gcd, Bareiss over SparsePoly entries with a Fraction exact division for
 the resultant); each fast result must equal its reference exactly,
 coefficient by coefficient (and, for the product and the resultant, in
 the same term order).
+
+The equations and the jet differential run the half-square recursion of
+`eco._half_square` directly on their inputs.  Their references take the
+older route: the certificate polynomials A_k, built by a separate
+symbolic loop, composed with the same inputs.  Results must agree by
+`==` and in their printed text.
 """
 
 import random
@@ -25,7 +31,9 @@ from vmrt import (
     SparsePoly,
     UniPoly,
     build_converse,
+    build_family,
     count_vmrt_points,
+    format_poly,
     lines,
     parse_poly,
     restrict_to_line,
@@ -35,10 +43,12 @@ from vmrt import (
     unipoly,
     vmrt_equations,
 )
+from vmrt.eco import _half_square
 from vmrt.poly import grevlex_key
 from vmrt.sampling import rand_direction, rand_homogeneous, rand_point, rand_point_off_branch
 from vmrt.selftest import WITNESS_COMBOS
 from vmrt.unipoly import poly_gcd
+from vmrt.variation import MonomialBasis, coeff_vector, dmu_jet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -194,7 +204,8 @@ def reference_exact_div(num, den):
     """num / den for SparsePolys, leading grevlex term at a time, in Fractions."""
     rem = dict(num.terms)
     quot = {}
-    d_exp, d_coeff = den.leading_term()
+    d_exp = max(den.terms, key=grevlex_key)
+    d_coeff = den.terms[d_exp]
     while rem:
         r_exp = max(rem, key=grevlex_key)
         diff = tuple(a - b for a, b in zip(r_exp, d_exp))
@@ -244,6 +255,39 @@ def reference_resultant(p, q, var):
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def reference_family(m):
+    """Root polys G_0..G_m and tails {k: A_k} by the plain symbolic loop, one product per pair."""
+    variables = tuple(f"t{i}" for i in range(1, m + 1))
+    g = [SparsePoly.constant(variables, 1)]
+    for k in range(1, m + 1):
+        acc = SparsePoly.variable(variables, f"t{k}")
+        for i in range(1, k):
+            acc = acc - g[i] * g[k - i]
+        g.append(acc * Fraction(1, 2))
+    tails = {}
+    for k in range(m + 1, 2 * m + 1):
+        acc = SparsePoly.zero(variables)
+        for ell in range(k - m, m + 1):
+            acc = acc + g[ell] * g[k - ell]
+        tails[k] = acc
+    return g, tails
+
+
+def reference_vmrt_equations(hyp, point):
+    """[B_{m+1}, ..., B_{2m}] with A_k composed with the ratio forms a_1/a_0, ..., a_m/a_0."""
+    m = hyp.m
+    rest = restrict_to_line(hyp.f, point)
+    inv = 1 / rest[0].constant_value()
+    ratios = [rest[k] * inv for k in range(1, m + 1)]
+    tails = build_family(m).tail_polys
+    return [rest[k] * inv - tails[k].compose(ratios) for k in range(m + 1, 2 * m + 1)]
+
+
+def reference_jet_tail(ratios, m):
+    """A_{m+1} composed with Jet1 ratios: the tail dmu_jet used to take."""
+    return build_family(m).tail_polys[m + 1].compose(ratios)
 
 
 def tvars(n):
@@ -434,6 +478,78 @@ class TestJetRestrictionEdges:
     def test_single_term(self):
         f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
         assert_same_jet_restriction(f, [(Fraction(2, 3), 1), (5, 0), (0, Fraction(-1, 2))])
+
+
+def assert_same_polys(fast, ref):
+    assert list(fast) == list(ref)
+    assert [format_poly(p) for p in fast] == [format_poly(p) for p in ref]
+    assert all(type(c) is Fraction for p in fast for c in p.terms.values())
+
+
+def assert_same_equations(hyp, point):
+    assert_same_polys(vmrt_equations(hyp, point).equations, reference_vmrt_equations(hyp, point))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_family_matches_the_symbolic_loop(m):
+    fam = build_family(m)
+    roots, tails = reference_family(m)
+    assert_same_polys(fam.root_polys, roots)
+    assert list(fam.tail_polys) == list(tails)
+    assert_same_polys(fam.tail_polys.values(), tails.values())
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_equations_match_composed_tails_at_random_points(n, m):
+    rng = random.Random(6000 * n + m)
+    for _ in range(2):
+        hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
+        assert_same_equations(hyp, rand_point_off_branch(rng, hyp))
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_equations_match_composed_tails_at_the_origin(n, m):
+    # converse inputs: a_0 = 1 and a_1 = ... = a_m = 0, so every sigma_k vanishes
+    rng = random.Random(7000 * n + m)
+    zv = tuple(f"z{i}" for i in range(1, n + 1))
+    b = [rand_homogeneous(rng, zv, k) for k in range(m + 1, 2 * m + 1)]
+    hyp = build_converse(b)
+    assert_same_equations(hyp, [0] * n)
+    assert list(vmrt_equations(hyp, [0] * n).equations) == b
+
+
+def reference_dmu_jet_columns(hyp):
+    """Derivative parts of B_{m+1} at eps*e_i, the tail taken by composing A_{m+1}."""
+    m, n = hyp.m, hyp.n
+    out = []
+    for i in range(n):
+        a = restrict_to_line_jets(hyp.f, unit_jets(n, i))
+        inv0 = a[0].inverse()
+        ratios = [a[j] * inv0 for j in range(1, m + 1)]
+        out.append((a[m + 1] * inv0 - reference_jet_tail(ratios, m)).derivative)
+    return out
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_jet_tails_match_composed_tail_at_unit_jets(n, m):
+    rng = random.Random(8000 * n + m)
+    f = rand_homogeneous(rng, tvars(n), 2 * m)
+    f = f + (1 - f.coefficient((2 * m,) + (0,) * n)) * SparsePoly.variable(tvars(n), "t0") ** (2 * m)
+    for i in range(n):
+        a = restrict_to_line_jets(f, unit_jets(n, i))
+        inv0 = a[0].inverse()
+        ratios = [a[j] * inv0 for j in range(1, m + 1)]
+        _, tails = _half_square(ratios, m + 1)
+        ref = reference_jet_tail(ratios, m)
+        assert tails == [ref]
+        assert_same_polys([tails[0].value, tails[0].derivative], [ref.value, ref.derivative])
+    hyp = Hypersurface(f)
+    columns = dmu_jet(hyp)
+    ref_columns = reference_dmu_jet_columns(hyp)
+    basis = MonomialBasis(n, m + 1)
+    assert [columns.column(i) for i in range(n)] == [
+        coeff_vector(p, basis).column(0) for p in ref_columns
+    ]
 
 
 def test_equations_at_a_point_on_the_branch_raise_with_the_point():

@@ -15,7 +15,7 @@ def rand_matrix(rng, rows, cols):
 
 
 def test_identity_rank():
-    assert QMatrix.identity(3).rank() == 3
+    assert QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
 
 
 def test_duplicated_columns_do_not_change_rank():
@@ -31,8 +31,7 @@ def test_column_permutation_preserves_span():
         a = rand_matrix(rng, 5, 3)
         if a.rank() == 3:
             break
-    perm = QMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    b = a @ perm
+    b = QMatrix.from_columns([a.column(2), a.column(0), a.column(1)])
     assert span_intersection(a, b) == 3
 
 
@@ -58,12 +57,10 @@ def test_span_intersection_counts_shared_columns():
 
 
 def test_shape_mismatches_rejected():
-    a = QMatrix.zeros(2, 2)
-    b = QMatrix.zeros(3, 2)
+    a = QMatrix([[0, 0], [0, 0]])
+    b = QMatrix([[0, 0], [0, 0], [0, 0]])
     with pytest.raises(InvalidInput):
         a.hstack(b)
-    with pytest.raises(InvalidInput):
-        a @ b
     with pytest.raises(InvalidInput):
         span_intersection(a, b)
 
@@ -71,6 +68,6 @@ def test_shape_mismatches_rejected():
 def test_from_columns_round_trip():
     cols = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     m = QMatrix.from_columns(cols)
-    assert m.columns() == cols
+    assert [m.column(j) for j in range(m.cols)] == cols
     empty = QMatrix.from_columns([], rows=3)
     assert empty.rows == 3 and empty.cols == 0 and empty.rank() == 0

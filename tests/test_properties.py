@@ -1,4 +1,4 @@
-"""Property tests: restriction and gcd kernels, square tests, text format, CLI.
+"""Property tests: restriction and gcd kernels, square tests, half-square recursion, text, CLI.
 
 Hypothesis draws small forms, points, roots, polynomials and command
 lines.  Every test is derandomized and bounded, so a run is deterministic
@@ -37,6 +37,7 @@ from vmrt import (
     squarefree_factorization,
 )
 from vmrt.cli import main
+from vmrt.eco import _half_square
 from vmrt.unipoly import poly_gcd
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -127,6 +128,24 @@ def test_certificate_agrees_with_square_oracle(tail, where, bump):
     assert is_perfect_square(UniPoly([1] + a))[0] is True
     a[where % (2 * m)] += bump
     assert certify(a).passed == is_perfect_square(UniPoly([1] + a))[0]
+
+
+@PROPERTY
+@given(st.lists(fractions, min_size=1, max_size=5))
+def test_half_square_recovers_the_root_of_a_square(sigma):
+    """On the coefficients of (1 + sum sigma_k lam^k)^2 the recursion returns sigma and the top half."""
+    m = len(sigma)
+    root = UniPoly([1] + sigma)
+    square = root * root
+    a = [square.coeff(k) for k in range(1, 2 * m + 1)]
+    got, tails = _half_square(a[:m], 2 * m)
+    assert got == sigma
+    assert [ak - t for ak, t in zip(a[m:], tails)] == [0] * m
+    for top in range(m, 2 * m + 1):  # a shorter run returns a prefix of the tails
+        assert _half_square(a[:m], top) == (got, tails[: top - m])
+    cert = certify(a)
+    assert cert.sigma == tuple(sigma)
+    assert cert.residuals == (0,) * m and cert.passed
 
 
 @PROPERTY

@@ -133,7 +133,7 @@ class TestDifferential:
         lifted = SparsePoly(tv, {(0,) + exp: c for exp, c in top.terms.items()})
         hyp = Hypersurface(SparsePoly.variable(tv, "t0") ** 6 + lifted)
         mat = dmu_formula(hyp)
-        assert all(c == 0 for col in mat.columns() for c in col)
+        assert all(c == 0 for row in mat.data for c in row)
 
     def test_normalization_enforced(self):
         hyp = Hypersurface(parse_poly("2*t0^4 + t1^4", ("t0", "t1", "t2")))
