@@ -9,15 +9,16 @@ the resultant); each fast result must equal its reference exactly,
 coefficient by coefficient (and, for the product and the resultant, in
 the same term order).
 
-The equations and the jet differential run the half-square recursion of
-`eco._half_square` directly on their inputs.  Their references take the
-older route: the certificate polynomials A_k, built by a separate
-symbolic loop, composed with the same inputs.  Results must agree by
-`==` and in their printed text.
+The certificate family, the equations and the jet differential run the
+half-square recursion `eco._half_square`.  Their references solve the
+recursion by a plain symbolic loop for the certificate polynomials A_k
+and compose the A_k with the same inputs.  Results must agree by `==`
+and in their printed text.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 from unittest import mock
@@ -257,6 +258,7 @@ def reference_resultant(p, q, var):
     return -det if sign < 0 else det
 
 
+@lru_cache(maxsize=None)
 def reference_family(m):
     """Root polys G_0..G_m and tails {k: A_k} by the plain symbolic loop, one product per pair."""
     variables = tuple(f"t{i}" for i in range(1, m + 1))
@@ -281,13 +283,13 @@ def reference_vmrt_equations(hyp, point):
     rest = restrict_to_line(hyp.f, point)
     inv = 1 / rest[0].constant_value()
     ratios = [rest[k] * inv for k in range(1, m + 1)]
-    tails = build_family(m).tail_polys
+    _, tails = reference_family(m)
     return [rest[k] * inv - tails[k].compose(ratios) for k in range(m + 1, 2 * m + 1)]
 
 
 def reference_jet_tail(ratios, m):
-    """A_{m+1} composed with Jet1 ratios: the tail dmu_jet used to take."""
-    return build_family(m).tail_polys[m + 1].compose(ratios)
+    """A_{m+1} composed with the Jet1 ratios a_1/a_0, ..., a_m/a_0."""
+    return reference_family(m)[1][m + 1].compose(ratios)
 
 
 def tvars(n):
@@ -534,6 +536,7 @@ def reference_dmu_jet_columns(hyp):
 def test_jet_tails_match_composed_tail_at_unit_jets(n, m):
     rng = random.Random(8000 * n + m)
     f = rand_homogeneous(rng, tvars(n), 2 * m)
+    # dmu_jet requires f(1, 0, ..., 0) = 1
     f = f + (1 - f.coefficient((2 * m,) + (0,) * n)) * SparsePoly.variable(tvars(n), "t0") ** (2 * m)
     for i in range(n):
         a = restrict_to_line_jets(f, unit_jets(n, i))
