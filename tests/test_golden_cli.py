@@ -32,6 +32,9 @@ CASES = {
     "converse": ["converse", "--b", _CONVERSE],
     "count": ["count", "--f", str(DATA / "witness_3_2.poly"), "--point", "1,-2,1/3", "--seed", "5"],
     "variation": ["variation", "--f", str(DATA / "recentred_4_3.poly")],
+    # non-maximal (no middle part): every rank below full, so the exact
+    # rank comes from the fraction-free fallback, not the modular certificate
+    "variation_fermat": ["variation", "--f", str(DATA / "fermat_5_3.poly")],
 }
 # every command in plain text and as JSON
 RUNS = {
