@@ -1,8 +1,14 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
-Forward elimination is fraction-free (Bareiss) on denominator-cleared
-integer rows, so intermediate growth stays polynomial and every pivot
-decision is exact.
+Rank works on denominator-cleared integer rows and is certified mod the
+fixed Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5).  Reducing an integer matrix mod P can
+only lose pivots, so rank mod P <= rank over Q <= min(rows, cols): when
+one Gaussian elimination over GF(P) reaches min(rows, cols) pivots, that
+is the exact rank, and the answer is the same on every run.  Otherwise the
+rows go to fraction-free (Bareiss 1968) elimination over Z, whose
+intermediate growth stays polynomial and whose every pivot decision is
+exact.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
+_P = (1 << 61) - 1
+
 
 class QMatrix:
     """Immutable dense matrix with Fraction entries."""
@@ -20,7 +28,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in data)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise InvalidInput("ragged rows")
         self.data = rows
@@ -67,12 +75,20 @@ class QMatrix:
         out = []
         for row in self.data:
             mult = lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * mult) for x in row])
+            out.append([x.numerator * (mult // x.denominator) for x in row])
         return out
 
     def rank(self) -> int:
-        """Number of pivots of a fraction-free (Bareiss) row echelon form."""
+        """Exact rank over Q.
+
+        Certified by one elimination mod P when that reaches
+        min(rows, cols) pivots; otherwise the number of pivots of a
+        fraction-free (Bareiss) row echelon form of the integer rows.
+        """
         m = self._integer_rows()
+        full = min(self.rows, self.cols)
+        if _rank_mod_p(m, self.cols) == full:
+            return full
         r, prev = 0, 1
         for c in range(self.cols):
             if r >= self.rows:
@@ -95,6 +111,26 @@ class QMatrix:
             prev = m[r][c]
             r += 1
         return r
+
+
+def _rank_mod_p(m: list[list[int]], cols: int) -> int:
+    """Rank of the integer rows m over GF(P), by Gaussian elimination; m is left as it is."""
+    rows = [[x % _P for x in row] for row in m]
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r]
+        inv = pow(pivot[c], -1, _P)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % _P
+            if f:
+                # entries left of c are 0 in both rows; column c becomes 0
+                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], pivot)]
+        r += 1
+    return r
 
 
 def span_intersection(a: QMatrix, b: QMatrix) -> int:

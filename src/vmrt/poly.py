@@ -360,6 +360,7 @@ def graded_parts(f: SparsePoly, var: str) -> list[SparsePoly]:
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
 _NUMBER_RE = re.compile(r"^\d+(/\d+)?$")
 _FAMILY_RE = re.compile(r"^([tz])(\d+)$")
+_TERM_SPLIT_RE = re.compile(r"([+-])")
 
 
 def format_poly(p: SparsePoly) -> str:
@@ -413,26 +414,17 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
     compact = "".join(compact.split())
     if not compact:
         raise ParseError("empty polynomial text")
-    # split into signed terms at top level (no parentheses in this format)
-    terms: list[tuple[int, str]] = []
-    sign, start = 1, 0
+    # split into signed terms at top level (no parentheses in this format);
+    # numbers are \d+(/\d+)?, so '+' and '-' only ever separate terms
+    sign = 1
     if compact[0] in "+-":
         sign = -1 if compact[0] == "-" else 1
-        start = 1
-    cur = []
-    i = start
-    while i <= len(compact):
-        if i == len(compact) or compact[i] in "+-":
-            body = "".join(cur)
-            if not body:
-                raise ParseError(f"dangling sign in {text!r}")
-            terms.append((sign, body))
-            if i < len(compact):
-                sign = -1 if compact[i] == "-" else 1
-                cur = []
-        else:
-            cur.append(compact[i])
-        i += 1
+        compact = compact[1:]
+    parts = _TERM_SPLIT_RE.split(compact)  # body, sign, body, ..., sign, body
+    signs = [sign] + [-1 if s == "-" else 1 for s in parts[1::2]]
+    terms = list(zip(signs, parts[::2]))
+    if not all(body for _, body in terms):
+        raise ParseError(f"dangling sign in {text!r}")
 
     raw: list[tuple[int, dict[str, int], Fraction]] = []
     seen: set[str] = set()

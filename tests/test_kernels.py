@@ -14,6 +14,10 @@ half-square recursion `eco._half_square`.  Their references solve the
 recursion by a plain symbolic loop for the certificate polynomials A_k
 and compose the A_k with the same inputs.  Results must agree by `==`
 and in their printed text.
+
+`QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
+over the integers; its reference is a plain Fraction Gauss-Jordan
+elimination that shares no code with either.
 """
 
 import random
@@ -29,6 +33,7 @@ from vmrt import (
     BasePointOnBranch,
     Hypersurface,
     Jet1,
+    QMatrix,
     SparsePoly,
     UniPoly,
     build_converse,
@@ -37,13 +42,16 @@ from vmrt import (
     format_poly,
     lines,
     parse_poly,
+    recenter,
     restrict_to_line,
     restrict_to_line_jets,
     resultant,
     squarefree_factorization,
     unipoly,
+    variation_report,
     vmrt_equations,
 )
+from vmrt import linalg
 from vmrt.eco import _half_square
 from vmrt.poly import grevlex_key
 from vmrt.sampling import rand_direction, rand_homogeneous, rand_point, rand_point_off_branch
@@ -290,6 +298,25 @@ def reference_vmrt_equations(hyp, point):
 def reference_jet_tail(ratios, m):
     """A_{m+1} composed with the Jet1 ratios a_1/a_0, ..., a_m/a_0."""
     return reference_family(m)[1][m + 1].compose(ratios)
+
+
+def reference_rank(mat):
+    """Rank over Q by Gauss-Jordan elimination on the Fraction entries."""
+    rows = [list(row) for row in mat.data]
+    rank = 0
+    for c in range(mat.cols):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pivot = [x / rows[rank][c] for x in rows[rank]]
+        rows[rank] = pivot
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
 
 
 def tvars(n):
@@ -718,3 +745,141 @@ class TestGcdEdges:
         assert_same_gcd(g * UniPoly([2, -7, 1]), g * UniPoly([-3, 0, 0, 11]))
         assert_same_gcd(g * UniPoly([Fraction(1, 9), Fraction(-2, 5)]), g * g)
         assert_same_gcd(UniPoly([6, -4, 12]) * UniPoly([5, 1]), UniPoly([10, 2]))
+
+
+# -- rank ------------------------------------------------------------------
+
+P = (1 << 61) - 1
+
+
+def assert_same_rank(mat):
+    fast = mat.rank()
+    assert fast == reference_rank(mat)
+    return fast
+
+
+def rand_rational_matrix(rng, rows, cols):
+    return QMatrix(
+        [[Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def combine(rng, vectors, count):
+    """`count` random integer combinations of the given equal-length vectors."""
+    return [
+        [sum((k * v[j] for k, v in zip(ks, vectors)), _ZERO) for j in range(len(vectors[0]))]
+        for ks in ([rng.randint(-5, 5) for _ in vectors] for _ in range(count))
+    ]
+
+
+@pytest.mark.parametrize("rows,cols", [(6, 3), (3, 6), (5, 5), (1, 4), (4, 1), (9, 8)])
+def test_rank_of_random_full_matrices(rows, cols):
+    rng = random.Random(rows * 31 + cols)
+    for _ in range(4):
+        mat = rand_rational_matrix(rng, rows, cols)
+        assert assert_same_rank(mat) == min(rows, cols)
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(6, 4, 2), (4, 6, 3), (5, 5, 4), (7, 7, 1), (8, 5, 3)])
+def test_rank_with_planted_dependent_rows_and_columns(rows, cols, rank):
+    rng = random.Random(rows * 97 + cols * 7 + rank)
+    # rows: `rank` independent ones and combinations of them, shuffled
+    base = rand_rational_matrix(rng, rank, cols).data
+    mixed = list(base) + combine(rng, base, rows - rank)
+    rng.shuffle(mixed)
+    assert assert_same_rank(QMatrix(mixed)) == rank
+    # columns: the same, on the transpose
+    base = rand_rational_matrix(rng, rank, rows).data
+    mixed = list(base) + combine(rng, base, cols - rank)
+    rng.shuffle(mixed)
+    assert assert_same_rank(QMatrix.from_columns(mixed)) == rank
+
+
+def test_rank_of_zero_and_empty_matrices():
+    assert assert_same_rank(QMatrix([[0] * 4 for _ in range(3)])) == 0
+    assert assert_same_rank(QMatrix([[0]])) == 0
+    tall_empty = QMatrix.from_columns([], rows=4)  # 4 x 0
+    assert (tall_empty.rows, tall_empty.cols) == (4, 0)
+    assert assert_same_rank(tall_empty) == 0
+    # a matrix without rows has no columns either: 0 x k comes out 0 x 0
+    for mat in (QMatrix([]), QMatrix.from_columns([[], [], []])):
+        assert (mat.rows, mat.cols) == (0, 0)
+        assert assert_same_rank(mat) == 0
+
+
+def test_rank_with_mixed_denominators():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rows = [
+        [third, Fraction(-5, 7), Fraction(11, 4), 2],
+        [half, Fraction(3, 10), 0, Fraction(-1, 9)],
+        [third + half, Fraction(-5, 7) + Fraction(3, 10), Fraction(11, 4), 2 - Fraction(1, 9)],
+    ]
+    assert assert_same_rank(QMatrix(rows)) == 2
+    assert assert_same_rank(QMatrix(rows[:2] + [[Fraction(1, 6), 0, 0, Fraction(-7, 8)]])) == 3
+    rng = random.Random(23)
+    for _ in range(5):
+        assert_same_rank(rand_rational_matrix(rng, 4, 6).hstack(rand_rational_matrix(rng, 4, 2)))
+
+
+def variation_matrices(monkeypatch, n, m, seed):
+    """dmu, orbit tangent and their hstack, as variation_report ranks them at a recentred point."""
+    rng = random.Random(seed)
+    hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
+    moved = recenter(hyp, rand_point_off_branch(rng, hyp))
+    seen = []
+    rank = QMatrix.rank
+
+    def spy_rank(mat):
+        seen.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(QMatrix, "rank", spy_rank)
+    variation_report(moved)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 3, 1), (4, 3, 2), (5, 3, 3), (5, 3, 4)])
+def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
+    dmu, orbit, both = variation_matrices(monkeypatch, n, m, seed)
+    assert both == dmu.hstack(orbit)
+    assert max(abs(x.numerator).bit_length() for row in both.data for x in row) > 64
+    for mat in (dmu, orbit, both):
+        assert_same_rank(mat)
+
+
+def modular_ranks(monkeypatch):
+    """Record what the certificate mod P returns inside QMatrix.rank."""
+    seen = []
+    rank_mod_p = linalg._rank_mod_p
+
+    def spy(m, cols):
+        seen.append(rank_mod_p(m, cols))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "rows,rank",
+    [
+        ([[P, 0], [0, 1]], 2),
+        # (lower unimodular) . diag(1, 1, P) . (upper unimodular): determinant P
+        ([[1, 2, 0], [4, 9, 3], [5, 16, P + 18]], 3),
+        ([[1, 2, 3], [2, 4, 6 + P]], 2),
+        ([[Fraction(1, 2), 0], [0, Fraction(P, 3)]], 2),
+        ([[2 * P, 4 * P, 1], [P, 2 * P, 7], [0, 0, 0]], 2),
+    ],
+)
+def test_rank_that_drops_only_mod_p_comes_from_bareiss(monkeypatch, rows, rank):
+    mod_p = modular_ranks(monkeypatch)
+    assert assert_same_rank(QMatrix(rows)) == rank
+    assert mod_p == [rank - 1]
+
+
+def test_full_rank_mod_p_returns_without_bareiss(monkeypatch):
+    mod_p = modular_ranks(monkeypatch)
+    mat = QMatrix([[P + 1, 2], [3, 5]])  # rank 2 mod P and over Q
+    assert assert_same_rank(mat) == 2
+    assert mod_p == [2]

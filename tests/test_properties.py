@@ -1,4 +1,4 @@
-"""Property tests: restriction and gcd kernels, square tests, half-square recursion, text, CLI.
+"""Property tests: restriction, gcd and rank kernels, square tests, half-square recursion, text, CLI.
 
 Hypothesis draws small forms, points, roots, polynomials and command
 lines.  Every test is derandomized and bounded, so a run is deterministic
@@ -18,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_kernels import (
+    P,
     reference_jet_restrict,
     reference_poly_gcd,
+    reference_rank,
     reference_restrict,
     reference_squarefree,
     reference_symbolic_restrict,
 )
 from vmrt import (
+    QMatrix,
     SparsePoly,
     UniPoly,
     certify,
@@ -146,6 +149,37 @@ def test_half_square_recovers_the_root_of_a_square(sigma):
     cert = certify(a)
     assert cert.sigma == tuple(sigma)
     assert cert.residuals == (0,) * m and cert.passed
+
+
+# small entries, and a few multiples of P = 2^61 - 1 that vanish mod P
+matrix_entries = st.one_of(
+    st.integers(-9, 9), fractions, st.sampled_from([P, -P, 2 * P, P + 1, Fraction(P, 3)])
+)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix of at most 5 x 5, sometimes with one row or column a combination of two others."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    data = draw(
+        st.lists(st.lists(matrix_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    plant = draw(st.sampled_from(["none", "row", "column"]))
+    if plant == "column":
+        data = [list(col) for col in zip(*data)]
+    if plant != "none" and len(data) >= 3:
+        i, j, k = draw(st.permutations(range(len(data))))[:3]
+        a, b = draw(fractions), draw(fractions)
+        data[k] = [a * x + b * y for x, y in zip(data[i], data[j])]
+    if plant == "column":
+        data = [list(row) for row in zip(*data)]
+    return QMatrix(data)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_matches_reference(mat):
+    assert mat.rank() == reference_rank(mat)
 
 
 @PROPERTY
