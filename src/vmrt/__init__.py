@@ -34,7 +34,6 @@ from .lines import (
 from .poly import (
     SparsePoly,
     format_poly,
-    graded_parts,
     monomials_of_degree,
     parse_poly,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "eco_witness",
     "explicit_family",
     "format_poly",
-    "graded_parts",
     "is_eco_line",
     "is_perfect_square",
     "is_weighted_homogeneous",

@@ -243,17 +243,19 @@ def _cmd_eco_line(args) -> None:
 
 def _cmd_converse(args) -> None:
     polys = [_read_poly(path.strip()) for path in args.b.split(",") if path.strip()]
-    # align all inputs on one z1..zn list before validation
+    if not polys:
+        raise ParseError("empty file list")
+    # refuse other variables before widening renames them, then align all
+    # inputs on one z1..zn list
+    for p in polys:
+        if p.vars != tuple(f"z{i}" for i in range(1, len(p.vars) + 1)):
+            raise InvalidInput("prescribed equations must use variables z1..zn")
     n = max(len(p.vars) for p in polys)
     zvars = tuple(f"z{i}" for i in range(1, n + 1))
-    widened = []
-    for p in polys:
-        if p.vars != zvars:
-            widened.append(
-                type(p)(zvars, {exp + (0,) * (n - len(p.vars)): c for exp, c in p.terms.items()})
-            )
-        else:
-            widened.append(p)
+    widened = [
+        type(p)(zvars, {exp + (0,) * (n - len(p.vars)): c for exp, c in p.terms.items()})
+        for p in polys
+    ]
     hyp = build_converse(widened)
     report = {
         "command": "converse",

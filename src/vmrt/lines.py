@@ -37,7 +37,7 @@ from .errors import (
     InvalidInput,
     ResultantDegenerate,
 )
-from .poly import SparsePoly, graded_parts
+from .poly import SparsePoly
 from .sampling import rand_homogeneous, rand_invertible
 from .unipoly import UniPoly, is_perfect_square, restrict_to_line, resultant, squarefree_factorization
 
@@ -81,9 +81,13 @@ class Hypersurface:
         return self.f.evaluate((Fraction(1),) + y)
 
     def graded_parts(self) -> list[SparsePoly]:
-        """[f_0, ..., f_2m] with f = sum t0^(2m-k) f_k, rebased to z1..zn."""
+        """[f_0, ..., f_2m] in z1..zn with f = sum t0^(2m-k) f_k, f_k of degree k."""
+        d = 2 * self.m
+        buckets: list[dict] = [{} for _ in range(d + 1)]
+        for exp, c in self.f.terms.items():
+            buckets[d - exp[0]][exp[1:]] = c
         zvars = tuple(f"z{i}" for i in range(1, self.n + 1))
-        return [p.rename(zvars) for p in graded_parts(self.f, "t0")]
+        return [SparsePoly(zvars, b) for b in buckets]
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -92,6 +96,17 @@ class Hypersurface:
 
     def __repr__(self):
         return f"Hypersurface(n={self.n}, m={self.m}, f={self.f})"
+
+
+def _from_graded_parts(parts: Sequence[SparsePoly]) -> Hypersurface:
+    """Hypersurface f = sum t0^(d-k) parts[k] for forms parts[k] of degree k in z1..zn.
+
+    Here d = len(parts) - 1; the inverse of `Hypersurface.graded_parts`.
+    """
+    d = len(parts) - 1
+    n = len(parts[0].vars)
+    terms = {(d - k,) + exp: c for k, part in enumerate(parts) for exp, c in part.terms.items()}
+    return Hypersurface(SparsePoly(tuple(f"t{i}" for i in range(n + 1)), terms))
 
 
 @dataclass(frozen=True)
@@ -183,16 +198,7 @@ def build_converse(b_polys: Sequence[SparsePoly]) -> Hypersurface:
             raise InvalidInput("prescribed equations must share one variable list")
         if poly.is_zero or not poly.is_homogeneous(want):
             raise InvalidInput(f"entry {offset} must be nonzero homogeneous of degree {want}")
-    tvars = tuple(f"t{i}" for i in range(n + 1))
-    t0 = SparsePoly.variable(tvars, "t0")
-    f = t0 ** (2 * m)
-    for offset, poly in enumerate(b):
-        k = m + 1 + offset
-        lifted = SparsePoly(
-            tvars, {(0,) + exp: c for exp, c in poly.terms.items()}
-        )
-        f = f + t0 ** (2 * m - k) * lifted
-    return Hypersurface(f)
+    return _from_graded_parts([SparsePoly.constant(zvars, 1)] + [SparsePoly.zero(zvars)] * m + b)
 
 
 def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int) -> Hypersurface:
@@ -286,17 +292,16 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
 def recenter(hyp: Hypersurface, point: Sequence) -> Hypersurface:
     """Move an affine base point to the origin and rescale so f_0 = 1.
 
-    Substitutes t_i -> t_i + y_i*t0 and divides by f(1, y).  The equations
-    at the new origin coincide with the original equations at y, so all
-    origin-normalized operations apply at arbitrary base points.
+    The moved form is f(t0, t1 + y_1*t0, ..., tn + y_n*t0) / f(1, y).  By
+    homogeneity its graded part of degree k is the coefficient a_k of lam^k
+    in the restriction f(1, y + lam*z), over a_0 = f(1, y); so the moved
+    form is the restriction of `vmrt_equations` joined back by powers of t0.
+    The equations at the new origin coincide with the original equations
+    at y, so all origin-normalized operations apply at arbitrary base points.
     """
     y = _as_fractions(point, "point", hyp.n)
-    a0 = hyp.affine_value(y)
+    rest = restrict_to_line(hyp.f, y)
+    a0 = rest[0].constant_value()  # f(1, y): the restriction at lam = 0
     _require_off_branch(a0, y)
-    tvars = hyp.f.vars
-    t0 = SparsePoly.variable(tvars, "t0")
-    args = [t0]
-    for i in range(1, hyp.n + 1):
-        args.append(SparsePoly.variable(tvars, f"t{i}") + t0 * y[i - 1])
-    moved = hyp.f.compose(args) * (1 / a0)
-    return Hypersurface(moved)
+    inv = 1 / a0
+    return _from_graded_parts([part * inv for part in rest])

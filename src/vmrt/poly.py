@@ -289,7 +289,7 @@ class SparsePoly:
 
         Arguments only need +, * and integer powers, plus multiplication by
         Fraction, so the same code evaluates coefficients numerically,
-        composes with polynomials (the coordinate changes of `recenter` and
+        composes with polynomials (the coordinate change of
         `count_vmrt_points`, the tail partials in `dmu_formula`), or pushes
         first-order jets through.  Each power of each argument is taken
         once and every term costs one product per variable it contains, so
@@ -321,13 +321,6 @@ class SparsePoly:
             total = term if total is None else total + term
         return total
 
-    def rename(self, new_vars: Sequence[str]) -> "SparsePoly":
-        """Same terms over a renamed variable tuple (order preserved)."""
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise VariableMismatch("renaming must preserve the variable count")
-        return SparsePoly(new_vars, dict(self.terms))
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
@@ -335,24 +328,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({format_poly(self)!r}, vars={self.vars})"
-
-
-def graded_parts(f: SparsePoly, var: str) -> list[SparsePoly]:
-    """Split a homogeneous form by powers of one distinguished variable.
-
-    For f homogeneous of degree d, returns [f_0, ..., f_d] in the remaining
-    variables with f = sum(var^(d-k) * f_k) and each f_k homogeneous of
-    degree k.  Raises InvalidInput when f is zero or inhomogeneous.
-    """
-    d = f.homogeneous_degree()
-    i = f._var_index(var)
-    rest = tuple(v for j, v in enumerate(f.vars) if j != i)
-    buckets: list[dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
-    for exp, c in f.terms.items():
-        k = d - exp[i]
-        rexp = exp[:i] + exp[i + 1:]
-        buckets[k][rexp] = c
-    return [SparsePoly(rest, b) for b in buckets]
 
 
 # -- text format --------------------------------------------------------------
@@ -391,7 +366,7 @@ def _infer_variables(names: set[str]) -> tuple[str, ...]:
         raise ParseError("cannot infer variables from a constant polynomial")
     letters = set()
     indices = []
-    for nm in names:
+    for nm in sorted(names):
         mt = _FAMILY_RE.match(nm)
         if not mt:
             raise ParseError(f"unknown symbol {nm!r} (expected t0..tn or z1..zn)")

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .eco import build_family, certify, is_weighted_homogeneous
 from .errors import ResultantDegenerate
 from .lines import (
-    Hypersurface,
+    _from_graded_parts,
     build_converse,
     count_vmrt_points,
     eco_witness,
@@ -61,10 +61,6 @@ def _rng(seed: int, criterion: int) -> random.Random:
 
 def _zvars(n: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(1, n + 1))
-
-
-def _tvars(n: int) -> tuple[str, ...]:
-    return tuple(f"t{i}" for i in range(n + 1))
 
 
 def _random_square(rng: random.Random, m: int) -> tuple[UniPoly, list[Fraction]]:
@@ -182,15 +178,11 @@ def criterion_converse_round_trip(seed: int) -> dict:
 
 def _random_normalized(rng: random.Random, n: int, m: int, zero_lower: bool):
     """Random f with f_0 = 1 (optionally f_1 = ... = f_m = 0) as a Hypersurface."""
-    tv = _tvars(n)
-    t0 = SparsePoly.variable(tv, "t0")
-    f = t0 ** (2 * m)
+    zv = _zvars(n)
     start = m + 1 if zero_lower else 1
-    for k in range(start, 2 * m + 1):
-        part = rand_homogeneous(rng, tv[1:], k, nonzero=False)
-        lifted = SparsePoly(tv, {(0,) + exp: c for exp, c in part.terms.items()})
-        f = f + t0 ** (2 * m - k) * lifted
-    return Hypersurface(f)
+    parts = [SparsePoly.constant(zv, 1)] + [SparsePoly.zero(zv)] * (start - 1)
+    parts += [rand_homogeneous(rng, zv, k, nonzero=False) for k in range(start, 2 * m + 1)]
+    return _from_graded_parts(parts)
 
 
 def criterion_differential_routes(seed: int) -> dict:

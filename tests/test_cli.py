@@ -109,6 +109,27 @@ class TestConverse:
         f = parse_poly(report["f"])
         assert f == parse_poly("t0^4 + t0*t1^3 + t0*t2^3 + t0*t3^3 + t1^4 + t2^4 + t3^4")
 
+    @pytest.mark.parametrize("files", [",", ""])
+    def test_empty_file_list_is_a_parse_error(self, capsys, files):
+        code, out = run_cli(capsys, ["converse", "--b", files, "--json"])
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "ParseError", "message": "empty file list"}}
+
+    def test_files_in_t_variables_are_refused(self, tmp_path, capsys):
+        # widened to z1..z4 these would be t0^4 + t0*t1^3 + t0*t2^3 + t3^4: a renaming, not the input
+        b3 = tmp_path / "b3.poly"
+        b4 = tmp_path / "b4.poly"
+        b3.write_text("t0^3 + t1^3")
+        b4.write_text("t2^4")
+        code, out = run_cli(capsys, ["converse", "--b", f"{b3},{b4}", "--json"])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "type": "InvalidInput",
+                "message": "prescribed equations must use variables z1..zn",
+            }
+        }
+
 
 class TestCount:
     def test_seeded_count(self, capsys, quartic_file):

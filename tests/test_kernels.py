@@ -39,6 +39,7 @@ from vmrt import (
     build_converse,
     build_family,
     count_vmrt_points,
+    explicit_family,
     format_poly,
     lines,
     parse_poly,
@@ -295,6 +296,15 @@ def reference_vmrt_equations(hyp, point):
     return [rest[k] * inv - tails[k].compose(ratios) for k in range(m + 1, 2 * m + 1)]
 
 
+def reference_recenter(hyp, point):
+    """f(t0, t1 + y_1*t0, ..., tn + y_n*t0) / f(1, y), by composing f with the shifted variables."""
+    y = [Fraction(v) for v in point]
+    tv = hyp.f.vars
+    t0 = SparsePoly.variable(tv, "t0")
+    args = [t0] + [SparsePoly.variable(tv, v) + t0 * yi for v, yi in zip(tv[1:], y)]
+    return Hypersurface(hyp.f.compose(args) * (1 / hyp.affine_value(y)))
+
+
 def reference_jet_tail(ratios, m):
     """A_{m+1} composed with the Jet1 ratios a_1/a_0, ..., a_m/a_0."""
     return reference_family(m)[1][m + 1].compose(ratios)
@@ -534,6 +544,7 @@ def test_equations_match_composed_tails_at_random_points(n, m):
     for _ in range(2):
         hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
         assert_same_equations(hyp, rand_point_off_branch(rng, hyp))
+        assert lines._from_graded_parts(hyp.graded_parts()) == hyp
 
 
 @pytest.mark.parametrize("n,m", WITNESS_COMBOS)
@@ -587,6 +598,61 @@ def test_equations_at_a_point_on_the_branch_raise_with_the_point():
     with pytest.raises(BasePointOnBranch) as err:
         vmrt_equations(hyp, [1, 0])
     assert str(err.value) == "f(1, 1, 0) = 0"
+
+
+def assert_same_recenter(hyp, point):
+    fast = recenter(hyp, point)
+    ref = reference_recenter(hyp, point)
+    assert fast == ref
+    assert format_poly(fast.f) == format_poly(ref.f)
+    assert all(type(c) is Fraction for c in fast.f.terms.values())
+    return fast
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS + ((5, 3),))
+def test_recenter_matches_composed_shift_at_random_points(n, m):
+    rng = random.Random(9000 * n + m)
+    for _ in range(2):
+        hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
+        moved = assert_same_recenter(hyp, rand_point_off_branch(rng, hyp))
+        assert moved.f.coefficient((2 * m,) + (0,) * n) == 1
+
+
+class TestRecenterEdges:
+    F = parse_poly("2*t0^4 - 1/3*t0^3*t1 + t0*t2^3 + 5/2*t1^2*t2*t3 - 7*t3^4 + t0^2*t1*t3", tvars(3))
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            [0, 0, 0],
+            [1, 2, -3],
+            [-4, -1, -2],
+            [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 6)],
+            [0, Fraction(-2, 9), 0],
+            [3, 0, Fraction(-1, 4)],
+        ],
+    )
+    def test_points(self, point):
+        assert_same_recenter(Hypersurface(self.F), point)
+
+    def test_origin_of_a_normalized_form_is_fixed(self):
+        hyp = Hypersurface(self.F * Fraction(1, 2))
+        assert assert_same_recenter(hyp, [0, 0, 0]) == hyp
+
+    def test_explicit_family(self):
+        hyp = explicit_family(4, 2, Fraction(5, 7), 1)
+        assert_same_recenter(hyp, [Fraction(1, 2), 0, Fraction(-3, 5), 2])
+        hyp = explicit_family(5, 3, 1, Fraction(2, 3))
+        assert_same_recenter(hyp, [0, Fraction(1, 3), 0, -1, Fraction(7, 4)])
+
+    def test_fermat_form(self):
+        assert_same_recenter(Hypersurface(parse_poly("t0^6 + t1^6 + t2^6 + t3^6 + t4^6")), [1, -1, 0, 2])
+
+    def test_point_on_the_branch_raises_with_the_point(self):
+        hyp = Hypersurface(parse_poly("t0^4 - t1^4 + 1/2*t2^4"))
+        with pytest.raises(BasePointOnBranch) as err:
+            recenter(hyp, [1, 0])
+        assert str(err.value) == "f(1, 1, 0) = 0"
 
 
 class TestProductEdges:
@@ -695,8 +761,8 @@ class TestResultantEdges:
 
     def test_integer_only_operands(self):
         rng = random.Random(41)
-        p = integer_form(rng, 2, 3).rename(self.ZV)
-        q = integer_form(rng, 2, 2).rename(self.ZV)
+        p = SparsePoly(self.ZV, integer_form(rng, 2, 3).terms)
+        q = SparsePoly(self.ZV, integer_form(rng, 2, 2).terms)
         assert_same_resultant(p, q, "z3")
 
     def test_negative_and_mixed_denominators(self):

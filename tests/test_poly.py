@@ -1,24 +1,32 @@
 """Multivariate polynomial kernel: arithmetic, calculus, grading, text format."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import vmrt
+
 from vmrt import (
+    Hypersurface,
     InvalidInput,
     ParseError,
     SparsePoly,
     VariableMismatch,
     format_poly,
-    graded_parts,
     monomials_of_degree,
     parse_poly,
 )
+from vmrt.lines import _from_graded_parts
 from vmrt.unipoly import _exact_quotient
 
 Z2 = ("z1", "z2")
+Z4 = ("z1", "z2", "z3", "z4")
 T4 = ("t0", "t1", "t2", "t3", "t4")
 
 
@@ -88,31 +96,31 @@ class TestPartial:
 
 
 class TestGradedParts:
+    """The split f = sum t0^(d-k) f_k of `Hypersurface.graded_parts`, parts in z1..zn."""
+
     def test_fermat_split(self):
-        f = parse_poly("t0^4 + t1^4", ("t0", "t1"))
-        parts = graded_parts(f, "t0")
-        assert parts[0] == SparsePoly.constant(("t1",), 1)
+        parts = Hypersurface(parse_poly("t0^4 + t1^4", ("t0", "t1"))).graded_parts()
+        assert parts[0] == SparsePoly.constant(("z1",), 1)
         assert all(parts[k].is_zero for k in (1, 2, 3))
-        assert parts[4] == parse_poly("t1^4", ("t1",))
+        assert parts[4] == parse_poly("z1^4", ("z1",))
 
     def test_explicit_family_cubic_part(self):
         # m=2 family: the t0^1 stratum is b*(t1^3 + ... + tn^3)
         from vmrt import explicit_family
 
         hyp = explicit_family(4, 2, Fraction(5, 7), 1)
-        parts = graded_parts(hyp.f, "t0")
-        expected = parse_poly("t1^3 + t2^3 + t3^3 + t4^3", T4[1:]) * Fraction(5, 7)
+        parts = hyp.graded_parts()
+        expected = parse_poly("z1^3 + z2^3 + z3^3 + z4^3", Z4) * Fraction(5, 7)
         assert parts[3] == expected
 
     def test_single_mixed_term(self):
-        f = parse_poly("t0^2*t1*t2", ("t0", "t1", "t2"))
-        parts = graded_parts(f, "t0")
-        assert parts[2] == parse_poly("t1*t2", ("t1", "t2"))
+        parts = Hypersurface(parse_poly("t0^2*t1*t2", ("t0", "t1", "t2"))).graded_parts()
+        assert parts[2] == parse_poly("z1*z2", Z2)
         assert all(parts[k].is_zero for k in (0, 1, 3, 4))
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(InvalidInput):
-            graded_parts(parse_poly("t0^2 + t1", ("t0", "t1")), "t0")
+            Hypersurface(parse_poly("t0^2 + t1", ("t0", "t1"))).graded_parts()
 
     def test_reassembly_round_trip(self):
         rng = random.Random(5)
@@ -125,7 +133,10 @@ class TestGradedParts:
             if not items:
                 continue
             f = SparsePoly.from_terms(("t0", "t1", "t2"), items)
-            parts = graded_parts(f, "t0")
+            hyp = Hypersurface(f)
+            parts = hyp.graded_parts()
+            assert [p.vars for p in parts] == [Z2] * 7
+            assert all(p.is_homogeneous(k) for k, p in enumerate(parts))
             # f = sum t0^(6-k) * f_k, with f_k lifted back to t0..t2
             t0 = SparsePoly.variable(f.vars, "t0")
             rebuilt = SparsePoly.zero(f.vars)
@@ -133,6 +144,7 @@ class TestGradedParts:
                 lifted = SparsePoly(f.vars, {(0,) + e: c for e, c in part.terms.items()})
                 rebuilt = rebuilt + t0 ** (6 - k) * lifted
             assert rebuilt == f
+            assert _from_graded_parts(parts) == hyp
 
 
 class TestTextFormat:
@@ -182,6 +194,29 @@ class TestTextFormat:
         assert parse_poly("z3").vars == ("z1", "z2", "z3")
         with pytest.raises(ParseError):
             parse_poly("t1 + z1")
+
+    def test_unknown_symbol_message_ignores_the_hash_seed(self):
+        # the inferred family names the first unknown symbol in sorted order,
+        # not in the per-process iteration order of a set of strings
+        code = (
+            "from vmrt import ParseError, parse_poly\n"
+            "try:\n    parse_poly('tt3+t')\n"
+            "except ParseError as exc:\n    print(exc)\n"
+        )
+        src = str(Path(vmrt.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "3")
+        }
+        assert messages == {"unknown symbol 't' (expected t0..tn or z1..zn)\n"}
 
 
 class TestSubstitution:

@@ -236,6 +236,11 @@ POLY_FILES = st.one_of(
     st.binary(max_size=20),
 )
 
+# prescribed equations for converse, and t-variable files it must refuse
+CONVERSE_FILES = st.sampled_from(
+    [b"z1^3 + z2^3 + z3^3", b"z1^4 - 2*z2^4 + z3^4", b"z2^3", b"t0^3 + t1^3", b"t2^4"]
+)
+
 
 def number_lists(size):
     """Comma-separated rationals: `size` well-formed ones two times in three, else any mix."""
@@ -249,15 +254,32 @@ def poly_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.poly"
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(PROPERTY, max_examples=450)
 @given(st.data())
 def test_cli_exits_cleanly_on_drawn_input(poly_path, data):
     """Exit code 0, 1 or 2 and, with --json, an error record exactly when nonzero."""
-    command = data.draw(st.sampled_from(["eqs", "eco-line", "count", "eco-cert"]))
+    command = data.draw(
+        st.sampled_from(["eqs", "eco-line", "count", "eco-cert", "converse", "variation"])
+    )
     as_json = data.draw(st.booleans())
     n = data.draw(st.integers(1, 3))
     if command == "eco-cert":
         argv = [command, "--coeffs=" + data.draw(number_lists(2 * n))]
+    elif command == "converse":
+        # a file list with empty entries, possibly none at all
+        entries = data.draw(st.lists(st.one_of(st.none(), POLY_FILES, CONVERSE_FILES), max_size=3))
+        paths = []
+        for i, entry in enumerate(entries):
+            if entry is None:
+                paths.append(data.draw(st.sampled_from(["", " "])))
+            else:
+                path = poly_path.with_name(f"b{i}.poly")
+                path.write_bytes(entry)
+                paths.append(str(path))
+        argv = [command, "--b=" + ",".join(paths)]
+    elif command == "variation":
+        poly_path.write_bytes(data.draw(POLY_FILES))
+        argv = [command, "--f", str(poly_path)]
     else:
         poly_path.write_bytes(data.draw(POLY_FILES))
         argv = [command, "--f", str(poly_path), "--point=" + data.draw(number_lists(n))]
