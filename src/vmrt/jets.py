@@ -1,6 +1,7 @@
 """First-order jets over the polynomial ring: value + eps*derivative, eps^2 = 0.
 
-A Jet1 carries a pair of SparsePoly in the same variables.  Running an
+A Jet1 carries a pair of SparsePoly in the same variables; its
+arithmetic takes other jets and rational scalars.  Running an
 exact rational pipeline on jets yields the pipeline's directional
 derivative for free.  `variation.dmu_jet` uses this as the oracle for the
 closed-form differential `dmu_formula`.  It replays the pipeline of
@@ -52,15 +53,9 @@ class Jet1:
             SparsePoly.constant(variables, derivative),
         )
 
-    @classmethod
-    def lift(cls, p: SparsePoly) -> "Jet1":
-        return cls(p, SparsePoly.zero(p.vars))
-
     def _coerce(self, other) -> "Jet1":
         if isinstance(other, Jet1):
             return other
-        if isinstance(other, SparsePoly):
-            return Jet1.lift(other)
         if isinstance(other, (int, Fraction)):
             return Jet1.constant(self.value.vars, other)
         raise InvalidInput(f"cannot mix Jet1 with {type(other).__name__}")
@@ -74,12 +69,6 @@ class Jet1:
     def __sub__(self, other):
         o = self._coerce(other)
         return Jet1(self.value - o.value, self.derivative - o.derivative)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.derivative)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -9,6 +9,10 @@ is the exact rank, and the answer is the same on every run.  Otherwise the
 rows go to fraction-free (Bareiss 1968) elimination over Z, whose
 intermediate growth stays polynomial and whose every pivot decision is
 exact.
+
+That elimination, `_bareiss`, is written once for every ring: the rank
+fallback runs it over Python ints and `unipoly.resultant` over integer
+polynomials, each passing its ring's cross product and exact division.
 """
 
 from __future__ import annotations
@@ -89,28 +93,53 @@ class QMatrix:
         full = min(self.rows, self.cols)
         if _rank_mod_p(m, self.cols) == full:
             return full
-        r, prev = 0, 1
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
+        return _bareiss(m, self.cols, _int_cross, _int_exact)[0]
+
+
+def _int_cross(a: int, b: int, c: int, d: int) -> int:
+    return a * b - c * d
+
+
+def _int_exact(x: int, p: int) -> int:
+    q, rem = divmod(x, p)
+    # every Bareiss entry is a minor of the input, so a remainder means
+    # corrupted rows
+    if rem:
+        raise ArithmeticError("fraction-free step must divide exactly")
+    return q
+
+
+def _bareiss(m: list[list], cols: int, cross, exact) -> tuple[int, int]:
+    """Fraction-free (Bareiss 1968) elimination of the rows m, in place; returns (rank, sign).
+
+    `cross(a, b, c, d)` is a*b - c*d and `exact(x, p)` the exact quotient,
+    raising ArithmeticError on a remainder; a falsy entry counts as zero.
+    The pivot is the first nonzero entry at or below the current row and
+    `sign` flips on each row swap, so sign * m[-1][-1] is the determinant
+    of a square m of full rank.  By Sylvester's identity every entry is a
+    minor of the input, so each division by the previous pivot is exact.
+    Entries below a pivot are left stale: no later step reads them.
+    """
+    rows = len(m)
+    r, sign, prev = 0, 1, None
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            for i in range(r + 1, self.rows):
-                for j in range(c + 1, self.cols):
-                    num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                    q, rem = divmod(num, prev)
-                    # Bareiss (1968), by Sylvester's identity: each entry is a
-                    # minor of the input, so the cross product divides exactly
-                    # by the previous pivot; a remainder means corrupted rows.
-                    if rem:
-                        raise ArithmeticError("fraction-free step must divide exactly")
-                    m[i][j] = q
-                m[i][c] = 0
-            prev = m[r][c]
-            r += 1
-        return r
+            sign = -sign
+        pivot, top = m[r][c], m[r]
+        for row in m[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, cols):
+                x = cross(pivot, row[j], lead, top[j])
+                row[j] = x if prev is None else exact(x, prev)
+        prev = pivot
+        r += 1
+    return r, sign
 
 
 def _rank_mod_p(m: list[list[int]], cols: int) -> int:

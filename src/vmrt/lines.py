@@ -218,23 +218,11 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     rng = random.Random(seed)
     tvars = tuple(f"t{i}" for i in range(n + 1))
     pivot = next(i for i, c in enumerate(z) if c != 0)
-    linear_forms = []
-    for i in range(n):
-        if i == pivot:
-            continue
-        c = [_ZERO] * n
-        c[i] = z[pivot]
-        c[pivot] = -z[i]
-        c0 = -sum(ci * yi for ci, yi in zip(c, y))
-        terms = {}
-        if c0 != 0:
-            terms[(1,) + (0,) * n] = c0
-        for j, cj in enumerate(c):
-            if cj != 0:
-                exp = [0] * (n + 1)
-                exp[j + 1] = 1
-                terms[tuple(exp)] = cj
-        linear_forms.append(SparsePoly(tvars, terms))
+    t = [SparsePoly.variable(tvars, v) for v in tvars]
+    # t_i - y_i*t0 vanishes at the base point; eliminating the pivot leaves
+    # n - 1 forms that vanish along the whole line
+    shifted = [t[i + 1] - t[0] * y[i] for i in range(n)]
+    linear_forms = [shifted[i] * z[pivot] - shifted[pivot] * z[i] for i in range(n) if i != pivot]
     while True:
         q = rand_homogeneous(rng, tvars, m)
         if q.evaluate((Fraction(1),) + y) != 0:

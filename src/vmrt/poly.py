@@ -7,6 +7,10 @@ The canonical term order for printing, coefficient bases and leading-term
 logic is graded reverse lexicographic (grevlex), highest term first; it is
 fixed globally so every printed or serialized polynomial is deterministic.
 
+Products are taken over the integers: `_add_products` is the one integer
+product loop, run by `SparsePoly.__mul__` on operands cleared to a common
+denominator and by the resultant on its integer Sylvester entries.
+
 Text format (whitespace-insensitive, round-trips through parse/format):
 
     t0^4 + 2*t1^2*t2^2 - 1/3*t3^4
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, ParseError, VariableMismatch
 
@@ -36,6 +40,19 @@ _ONE = Fraction(1)
 def grevlex_key(exp: Exponent):
     """Sort key realizing grevlex: compare total degree, then reversed-negated exponents."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def _add_products(acc: dict, left: Iterable[tuple], right: Collection[tuple]) -> None:
+    """Add the product of every (exponent, int) term of `left` with every one of `right` into acc.
+
+    Products are keyed by the exponent sum; `right` is walked once per
+    term of `left`, so a new exponent enters acc at its first product.
+    """
+    get = acc.get
+    for e1, k1 in left:
+        for e2, k2 in right:
+            exp = tuple(map(add, e1, e2))
+            acc[exp] = get(exp, 0) + k1 * k2
 
 
 @lru_cache(maxsize=None)
@@ -216,14 +233,12 @@ class SparsePoly:
         self._check_vars(other)
         l1 = lcm(*(c.denominator for c in self.terms.values()))
         l2 = lcm(*(c.denominator for c in other.terms.values()))
-        right = [(e2, c2.numerator * (l2 // c2.denominator)) for e2, c2 in other.terms.items()]
         acc: dict[Exponent, int] = {}
-        get = acc.get
-        for e1, c1 in self.terms.items():
-            k1 = c1.numerator * (l1 // c1.denominator)
-            for e2, k2 in right:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + k1 * k2
+        _add_products(
+            acc,
+            ((e1, c1.numerator * (l1 // c1.denominator)) for e1, c1 in self.terms.items()),
+            [(e2, c2.numerator * (l2 // c2.denominator)) for e2, c2 in other.terms.items()],
+        )
         den = l1 * l2
         return SparsePoly(self.vars, {e: Fraction(v, den) for e, v in acc.items() if v})
 

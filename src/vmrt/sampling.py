@@ -19,6 +19,9 @@ from .poly import SparsePoly, monomials_of_degree
 
 NUM_BOUND = 20
 DEN_BOUND = 12
+# draws before a rejection sampler gives up
+_POINT_TRIES = 500
+_MATRIX_TRIES = 200
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -59,23 +62,23 @@ def rand_homogeneous(
             return p
 
 
-def rand_point_off_branch(rng: random.Random, hyp, tries: int = 500):
+def rand_point_off_branch(rng: random.Random, hyp):
     """Affine point with f(1, y) != 0."""
-    for _ in range(tries):
+    for _ in range(_POINT_TRIES):
         y = rand_point(rng, hyp.n)
         if hyp.affine_value(y) != 0:
             return y
     raise InvalidInput("could not sample a point off the hypersurface")
 
 
-def rand_invertible(rng: random.Random, size: int, tries: int = 200) -> QMatrix:
+def rand_invertible(rng: random.Random, size: int) -> QMatrix:
     """Random integer matrix with nonzero determinant.
 
     Entries span [-99, 99]: coordinate changes drawn from here also serve
     as projection centers, where a wider range keeps distinct solution
     points from accidentally aligning with the center.
     """
-    for _ in range(tries):
+    for _ in range(_MATRIX_TRIES):
         mat = QMatrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
         if mat.rank() == size:
             return mat

@@ -34,10 +34,13 @@ Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable whose coefficients are
 polynomials in the other variables.  Each input is scaled by the lcm of
 its denominators (L_p, L_q), the Sylvester determinant of the integer
-coefficients is expanded by fraction-free elimination over Z[z] (Bareiss
-1968), every division by the previous pivot being an exact division with
-integer divmod, and the determinant is divided once by L_p^e * L_q^d
-(e, d the degrees of q and p in the eliminated variable).  Convention:
+coefficients is expanded over Z[z] by `linalg._bareiss`, the fraction-free
+elimination (Bareiss 1968) that the rank fallback runs over Z, and the
+determinant is divided once by L_p^e * L_q^d (e, d the degrees of q and
+p in the eliminated variable).  The ring operations passed to it are
+`_cross_difference`, whose products run through `poly._add_products`, the
+product loop of `SparsePoly.__mul__`, and `_exact_quotient`, an exact
+division with integer divmod.  Convention:
 coefficient rows in ascending-power layout, first argument's rows on top;
 only vanishing and degree of the result carry meaning downstream, the sign
 is fixed for reproducibility.
@@ -52,7 +55,8 @@ from operator import add
 from typing import Sequence
 
 from .errors import InvalidInput
-from .poly import SparsePoly, grevlex_key
+from .linalg import _bareiss
+from .poly import SparsePoly, _add_products, grevlex_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -124,13 +128,6 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         inv = 1 / self.leading()
         return UniPoly([x * inv for x in self.coeffs])
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -413,13 +410,8 @@ def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
 def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d for integer polynomials keyed by exponent tuples, zeros dropped."""
     acc: dict = {}
-    get = acc.get
-    for sign, left, right in ((1, a, b), (-1, c, d)):
-        for e1, k1 in left.items():
-            k1 *= sign
-            for e2, k2 in right.items():
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + k1 * k2
+    _add_products(acc, a.items(), b.items())
+    _add_products(acc, ((e, -k) for e, k in c.items()), d.items())
     return {e: k for e, k in acc.items() if k}
 
 
@@ -462,37 +454,6 @@ def _exact_quotient(num: dict, den: dict) -> dict:
     return quot
 
 
-def _bareiss_det(m: list[list[dict]]) -> dict:
-    """Determinant of a square matrix of integer polynomials, fraction-free.
-
-    Bareiss (1968): after step k every entry of the trailing block is a
-    (k+1)-minor, so dividing each 2x2 cross difference by the previous
-    pivot is exact over Z[z].  Rows are swapped for a zero pivot; the
-    matrix is overwritten.
-    """
-    n = len(m)
-    sign = 1
-    prev: dict | None = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        pivot, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                elt = _cross_difference(pivot, row[j], lead, row_k[j])
-                row[j] = elt if prev is None else _exact_quotient(elt, prev)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else {e: -k for e, k in det.items()}
-
-
 def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     """Sylvester resultant of p and q with respect to one variable.
 
@@ -513,7 +474,10 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     size = d + e
     rows = [[{}] * i + pc + [{}] * (e - 1 - i) for i in range(e)]
     rows += [[{}] * i + qc + [{}] * (d - 1 - i) for i in range(d)]
-    det = _bareiss_det(rows)
+    rank, sign = _bareiss(rows, size, _cross_difference, _exact_quotient)
+    det = rows[-1][-1] if rank == size else {}
+    if sign < 0:
+        det = {exp: -k for exp, k in det.items()}
     if size > 1:
         # the quotient order of the last Bareiss step, also when no step divided
         det = dict(sorted(det.items(), key=lambda t: grevlex_key(t[0]), reverse=True))

@@ -6,13 +6,16 @@ hash seeds, run side by side) and compares output bytes.  Each test prints a PAS
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from vmrt import selftest
 
 SEED = 42
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _report(criterion: int, name: str, passed: bool, extra: str = "") -> None:
@@ -94,9 +97,12 @@ def test_criterion_7_point_count_degree_twelve():
 
 def test_criterion_8_selftest_determinism():
     argv = [sys.executable, "-m", "vmrt", "selftest", "--seed", str(SEED)]
+    # this checkout's package, not one installed elsewhere
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     # the two runs are independent processes, so they run side by side
     procs = [
-        subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for _ in range(2)
     ]
     try:

@@ -1,8 +1,10 @@
 """Command-line surface: wiring, JSON schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +228,9 @@ class TestLogging:
             "from vmrt.cli import main\n"
             "raise SystemExit(main(['selftest', '--seed', '42']))\n"
         )
+        # this checkout's package, not one installed elsewhere
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs = {}
         for level in ("", "DEBUG"):
             monkeypatch.setenv("VMRT_LOG", level)

@@ -14,6 +14,7 @@ from vmrt import (
     build_converse,
     count_vmrt_points,
     eco_witness,
+    format_poly,
     is_eco_line,
     line_certificate,
     parse_poly,
@@ -205,6 +206,27 @@ class TestWitness:
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInput):
             eco_witness(3, 2, [0, 0, 0], [0, 0, 0], seed=1)
+
+    def test_seeded_witness_is_pinned(self):
+        # zero coordinates of y and z off index 0: the pivot row is skipped
+        # and the vanishing coefficients of the linear forms are dropped
+        small = eco_witness(2, 1, [Fraction(1, 2), 0], [3, 0], seed=5)
+        assert format_poly(small.f) == (
+            "361/25*t0^2 + 19/15*t0*t1 + 1/36*t1^2 + 2111/20*t0*t2 - 38/3*t1*t2 + 325/2*t2^2"
+        )
+        quartic = eco_witness(3, 2, [2, 0, Fraction(-1, 3)], [1, -2, 0], seed=5)
+        assert format_poly(quartic.f) == (
+            "476/25*t0^4 + 13/5*t0^3*t1 + 16499/180*t0^2*t1^2 + 509/18*t0*t1^3 + 475/3*t1^4"
+            " + 203/24*t0^3*t2 - 3011/60*t0^2*t1*t2 + 4021/36*t0*t1^2*t2 - 530/3*t1^3*t2"
+            " + 1799/240*t0^2*t2^2 - 230/9*t0*t1*t2^2 - 368/9*t1^2*t2^2 - 559/84*t0*t2^3"
+            " + 164/9*t1*t2^3 + 97/36*t2^4 + 2713/135*t0^3*t3 - 2521/990*t0^2*t1*t3"
+            " + 143531/2970*t0*t1^2*t3 + 385/18*t1^3*t3 + 1591/600*t0^2*t2*t3"
+            " - 8838/385*t0*t1*t2*t3 - 141647/3780*t1^2*t2*t3 - 1391/60*t0*t2^2*t3"
+            " + 6424/945*t1*t2^2*t3 + 562/105*t2^3*t3 - 9301/252*t0^2*t3^2"
+            " + 7831/504*t0*t1*t3^2 - 55108/405*t1^2*t3^2 - 4441/189*t0*t2*t3^2"
+            " + 4193/90*t1*t2*t3^2 + 3109/150*t2^2*t3^2 - 4013/135*t0*t3^3"
+            " - 1681/360*t1*t3^3 + 649/45*t2*t3^3 + 227/9*t3^4"
+        )
 
 
 class TestCount:

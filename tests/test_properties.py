@@ -1,4 +1,4 @@
-"""Property tests: restriction, gcd and rank kernels, square tests, half-square recursion, text, CLI.
+"""Property tests: restriction, gcd, rank and Bareiss kernels, square tests, half-square recursion, text, CLI.
 
 Hypothesis draws small forms, points, roots, polynomials and command
 lines.  Every test is derandomized and bounded, so a run is deterministic
@@ -41,6 +41,7 @@ from vmrt import (
 )
 from vmrt.cli import main
 from vmrt.eco import _half_square
+from vmrt.linalg import _bareiss, _int_cross, _int_exact
 from vmrt.unipoly import poly_gcd
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -180,6 +181,63 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_reference(mat):
     assert mat.rank() == reference_rank(mat)
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions, one sign flip per row swap."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+@st.composite
+def integer_square_matrices(draw):
+    """A square integer matrix of at most 5 x 5, and whether one row was planted dependent.
+
+    Zero entries are drawn often and the top of the first column is zeroed
+    on some draws, so pivots are found by row swaps.
+    """
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    for row in m[: draw(st.integers(0, n - 1))]:
+        row[0] = 0
+    planted = n >= 2 and draw(st.booleans())
+    if planted:
+        k = draw(st.integers(0, n - 1))
+        others = [r for r in range(n) if r != k]
+        i, j = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m, planted
+
+
+@PROPERTY
+@given(integer_square_matrices())
+def test_bareiss_determinant_matches_fraction_elimination(drawn):
+    m, planted = drawn
+    n = len(m)
+    work = [list(row) for row in m]
+    rank, sign = _bareiss(work, n, _int_cross, _int_exact)
+    det = fraction_det(m)
+    assert rank == reference_rank(QMatrix(m))
+    if rank == n:
+        assert sign * work[-1][-1] == det
+    else:
+        assert det == 0
+    if planted:
+        assert rank < n
 
 
 @PROPERTY
