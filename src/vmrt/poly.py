@@ -282,22 +282,7 @@ class SparsePoly:
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Evaluate at rational arguments, one per variable."""
-        if len(values) != len(self.vars):
-            raise InvalidInput("wrong number of values")
-        vals = [Fraction(v) for v in values]
-        pows: list[dict[int, Fraction]] = [{0: _ONE} for _ in vals]
-        total = _ZERO
-        for exp, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                cache = pows[i]
-                if e not in cache:
-                    cache[e] = vals[i] ** e
-                term *= cache[e]
-            total += term
-        return total
+        return self.compose([Fraction(v) for v in values])
 
     def compose(self, args: Sequence):
         """Substitute one ring element per variable (Fraction, SparsePoly, Jet1, ...).
@@ -326,7 +311,7 @@ class SparsePoly:
             return cache[e]
 
         total = None
-        one = args[0] ** 0
+        one = args[0] ** 0 if args else _ONE
         for exp, c in self.terms.items():
             term = one
             for i, e in enumerate(exp):

@@ -15,11 +15,12 @@ the denominators of the point (and direction) once, the loop substitutes
 one variable at a time and the caller divides each output coefficient by
 the common denominator at the end, so one gcd reduction is paid per
 coefficient instead of one per product and sum.  The loop is generic over
-the ring of the point coordinates: Python ints, or dual integers
-a + eps*b for a jet base point.  The accumulator key is the lam-degree for
-a numeric direction and the tuple of z-exponents for a symbolic one; a
-power-table entry stores the key increment (j, or the 1-tuple (j,)), so
-substituting a variable is `key + increment` in both cases.
+the ring of the point coordinates: Python ints, or `jets.Jet1` with int
+parts a + eps*b for a jet base point.  The accumulator key is the
+lam-degree for a numeric direction and the tuple of z-exponents for a
+symbolic one; a power-table entry stores the key increment (j, or the
+1-tuple (j,)), so substituting a variable is `key + increment` in both
+cases.
 
 The squarefree factorization is Yun's (1976): a chain of gcds with the
 derivative.  Each gcd runs over the integers: both operands are cleared to
@@ -304,11 +305,11 @@ def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbol
 
     f is homogeneous of degree d and L clears its denominators.  `linear`
     holds one pair (a_i, b_i) per affine coordinate; b_i and t0 are ints and
-    a_i lives in any ring with +, *, ** and a truth value (ints, or the dual
-    integers of the jet restriction).  With `symbolic` false every w_i is the
-    one parameter lam and the result maps lam-degrees to coefficients; with
-    `symbolic` true w_i = lam*z_i and it maps z-exponent tuples (whose sum
-    is the lam-degree).  Returns that map and the divisor L*t0^d.
+    a_i lives in any ring with +, *, ** and a truth value (ints, or the Jet1
+    with int parts of the jet restriction).  With `symbolic` false every w_i
+    is the one parameter lam and the result maps lam-degrees to
+    coefficients; with `symbolic` true w_i = lam*z_i and it maps z-exponent
+    tuples (whose sum is the lam-degree).  Returns that map and the divisor L*t0^d.
     """
     den_f = lcm(*(c.denominator for c in f.terms.values()))
     # a power-table entry stores the key increment of w_i^j: the 1-tuple (j,)

@@ -28,7 +28,7 @@ from .eco import _half_square, build_family
 from .errors import InvalidInput, NormalizationViolated
 from .jets import restrict_to_line_jets
 from .linalg import QMatrix
-from .lines import Hypersurface, vmrt_equations
+from .lines import Hypersurface, _from_graded_parts, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
 
 _ZERO = Fraction(0)
@@ -59,8 +59,8 @@ class MonomialBasis:
         return f"MonomialBasis(n={self.n}, degree={self.degree}, size={self.size})"
 
 
-def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> QMatrix:
-    """Column of coordinates of a homogeneous form in the basis order."""
+def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> list[Fraction]:
+    """Coordinates of a homogeneous form in the basis order."""
     if p.vars != basis.variables:
         raise InvalidInput(f"expected variables {basis.variables}")
     if not p.is_homogeneous(basis.degree):
@@ -68,10 +68,10 @@ def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> QMatrix:
     col = [_ZERO] * basis.size
     for exp, c in p.terms.items():
         col[basis.index(exp)] = c
-    return QMatrix.from_columns([col])
+    return col
 
 
-def mu(hyp: Hypersurface, point: Sequence) -> QMatrix:
+def mu(hyp: Hypersurface, point: Sequence) -> list[Fraction]:
     """Coefficient vector of the lowest defining equation at a base point."""
     system = vmrt_equations(hyp, point)
     return coeff_vector(system.equations[0], MonomialBasis(hyp.n, hyp.m + 1))
@@ -101,7 +101,7 @@ def dmu_formula(hyp: Hypersurface) -> QMatrix:
         col = parts[k + 1].partial(zi) - parts[k] * d1
         for j in range(1, m + 1):
             col = col - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
-        columns.append(coeff_vector(col, basis).column(0))
+        columns.append(coeff_vector(col, basis))
     return QMatrix.from_columns(columns)
 
 
@@ -125,7 +125,7 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
         inv0 = a[0].inverse()
         _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
         bk = a[m + 1] * inv0 - tail
-        columns.append(coeff_vector(bk.derivative, basis).column(0))
+        columns.append(coeff_vector(bk.derivative, basis))
     return QMatrix.from_columns(columns)
 
 
@@ -146,7 +146,7 @@ def orbit_tangent(h: SparsePoly, degree: int | None = None) -> QMatrix:
     columns = []
     for i in range(n):
         for j in range(n):
-            columns.append(coeff_vector(gens[i] * h.partial(h.vars[j]), basis).column(0))
+            columns.append(coeff_vector(gens[i] * h.partial(h.vars[j]), basis))
     return QMatrix.from_columns(columns)
 
 
@@ -213,39 +213,21 @@ def explicit_family(n: int, m: int, b, c) -> Hypersurface:
         raise InvalidInput("need 2 <= m <= n-1")
     if b == 0 or c == 0:
         raise InvalidInput("parameters b and c must be nonzero")
-    tvars = tuple(f"t{i}" for i in range(n + 1))
-    terms: dict[tuple, Fraction] = {}
 
-    def put(exp, coeff):
-        terms[tuple(exp)] = terms.get(tuple(exp), _ZERO) + coeff
+    def power(i, e):
+        return tuple(e if j == i else 0 for j in range(n))
 
+    # the graded parts f_0, ..., f_{2m} in z1..zn; for m = 2, f_{m+2} is f_{2m}
+    parts: list[dict] = [{} for _ in range(2 * m + 1)]
+    parts[0][(0,) * n] = Fraction(1)
+    for i in range(n):
+        parts[m + 1][power(i, m + 1)] = b
+        parts[2 * m][power(i, 2 * m)] = Fraction(1)
     if m == 2:
-        put((4,) + (0,) * n, Fraction(1))
-        for i in range(1, n + 1):
-            exp = [0] * (n + 1)
-            exp[0], exp[i] = 1, 3
-            put(exp, b)
-            exp = [0] * (n + 1)
-            exp[i] = 4
-            put(exp, Fraction(1))
-        for subset in combinations(range(1, n + 1), 4):
-            exp = [0] * (n + 1)
-            for i in subset:
-                exp[i] = 1
-            put(exp, c)
+        for subset in combinations(range(n), 4):
+            parts[m + 2][tuple(int(i in subset) for i in range(n))] = c
     else:
-        put((2 * m,) + (0,) * n, Fraction(1))
-        for i in range(1, n + 1):
-            exp = [0] * (n + 1)
-            exp[0], exp[i] = m - 1, m + 1
-            put(exp, b)
-            exp = [0] * (n + 1)
-            exp[i] = 2 * m
-            put(exp, Fraction(1))
-        for i in range(4, n + 1):
-            exp = [0] * (n + 1)
-            exp[0] = m - 2
-            exp[1] = exp[2] = exp[3] = 1
-            exp[i] += m - 1
-            put(exp, c)
-    return Hypersurface(SparsePoly(tvars, terms))
+        for i in range(3, n):
+            parts[m + 2][(1, 1, 1) + power(i, m - 1)[3:]] = c
+    zvars = tuple(f"z{i}" for i in range(1, n + 1))
+    return _from_graded_parts([SparsePoly(zvars, terms) for terms in parts])

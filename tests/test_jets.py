@@ -100,3 +100,60 @@ def test_power_rejects_negative_and_non_integer_exponents():
         j ** -1
     with pytest.raises(InvalidInput):
         j ** Fraction(1, 2)
+
+
+def test_polynomial_parts_must_share_variables():
+    with pytest.raises(InvalidInput):
+        Jet1(SparsePoly.zero(ZV), SparsePoly.zero(("z1", "z2")))
+
+
+@pytest.mark.parametrize("other", [1.5, "x"])
+def test_mixing_with_other_types_is_rejected(other):
+    j = Jet1(parse_poly("z1 + 2", ZV), parse_poly("z2", ZV))
+    with pytest.raises(InvalidInput, match="cannot mix Jet1"):
+        j * other
+    with pytest.raises(InvalidInput, match="cannot mix Jet1"):
+        j + other
+
+
+def test_product_rule_over_int_parts():
+    rng = random.Random(30)
+    for _ in range(20):
+        a = Jet1(rng.randint(-9, 9), rng.randint(-9, 9))
+        b = Jet1(rng.randint(-9, 9), rng.randint(-9, 9))
+        prod = a * b
+        assert (prod.value, prod.derivative) == (a.value * b.value, a.value * b.derivative + a.derivative * b.value)
+        total = a + b
+        assert (total.value, total.derivative) == (a.value + b.value, a.derivative + b.derivative)
+        diff = a - b
+        assert (diff.value, diff.derivative) == (a.value - b.value, a.derivative - b.derivative)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_power_over_int_parts_matches_repeated_products(k):
+    # value-0 jets included: eps^k = 0 for k >= 2
+    for j in (Jet1(3, -2), Jet1(0, 5), Jet1(-1, 0), Jet1(0, 0)):
+        expected = Jet1(1, 0)
+        for _ in range(k):
+            expected = expected * j
+        assert j ** k == expected
+    assert Jet1(0, 5) ** k == Jet1(int(k == 0), 5 * int(k == 1))
+
+
+def test_truth_value_over_both_rings():
+    assert not Jet1(0, 0)
+    assert Jet1(0, 3)
+    assert Jet1(2, 0)
+    zero = SparsePoly.zero(ZV)
+    assert not Jet1(zero, zero)
+    assert Jet1(zero, parse_poly("z1", ZV))
+
+
+def test_scalars_act_on_both_parts_over_int_parts():
+    j = Jet1(4, -6)
+    assert 3 * j == j * 3 == Jet1(12, -18)
+    assert j * Fraction(1, 2) == Fraction(1, 2) * j == Jet1(2, -3)
+    assert j + 5 == 5 + j == Jet1(9, -6)
+    assert j - Fraction(1, 2) == Jet1(Fraction(7, 2), -6)
+    with pytest.raises(InvalidInput, match="cannot mix Jet1"):
+        j * 1.5

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -225,7 +225,11 @@ class TestSubstitution:
         for _ in range(10):
             p = rand_poly(rng, Z2)
             point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in Z2]
-            assert p.evaluate(point) == p.compose(point)
+            plain = sum(c * prod(v**e for v, e in zip(point, exp)) for exp, c in p.terms.items())
+            assert p.evaluate(point) == plain == p.compose(point)
+        with pytest.raises(InvalidInput):
+            p.evaluate(point[:1])
+        assert SparsePoly.constant((), 5).evaluate(()) == 5
 
     def test_compose_with_polynomials(self):
         p = parse_poly("z1^2 - z2", Z2)

@@ -18,6 +18,7 @@ from vmrt import (
     dmu_formula,
     dmu_jet,
     explicit_family,
+    format_poly,
     mu,
     orbit_tangent,
     parse_poly,
@@ -39,20 +40,20 @@ class TestBasisAndVectors:
 
     def test_unit_vector_position(self):
         basis = MonomialBasis(2, 2)
-        col = coeff_vector(parse_poly("z1^2", zvars(2)), basis).column(0)
+        col = coeff_vector(parse_poly("z1^2", zvars(2)), basis)
         assert col[basis.index((2, 0))] == 1
         assert sum(1 for c in col if c != 0) == 1
 
     def test_zero_polynomial(self):
         basis = MonomialBasis(3, 4)
-        col = coeff_vector(SparsePoly.zero(zvars(3)), basis).column(0)
-        assert all(c == 0 for c in col)
+        col = coeff_vector(SparsePoly.zero(zvars(3)), basis)
+        assert col == [0] * basis.size
 
     def test_round_trip(self):
         rng = random.Random(37)
         basis = MonomialBasis(3, 3)
         p = rand_homogeneous(rng, zvars(3), 3)
-        column = coeff_vector(p, basis).column(0)
+        column = coeff_vector(p, basis)
         assert SparsePoly(basis.variables, dict(zip(basis.monomials, column))) == p
 
     def test_wrong_degree_rejected(self):
@@ -71,8 +72,8 @@ class TestMu:
 
     def test_degenerate_power_gives_zero(self):
         hyp = Hypersurface(parse_poly("t0^4", ("t0", "t1", "t2")))
-        col = mu(hyp, [0, 0]).column(0)
-        assert all(c == 0 for c in col)
+        col = mu(hyp, [0, 0])
+        assert col == [0] * MonomialBasis(2, 3).size
 
     def test_converse_reads_off_first_prescribed(self):
         rng = random.Random(43)
@@ -107,7 +108,7 @@ class TestDifferential:
             mat = dmu_formula(hyp)
             for i in range(1, n + 1):
                 expected = coeff_vector(parts[m + 2].partial(f"z{i}"), basis)
-                assert mat.column(i - 1) == expected.column(0)
+                assert mat.column(i - 1) == expected
 
     def test_explicit_family_columns(self):
         # m=2, n=4, b=c=1: column i should be 4*z_i^3 + sum of complement triples
@@ -123,7 +124,7 @@ class TestDifferential:
                 for j in triple:
                     term = term * gens[j - 1]
                 expected_poly = expected_poly + term
-            assert mat.column(i - 1) == coeff_vector(expected_poly, basis).column(0)
+            assert mat.column(i - 1) == coeff_vector(expected_poly, basis)
 
     def test_no_middle_part_gives_zero_matrix(self):
         # m = 3: f = t0^6 + (degree-6 part in t1..t3) has f_5 = 0, so dmu dies
@@ -192,6 +193,36 @@ class TestReportsAndFamilies:
             " + t0*t1*t2*t3*t4^2 + t1^6 + t2^6 + t3^6 + t4^6"
         )
         assert hyp.f == expected
+
+    @pytest.mark.parametrize(
+        "n,m,text",
+        [
+            (
+                5,
+                2,
+                "t0^4 - 2/3*t0*t1^3 + t1^4 - 2/3*t0*t2^3 + t2^4 - 2/3*t0*t3^3 + t3^4"
+                " + 5*t1*t2*t3*t4 - 2/3*t0*t4^3 + t4^4 + 5*t1*t2*t3*t5 + 5*t1*t2*t4*t5"
+                " + 5*t1*t3*t4*t5 + 5*t2*t3*t4*t5 - 2/3*t0*t5^3 + t5^4",
+            ),
+            (
+                5,
+                4,
+                "t0^8 - 2/3*t0^3*t1^5 + t1^8 - 2/3*t0^3*t2^5 + t2^8 - 2/3*t0^3*t3^5 + t3^8"
+                " + 5*t0^2*t1*t2*t3*t4^3 - 2/3*t0^3*t4^5 + t4^8 + 5*t0^2*t1*t2*t3*t5^3"
+                " - 2/3*t0^3*t5^5 + t5^8",
+            ),
+            (
+                6,
+                3,
+                "t0^6 - 2/3*t0^2*t1^4 + t1^6 - 2/3*t0^2*t2^4 + t2^6 - 2/3*t0^2*t3^4 + t3^6"
+                " + 5*t0*t1*t2*t3*t4^2 - 2/3*t0^2*t4^4 + t4^6 + 5*t0*t1*t2*t3*t5^2"
+                " - 2/3*t0^2*t5^4 + t5^6 + 5*t0*t1*t2*t3*t6^2 - 2/3*t0^2*t6^4 + t6^6",
+            ),
+        ],
+    )
+    def test_family_text_with_several_c_terms(self, n, m, text):
+        # b = -2/3, c = 5 and n >= 5: every b, c and power term is told apart
+        assert format_poly(explicit_family(n, m, Fraction(-2, 3), 5).f) == text
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):
