@@ -22,7 +22,8 @@ cannot reappear in the oracle.
 
 The jet restriction runs the one substitution loop of
 `unipoly.restrict_to_line` over Jet1 with int parts, after clearing the
-denominators of the jet point.  Powers of a Jet1 use the closed form
+denominators of the jet point with `poly._cleared`, the one clearing step
+of every integer kernel.  Powers of a Jet1 use the closed form
 (v + eps*d)^k = v^k + eps*k*v^(k-1)*d instead of k jet products, which
 keeps `SparsePoly.compose` over jets cheap.
 """
@@ -30,11 +31,10 @@ keeps `SparsePoly.compose` over jets cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import InvalidInput
-from .poly import SparsePoly
+from .poly import SparsePoly, _cleared
 from .unipoly import _by_z_degree, _expand_line
 
 
@@ -139,11 +139,8 @@ def restrict_to_line_jets(f: SparsePoly, point_jets: Sequence[tuple]) -> list[Je
         raise InvalidInput(f"need {n} jet coordinates")
     d = f.homogeneous_degree()
     y = [(Fraction(v), Fraction(dv)) for v, dv in point_jets]
-    den = lcm(*(c.denominator for pair in y for c in pair))
-    linear = [
-        (Jet1(v.numerator * (den // v.denominator), dv.numerator * (den // dv.denominator)), den)
-        for v, dv in y
-    ]
+    nums, den = _cleared([c for pair in y for c in pair])
+    linear = [(Jet1(v, dv), den) for v, dv in zip(nums[::2], nums[1::2])]
     out, divisor = _expand_line(f, d, linear, den, symbolic=True)
     if not linear:  # f = c*t0^d: nothing substituted, the coefficient stays an int
         out = {key: Jet1(c, 0) for key, c in out.items()}

@@ -1,6 +1,7 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
-Rank works on denominator-cleared integer rows and is certified mod the
+Rank works on integer rows, each cleared by `poly._cleared` (the one
+clearing step of every integer kernel), and is certified mod the
 fixed Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 5).  Reducing an integer matrix mod P can
 only lose pivots, so rank mod P <= rank over Q <= min(rows, cols): when
@@ -18,10 +19,10 @@ polynomials, each passing its ring's cross product and exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
+from .poly import _cleared
 
 _P = (1 << 61) - 1
 
@@ -75,13 +76,6 @@ class QMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.data:
-            mult = lcm(*(x.denominator for x in row)) if row else 1
-            out.append([x.numerator * (mult // x.denominator) for x in row])
-        return out
-
     def rank(self) -> int:
         """Exact rank over Q.
 
@@ -89,7 +83,7 @@ class QMatrix:
         min(rows, cols) pivots; otherwise the number of pivots of a
         fraction-free (Bareiss) row echelon form of the integer rows.
         """
-        m = self._integer_rows()
+        m = [_cleared(row)[0] for row in self.data]
         full = min(self.rows, self.cols)
         if _rank_mod_p(m, self.cols) == full:
             return full

@@ -51,12 +51,6 @@ def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, .
     return vals
 
 
-def _require_off_branch(a0: Fraction, y: Sequence[Fraction]) -> None:
-    """Raise BasePointOnBranch when a0 = f(1, y) vanishes."""
-    if a0 == 0:
-        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
-
-
 class Hypersurface:
     """Hypersurface of even degree 2m in projective n-space, f in t0..tn."""
 
@@ -131,26 +125,31 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     hyperplane at infinity).  Equation k is homogeneous of degree k in z.
     """
     y = _as_fractions(point, "point", hyp.n)
-    rest = restrict_to_line(hyp.f, y)
-    a0 = rest[0].constant_value()  # f(1, y): the restriction at lam = 0
-    _require_off_branch(a0, y)
-    inv = 1 / a0
+    parts = _moved_parts(hyp, y)
     m = hyp.m
-    _, tails = _half_square([rest[k] * inv for k in range(1, m + 1)], 2 * m)
-    equations = tuple(rest[k] * inv - tail for k, tail in enumerate(tails, start=m + 1))
+    _, tails = _half_square(parts[1:m + 1], 2 * m)
+    equations = tuple(parts[k] - tail for k, tail in enumerate(tails, start=m + 1))
     return VmrtSystem(n=hyp.n, m=m, point=y, equations=equations)
 
 
-def _normalized_restriction(hyp: Hypersurface, point: Sequence, direction: Sequence) -> list[Fraction]:
-    """[a_0/a_0, ..., a_2m/a_0] for f(1, y + lam*z) along one concrete line."""
-    y = _as_fractions(point, "point", hyp.n)
-    z = _as_fractions(direction, "direction", hyp.n)
-    if all(c == 0 for c in z):
-        raise InvalidInput("direction must be nonzero")
+def _moved_parts(hyp: Hypersurface, y: Sequence, z: Sequence | None = None) -> list:
+    """[a_0/a_0, ..., a_2m/a_0] for the restriction f(1, y + lam*z) = sum a_k lam^k.
+
+    Fractions along a rational direction z; with z None, forms a_k/a_0 of
+    degree k in z1..zn, the graded parts of f moved to y.  Raises
+    BasePointOnBranch when a_0 = f(1, y) vanishes.
+    """
+    y = _as_fractions(y, "point", hyp.n)
+    if z is not None:
+        z = _as_fractions(z, "direction", hyp.n)
+        if all(c == 0 for c in z):
+            raise InvalidInput("direction must be nonzero")
     rest = restrict_to_line(hyp.f, y, z)
-    a0 = rest[0]  # f(1, y): the restriction at lam = 0
-    _require_off_branch(a0, y)
-    return [a / a0 for a in rest]
+    a0 = rest[0] if z is not None else rest[0].constant_value()  # the restriction at lam = 0
+    if a0 == 0:
+        raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
+    inv = 1 / a0
+    return [a * inv for a in rest]
 
 
 def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) -> EcoCertificate:
@@ -159,7 +158,7 @@ def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) ->
     Its residual vector equals (B_{m+1}(y;z), ..., B_{2m}(y;z)), so this is
     the cheap numeric route to the defining-equation values at a direction.
     """
-    return certify(_normalized_restriction(hyp, point, direction)[1:])
+    return certify(_moved_parts(hyp, point, direction)[1:])
 
 
 def is_eco_line(hyp: Hypersurface, point: Sequence, direction: Sequence) -> bool:
@@ -170,7 +169,7 @@ def is_eco_line(hyp: Hypersurface, point: Sequence, direction: Sequence) -> bool
     < 2m encodes contact at infinity; squareness of the whole degree-<=2m
     polynomial is exactly even total multiplicity there as well.
     """
-    ok, _ = is_perfect_square(UniPoly(_normalized_restriction(hyp, point, direction)))
+    ok, _ = is_perfect_square(UniPoly(_moved_parts(hyp, point, direction)))
     return ok
 
 
@@ -287,9 +286,4 @@ def recenter(hyp: Hypersurface, point: Sequence) -> Hypersurface:
     The equations at the new origin coincide with the original equations
     at y, so all origin-normalized operations apply at arbitrary base points.
     """
-    y = _as_fractions(point, "point", hyp.n)
-    rest = restrict_to_line(hyp.f, y)
-    a0 = rest[0].constant_value()  # f(1, y): the restriction at lam = 0
-    _require_off_branch(a0, y)
-    inv = 1 / a0
-    return _from_graded_parts([part * inv for part in rest])
+    return _from_graded_parts(_moved_parts(hyp, point))

@@ -10,6 +10,9 @@ fixed globally so every printed or serialized polynomial is deterministic.
 Products are taken over the integers: `_add_products` is the one integer
 product loop, run by `SparsePoly.__mul__` on operands cleared to a common
 denominator and by the resultant on its integer Sylvester entries.
+`_cleared` is the one step that clears denominators, for every integer
+kernel: the product here, the line restriction, the gcd and the
+resultant in `unipoly`, the jet restriction and `QMatrix.rank`.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 
@@ -53,6 +56,15 @@ def _add_products(acc: dict, left: Iterable[tuple], right: Collection[tuple]) ->
         for e2, k2 in right:
             exp = tuple(map(add, e1, e2))
             acc[exp] = get(exp, 0) + k1 * k2
+
+
+def _cleared(values: Collection) -> tuple[list[int], int]:
+    """(nums, den): integer numerators over the least common denominator of ints and Fractions.
+
+    values[i] == Fraction(nums[i], den); `_cleared([]) == ([], 1)`.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +231,7 @@ class SparsePoly:
 
         Two polynomials are multiplied as integer polynomials over a common
         denominator (FLINT's fmpq_poly representation): each operand is
-        scaled by the lcm of its own denominators, the integer products are
+        cleared to its own least denominator, the integer products are
         accumulated per exponent, and each surviving term is reduced once.
         Terms come out in the order of their first product.
         """
@@ -231,14 +243,10 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_vars(other)
-        l1 = lcm(*(c.denominator for c in self.terms.values()))
-        l2 = lcm(*(c.denominator for c in other.terms.values()))
+        n1, l1 = _cleared(self.terms.values())
+        n2, l2 = _cleared(other.terms.values())
         acc: dict[Exponent, int] = {}
-        _add_products(
-            acc,
-            ((e1, c1.numerator * (l1 // c1.denominator)) for e1, c1 in self.terms.items()),
-            [(e2, c2.numerator * (l2 // c2.denominator)) for e2, c2 in other.terms.items()],
-        )
+        _add_products(acc, zip(self.terms, n1), list(zip(other.terms, n2)))
         den = l1 * l2
         return SparsePoly(self.vars, {e: Fraction(v, den) for e, v in acc.items() if v})
 

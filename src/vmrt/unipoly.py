@@ -11,7 +11,8 @@ z1..zn for a symbolic one.  All three flavours (these two and the jet
 restriction in `jets`) run through one substitution loop, `_expand_line`,
 that keeps an integer polynomial over one common denominator, like FLINT's
 fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The caller clears
-the denominators of the point (and direction) once, the loop substitutes
+the denominators of the point (and direction) once with `poly._cleared`,
+the one clearing step of every integer kernel, the loop substitutes
 one variable at a time and the caller divides each output coefficient by
 the common denominator at the end, so one gcd reduction is paid per
 coefficient instead of one per product and sum.  The loop is generic over
@@ -51,13 +52,13 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from operator import add
 from typing import Sequence
 
 from .errors import InvalidInput
 from .linalg import _bareiss
-from .poly import SparsePoly, _add_products, grevlex_key
+from .poly import SparsePoly, _add_products, _cleared, grevlex_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -180,8 +181,7 @@ def _primitive(cs: list[int]) -> list[int]:
 
 def _primitive_part(p: UniPoly) -> list[int]:
     """The primitive integer polynomial with the roots of p: clear denominators, drop the content."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(_cleared(p.coeffs)[0])
 
 
 def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
@@ -311,7 +311,7 @@ def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbol
     coefficients; with `symbolic` true w_i = lam*z_i and it maps z-exponent
     tuples (whose sum is the lam-degree).  Returns that map and the divisor L*t0^d.
     """
-    den_f = lcm(*(c.denominator for c in f.terms.values()))
+    nums, den_f = _cleared(f.terms.values())
     # a power-table entry stores the key increment of w_i^j: the 1-tuple (j,)
     # appends the z_i exponent, j adds to the lam-degree
     zero_key, incs = ((), [(j,) for j in range(d + 1)]) if symbolic else (0, range(d + 1))
@@ -319,8 +319,7 @@ def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbol
     # coefficients gathered so far, by key; substituting t_i merges the
     # terms that agree on the remaining exponents
     acc: dict[tuple, dict] = {
-        exp[1:]: {zero_key: c.numerator * (den_f // c.denominator) * t0 ** exp[0]}
-        for exp, c in f.terms.items()
+        exp[1:]: {zero_key: k * t0 ** exp[0]} for exp, k in zip(f.terms, nums)
     }
     for a, b in linear:
         # e -> the nonzero (increment of w_i^j, coefficient) of (a + b*w_i)^e
@@ -370,24 +369,19 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
         raise InvalidInput(f"point must have {n} coordinates")
     d = f.homogeneous_degree()
     y = [Fraction(v) for v in point]
-    # Clear denominators once: y = Y/D with Y integral, and by homogeneity
-    # f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where t0 = D*E for
-    # a rational direction z = Z/E, and t0 = D, E = 1, Z = z for the
-    # symbolic one.
-    den_y = lcm(*(v.denominator for v in y))
+    # Clear denominators once: y = Y/D with Y integral (ys over den_y), and by
+    # homogeneity f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where
+    # t0 = D*E for a rational direction z = Z/E (zs over den_z), and t0 = D,
+    # E = 1, Z = z for the symbolic one.
+    ys, den_y = _cleared(y)
     if direction is None:
-        linear = [(v.numerator * (den_y // v.denominator), den_y) for v in y]
-        out, den = _expand_line(f, d, linear, den_y, symbolic=True)
+        out, den = _expand_line(f, d, [(k, den_y) for k in ys], den_y, symbolic=True)
         return _by_z_degree(out, den, n, d)
     if len(direction) != n:
         raise InvalidInput(f"direction must have {n} coordinates")
-    z = [Fraction(v) for v in direction]
-    t0 = den_y * lcm(*(v.denominator for v in z))
-    linear = [
-        (yi.numerator * (t0 // yi.denominator), zi.numerator * (t0 // zi.denominator))
-        for yi, zi in zip(y, z)
-    ]
-    out, den = _expand_line(f, d, linear, t0, symbolic=False)
+    zs, den_z = _cleared([Fraction(v) for v in direction])
+    linear = [(k * den_z, j * den_y) for k, j in zip(ys, zs)]
+    out, den = _expand_line(f, d, linear, den_y * den_z, symbolic=False)
     return [Fraction(out.get(k, 0), den) for k in range(d + 1)]
 
 
@@ -401,10 +395,10 @@ def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
     every exponent is set to 0, so entries live over the full ring.
     """
     i = p._var_index(var)
-    den = lcm(*(c.denominator for c in p.terms.values()))
+    nums, den = _cleared(p.terms.values())
     buckets: list[dict] = [{} for _ in range(p.degree_in(var) + 1)]
-    for exp, c in p.terms.items():
-        buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = c.numerator * (den // c.denominator)
+    for exp, k in zip(p.terms, nums):
+        buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = k
     return buckets, den
 
 

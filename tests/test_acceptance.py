@@ -2,7 +2,9 @@
 
 Criteria 1-7 call the selftest runners at full size with seed 42; criterion
 8 invokes the CLI selftest twice in fresh interpreter processes (separate
-hash seeds, run side by side) and compares output bytes.  Each test prints a PASS/FAIL line.
+hash seeds, run side by side) and compares output bytes, with each other and
+with the pinned tests/data/golden/selftest_42.json.  Each test prints a
+PASS/FAIL line.
 """
 
 import json
@@ -16,6 +18,7 @@ from vmrt import selftest
 
 SEED = 42
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN_SELFTEST = Path(__file__).resolve().parent / "data" / "golden" / "selftest_42.json"
 
 
 def _report(criterion: int, name: str, passed: bool, extra: str = "") -> None:
@@ -112,8 +115,11 @@ def test_criterion_8_selftest_determinism():
             proc.kill()
     assert all(proc.returncode == 0 for proc in procs)
     identical = first == second
+    pinned = first == GOLDEN_SELFTEST.read_text()
     report = json.loads(first)
-    _report(8, "selftest --seed 42 twice is byte-identical JSON", identical and report["all_pass"])
+    passed = identical and pinned and report["all_pass"]
+    _report(8, "selftest --seed 42 twice is byte-identical pinned JSON", passed)
     assert identical
+    assert pinned, "selftest --seed 42 differs from tests/data/golden/selftest_42.json"
     assert report["all_pass"]
     assert [c["id"] for c in report["criteria"]] == [1, 2, 3, 4, 5, 6, 7]

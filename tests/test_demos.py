@@ -1,4 +1,9 @@
-"""The demo scripts run to completion: exit 0, no traceback, some output."""
+"""The demo scripts run to completion: exit 0, no traceback, and the pinned stdout.
+
+Each demo's stdout is compared byte for byte with
+tests/data/golden/demo_<name>.txt; `PYTHONPATH=src python tests/test_golden_cli.py`
+regenerates those files.
+"""
 
 import os
 import subprocess
@@ -7,18 +12,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "golden"
+# this checkout's package, not one installed elsewhere
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
+
+
+def golden_demo(demo: Path) -> Path:
+    return GOLDEN / f"demo_{demo.stem}.txt"
 
 
 def test_demos_run_cleanly():
     assert len(DEMOS) == 4
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # the demos are independent processes, so they run side by side
     procs = [
         subprocess.Popen(
             [sys.executable, str(demo)],
             cwd=ROOT,
-            env=env,
+            env=ENV,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -34,3 +47,4 @@ def test_demos_run_cleanly():
         assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}: {err}"
         assert "Traceback" not in out + err, demo.name
         assert out.strip(), f"{demo.name} printed nothing"
+        assert out == golden_demo(demo).read_text(), f"{demo.name} stdout differs from its golden file"

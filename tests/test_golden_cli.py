@@ -7,10 +7,14 @@ output regenerates the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and commits the difference for review.
+and commits the difference for review.  The same run rewrites the pins
+of the two byte-identity gates that run subprocesses: the `selftest
+--seed 42` JSON (tests/test_acceptance.py, criterion 8) and the stdout
+of each demo (tests/test_demos.py).
 """
 
 import io
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -63,3 +67,10 @@ if __name__ == "__main__":
     for name, argv in sorted(RUNS.items()):
         (GOLDEN / f"{name}.txt").write_text(run(argv))
         print(f"wrote {name}.txt", file=sys.stderr)
+    from test_demos import DEMOS, ENV, ROOT, golden_demo
+
+    pins = [(GOLDEN / "selftest_42.json", [sys.executable, "-m", "vmrt", "selftest", "--seed", "42"])]
+    pins += [(golden_demo(demo), [sys.executable, str(demo)]) for demo in DEMOS]
+    for path, cmd in pins:
+        path.write_text(subprocess.run(cmd, cwd=ROOT, env=ENV, capture_output=True, text=True, check=True).stdout)
+        print(f"wrote {path.name}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Property tests: restriction, gcd, rank and Bareiss kernels, square tests, half-square recursion, text, CLI.
+"""Property tests: kernels, square tests, half-square recursion, text, CLI.
 
+The kernels are denominator clearing, restriction, gcd, rank and Bareiss.
 Hypothesis draws small forms, points, roots, polynomials and command
 lines.  Every test is derandomized and bounded, so a run is deterministic
 and short; the references are the Fraction loops of tests/test_kernels.py.
@@ -9,6 +10,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -42,6 +44,7 @@ from vmrt import (
 from vmrt.cli import main
 from vmrt.eco import _half_square
 from vmrt.linalg import _bareiss, _int_cross, _int_exact
+from vmrt.poly import _cleared
 from vmrt.unipoly import poly_gcd
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -181,6 +184,20 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_reference(mat):
     assert mat.rank() == reference_rank(mat)
+
+
+@PROPERTY
+@given(
+    st.lists(st.one_of(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60)), st.integers(-99, 99)))
+)
+def test_cleared_gives_numerators_over_the_least_denominator(values):
+    assert _cleared([]) == ([], 1)
+    nums, den = _cleared(values)
+    assert den > 0
+    assert len(nums) == len(values)
+    assert all(Fraction(k, den) == v for k, v in zip(nums, values))
+    # no smaller denominator works: den shares no factor with all numerators
+    assert gcd(den, *nums) == 1
 
 
 def fraction_det(rows):
