@@ -18,7 +18,13 @@ a hypersurface, a prescribed equation or a coefficient vector a1..a2m) at
 most MAX_DEGREE = 24.  They are checked before any heavy work, so an
 oversized input exits 2 with an InvalidInput record instead of running
 away.  Both are twice the largest size the tests, demos, selftest and
-benchmark use (n = 6, degree 12).  A rational argument in decimal
+benchmark use (n = 6, degree 12).  The caps alone still admit inputs
+whose work never ends in practice, so `eqs` and `variation` also refuse
+an (n, m) whose work estimate exceeds WORK_BUDGET = 10**7: the dense
+term products of the half-square recursion up to tail 2m (`_recursion_work`;
+5.7e5 at n = 6, degree 12) and, for `variation`, the matrix cells
+C(n+m, m+1)*(n+n^2).  The numeric commands keep at most 2m + 1
+coefficients per line and need no budget.  A rational argument in decimal
 notation may carry an exponent of at most four digits, so "1e999999999"
 is a parse error instead of a billion-digit integer.  A result with a
 number longer than Python's limit for integer-to-text conversion (4300
@@ -34,6 +40,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .eco import certify
@@ -54,6 +61,7 @@ log = logging.getLogger("vmrt")
 
 MAX_N = 12
 MAX_DEGREE = 24
+WORK_BUDGET = 10**7
 
 _INDEXED_RE = re.compile(r"(?<![A-Za-z0-9_])[tz](\d+)(?![A-Za-z0-9_])")
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]*)")
@@ -93,6 +101,23 @@ def _check_n(n: int) -> None:
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise InvalidInput(f"degree {degree} exceeds the limit 2m <= {MAX_DEGREE}")
+
+
+def _recursion_work(n: int, m: int) -> int:
+    """Term products of the half-square recursion up to tail 2m on dense forms in n variables.
+
+    sigma_k has at most C(n+k-1, k) terms, and the recursion takes each
+    product sigma_l*sigma_{k-l} once, for k <= 2m and max(1, k-m) <= l <= k/2.
+    """
+    size = [comb(n + k - 1, k) for k in range(m + 1)]
+    return sum(
+        size[ell] * size[k - ell] for k in range(2, 2 * m + 1) for ell in range(max(1, k - m), k // 2 + 1)
+    )
+
+
+def _check_work(work: int, n: int, m: int) -> None:
+    if work > WORK_BUDGET:
+        raise InvalidInput(f"work estimate {work:.3g} at n = {n}, m = {m} exceeds the budget {WORK_BUDGET:.0e}")
 
 
 def _read_poly(path: str, variables=None):
@@ -196,6 +221,7 @@ def _cmd_eco_cert(args) -> None:
 def _cmd_eqs(args) -> None:
     point = _fraction_list(args.point)
     hyp = _load_hypersurface(args.f, len(point))
+    _check_work(_recursion_work(hyp.n, hyp.m), hyp.n, hyp.m)
     system = vmrt_equations(hyp, point)
     report = {
         "command": "eqs",
@@ -283,6 +309,11 @@ def _cmd_count(args) -> None:
     _emit(report, args.json, [f"degree: {degree}", f"squarefree: {squarefree}"])
 
 
+def _check_variation_work(n: int, m: int) -> None:
+    """The recursion estimate and the cells of the n + n^2 columns over the degree-(m+1) basis."""
+    _check_work(max(_recursion_work(n, m), comb(n + m, m + 1) * (n + n * n)), n, m)
+
+
 def _cmd_variation(args) -> None:
     if (args.family is None) == (args.f is None):
         raise ParseError("pass exactly one of --family or --f")
@@ -299,9 +330,11 @@ def _cmd_variation(args) -> None:
                 raise ParseError("--family mge3 requires --m >= 3")
         _check_n(args.n)
         _check_degree(2 * m)
+        _check_variation_work(args.n, m)
         hyp = explicit_family(args.n, m, _fraction(args.b), _fraction(args.c))
     else:
         hyp = _load_hypersurface(args.f, args.n)
+        _check_variation_work(hyp.n, hyp.m)
     rep = variation_report(hyp)
     report = {
         "command": "variation",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .eco import EcoCertificate, _half_square, certify
@@ -37,8 +38,8 @@ from .errors import (
     InvalidInput,
     ResultantDegenerate,
 )
-from .poly import SparsePoly
-from .sampling import rand_homogeneous, rand_invertible
+from .poly import SparsePoly, _cleared, _sum_of_products, monomials_of_degree
+from .sampling import _draw_cleared, rand_invertible
 from .unipoly import UniPoly, is_perfect_square, restrict_to_line, resultant, squarefree_factorization
 
 _ZERO = Fraction(0)
@@ -206,7 +207,9 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     Builds f = Q^2 + sum L_j R_j with Q random of degree m (resampled until
     Q(1, y) != 0), L_j a basis of linear forms vanishing on the line
     through y with direction z, and R_j random of degree 2m-1.  Restricted
-    to that line f is (Q restricted)^2, a perfect square.
+    to that line f is (Q restricted)^2, a perfect square.  Q and the R_j
+    are drawn as integers over one denominator (`sampling._draw_cleared`)
+    and f is one integer sum of products (`poly._sum_of_products`).
     """
     if n < 2 or m < 1:
         raise InvalidInput("need n >= 2 and m >= 1")
@@ -222,14 +225,19 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     # n - 1 forms that vanish along the whole line
     shifted = [t[i + 1] - t[0] * y[i] for i in range(n)]
     linear_forms = [shifted[i] * z[pivot] - shifted[pivot] * z[i] for i in range(n) if i != pivot]
+    # Q is homogeneous, so Q(1, y) != 0 exactly when Q(den, Y) != 0 for y = Y/den
+    y_nums, y_den = _cleared(y)
+    at_y = (y_den, *y_nums)
     while True:
-        q = rand_homogeneous(rng, tvars, m)
-        if q.evaluate((Fraction(1),) + y) != 0:
+        q = _draw_cleared(rng, monomials_of_degree(n + 1, m))
+        if sum(k * prod(map(pow, at_y, exp)) for exp, k in q[0]):
             break
-    f = q * q
+    pairs = [(q, q)]
+    monos = monomials_of_degree(n + 1, 2 * m - 1)
     for form in linear_forms:
-        f = f + form * rand_homogeneous(rng, tvars, 2 * m - 1)
-    return Hypersurface(f)
+        nums, den = _cleared(form.terms.values())
+        pairs.append(((list(zip(form.terms, nums)), den), _draw_cleared(rng, monos)))
+    return Hypersurface(_sum_of_products(tvars, pairs))
 
 
 def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[int, bool]:

@@ -258,7 +258,7 @@ class TestSizeLimits:
         def started(*args, **kwargs):
             raise AssertionError("the computation started")
 
-        for name in ("vmrt_equations", "explicit_family", "build_converse", "certify"):
+        for name in ("vmrt_equations", "explicit_family", "build_converse", "certify", "variation_report"):
             monkeypatch.setattr(cli, name, started)
 
     def assert_invalid_input(self, capsys, argv, fragment):
@@ -301,9 +301,41 @@ class TestSizeLimits:
         coeffs = ",".join(["1"] * (cli.MAX_DEGREE + 2))
         self.assert_invalid_input(capsys, ["eco-cert", "--coeffs", coeffs, "--json"], "degree 26")
 
-    def test_limits_themselves_are_accepted(self):
+    def test_n_limit_itself_is_accepted(self):
         with pytest.raises(AssertionError, match="started"):
-            main(["variation", "--family", "mge3", "--n", str(cli.MAX_N), "--m", str(cli.MAX_DEGREE // 2)])
+            main(["variation", "--family", "mge3", "--n", str(cli.MAX_N), "--m", "3"])
+
+    def test_degree_limit_itself_is_accepted(self):
+        with pytest.raises(AssertionError, match="started"):
+            main(["eco-cert", "--coeffs", ",".join(["1"] * cli.MAX_DEGREE)])
+
+    def test_work_budget_refuses_a_family_within_the_caps(self, capsys):
+        argv = ["variation", "--family", "mge3", "--n", str(cli.MAX_N), "--m", "11", "--json"]
+        self.assert_invalid_input(capsys, argv, "budget")
+
+    def test_work_budget_refuses_a_sparse_equation_file(self, tmp_path, capsys):
+        # 70 bytes, within both caps; the symbolic restriction yields dense coefficient forms
+        path = tmp_path / "f.poly"
+        path.write_text("t0^24 + " + "*".join(f"t{i}^2" for i in range(1, 13)))
+        point = ",".join(["1"] * 12)
+        self.assert_invalid_input(capsys, ["eqs", "--f", str(path), "--point", point, "--json"], "budget")
+
+    def test_work_budget_refuses_a_sparse_variation_file(self, tmp_path, capsys):
+        path = tmp_path / "f.poly"
+        path.write_text("t0^24 + t12^24")
+        self.assert_invalid_input(capsys, ["variation", "--f", str(path), "--json"], "budget")
+
+    def test_work_estimate_values(self):
+        # dense term products of the half-square recursion up to tail 2m
+        estimates = {(n, m): cli._recursion_work(n, m) for n, m in [(5, 4), (6, 6), (12, 3), (12, 6), (12, 12)]}
+        assert {nm: f"{w:.3g}" for nm, w in estimates.items()} == {
+            (5, 4): "1.1e+04",
+            (6, 6): "5.74e+05",
+            (12, 3): "1.72e+05",
+            (12, 6): "2.59e+08",
+            (12, 12): "4.9e+12",
+        }
+        assert estimates[(6, 6)] < cli.WORK_BUDGET < estimates[(12, 6)]
 
     def test_oversized_exponent_digits_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "f.poly"

@@ -18,6 +18,12 @@ and in their printed text.
 `QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.
+
+`rand_homogeneous` draws integers over one denominator and `eco_witness`
+builds f as one fused integer sum of products.  Their references are the
+plain `rand_fraction` loop, which must leave the generator in the same
+state, and f = Q*Q + L_1*R_1 + ... by SparsePoly products and sums of
+Fraction draws.
 """
 
 import random
@@ -39,6 +45,7 @@ from vmrt import (
     build_converse,
     build_family,
     count_vmrt_points,
+    eco_witness,
     explicit_family,
     format_poly,
     lines,
@@ -54,8 +61,8 @@ from vmrt import (
 )
 from vmrt import linalg
 from vmrt.eco import _half_square
-from vmrt.poly import grevlex_key
-from vmrt.sampling import rand_direction, rand_homogeneous, rand_point, rand_point_off_branch
+from vmrt.poly import grevlex_key, monomials_of_degree
+from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
 from vmrt.selftest import WITNESS_COMBOS
 from vmrt.unipoly import poly_gcd
 from vmrt.variation import MonomialBasis, coeff_vector, dmu_jet
@@ -188,6 +195,39 @@ def reference_mul(p, q):
             exp = tuple(a + b for a, b in zip(e1, e2))
             acc[exp] = acc.get(exp, _ZERO) + c1 * c2
     return SparsePoly(p.vars, acc)
+
+
+def reference_rand_homogeneous(rng, variables, degree, nonzero=True):
+    """One rand_fraction per monomial, kept when nonzero; resampled while all are zero."""
+    monos = monomials_of_degree(len(variables), degree)
+    while True:
+        terms = {}
+        for exp in monos:
+            c = rand_fraction(rng)
+            if c != 0:
+                terms[exp] = c
+        if terms or not nonzero:
+            return SparsePoly(tuple(variables), terms)
+
+
+def reference_eco_witness(n, m, point, direction, seed):
+    """f = Q^2 + sum L_j R_j by SparsePoly products and sums of Fraction draws."""
+    y = tuple(Fraction(c) for c in point)
+    z = tuple(Fraction(c) for c in direction)
+    rng = random.Random(seed)
+    tv = tvars(n)
+    pivot = next(i for i, c in enumerate(z) if c != 0)
+    t = [SparsePoly.variable(tv, v) for v in tv]
+    shifted = [t[i + 1] - t[0] * y[i] for i in range(n)]
+    linear_forms = [shifted[i] * z[pivot] - shifted[pivot] * z[i] for i in range(n) if i != pivot]
+    while True:
+        q = reference_rand_homogeneous(rng, tv, m)
+        if q.evaluate((_ONE,) + y) != 0:
+            break
+    f = q * q
+    for form in linear_forms:
+        f = f + form * reference_rand_homogeneous(rng, tv, 2 * m - 1)
+    return f
 
 
 def reference_poly_gcd(a, b):
@@ -679,6 +719,57 @@ class TestProductEdges:
     def test_integer_only_operands(self):
         rng = random.Random(11)
         assert_same_product(integer_form(rng, 3, 2), integer_form(rng, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "nvars,degree,nonzero,seed",
+    [(1, 0, True, 7), (2, 3, True, 1), (3, 2, False, 2), (4, 4, True, 3), (6, 7, True, 4), (1, 0, False, 7)],
+)
+def test_rand_homogeneous_matches_the_fraction_loop(nvars, degree, nonzero, seed):
+    variables = tvars(nvars - 1)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        fast = rand_homogeneous(rng, variables, degree, nonzero)
+        ref = reference_rand_homogeneous(twin, variables, degree, nonzero)
+        assert list(fast.terms.items()) == list(ref.terms.items())
+        assert all(type(c) is Fraction for c in fast.terms.values())
+    assert rng.getstate() == twin.getstate()
+
+
+def test_rand_homogeneous_resamples_an_all_zero_draw():
+    assert rand_fraction(random.Random(7)) == 0  # the first draw of seed 7 is zero
+    rng, twin = random.Random(7), random.Random(7)
+    fast = rand_homogeneous(rng, ("t0",), 3)
+    assert not fast.is_zero
+    assert fast == reference_rand_homogeneous(twin, ("t0",), 3)
+    assert rng.getstate() == twin.getstate()
+    assert rand_homogeneous(random.Random(7), ("t0",), 3, nonzero=False).is_zero
+
+
+@pytest.mark.parametrize(
+    "n,m,point,direction,seed",
+    [
+        (3, 2, (0, Fraction(1, 2), -3), (0, 2, Fraction(-1, 3)), 11),
+        (4, 2, (0, 0, 0, 0), (0, 0, 5, 1), 12),
+        (4, 3, (Fraction(2, 3), 0, -1, 0), (1, 0, 0, -2), 13),
+        (5, 4, (Fraction(1, 2), -1, 0, 3, Fraction(1, 5)), (0, 0, 0, 1, Fraction(7, 3)), 14),
+    ],
+)
+def test_witness_matches_the_fraction_construction(n, m, point, direction, seed):
+    f = eco_witness(n, m, point, direction, seed).f
+    assert f.terms == reference_eco_witness(n, m, point, direction, seed).terms
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
+def test_witness_resamples_q_that_vanishes_at_the_point():
+    # the point lies on the zero line of the first linear Q drawn for seed 3
+    first_q = reference_rand_homogeneous(random.Random(3), tvars(2), 1)
+    a, b = first_q.coefficient((1, 0, 0)), first_q.coefficient((0, 1, 0))
+    assert b != 0
+    point = (-a / b, 0)
+    assert first_q.evaluate((1,) + point) == 0
+    f = eco_witness(2, 1, point, (1, 1), 3).f
+    assert f.terms == reference_eco_witness(2, 1, point, (1, 1), 3).terms
 
 
 def assert_same_resultant(p, q, var):

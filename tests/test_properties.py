@@ -44,7 +44,7 @@ from vmrt import (
 from vmrt.cli import main
 from vmrt.eco import _half_square
 from vmrt.linalg import _bareiss, _int_cross, _int_exact
-from vmrt.poly import _cleared
+from vmrt.poly import _cleared, _sum_of_products
 from vmrt.unipoly import poly_gcd
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -198,6 +198,52 @@ def test_cleared_gives_numerators_over_the_least_denominator(values):
     assert all(Fraction(k, den) == v for k, v in zip(nums, values))
     # no smaller denominator works: den shares no factor with all numerators
     assert gcd(den, *nums) == 1
+
+
+def cleared_terms(p):
+    nums, den = _cleared(p.terms.values())
+    return list(zip(p.terms, nums)), den
+
+
+@st.composite
+def product_pairs(draw):
+    """Variables and operand pairs (a, b) over them, for the fused sum of products.
+
+    Operands are inhomogeneous with mixed denominators and may be zero.
+    Some draws add (-a, b) for every pair, so the sum cancels to zero; some
+    add a pair of pure powers of one variable whose product reaches the top
+    exponent deg a + deg b of every pair in that variable.
+    """
+    variables = ("t0", "t1", "t2")[: draw(st.integers(1, 3))]
+    exps = st.tuples(*[st.integers(0, 3)] * len(variables))
+    polys = st.lists(st.tuples(exps, fractions), max_size=5).map(
+        lambda items: SparsePoly.from_terms(variables, items)
+    )
+    pairs = draw(st.lists(st.tuples(polys, polys), max_size=4))
+    if draw(st.booleans()):
+        top = max((a.total_degree() + b.total_degree() for a, b in pairs), default=0)
+        i = draw(st.integers(0, len(variables) - 1))
+        da = draw(st.integers(0, 4))
+        db = max(top - da, 0) + draw(st.integers(0, 2))
+        power = [0] * len(variables)
+        a = SparsePoly.from_terms(variables, [(power[:i] + [da] + power[i + 1:], draw(nonzero_fractions))])
+        b = SparsePoly.from_terms(variables, [(power[:i] + [db] + power[i + 1:], draw(nonzero_fractions))])
+        pairs.append((a, b))
+    cancel = draw(st.booleans())
+    if cancel:
+        pairs += [(-a, b) for a, b in pairs]
+    return variables, pairs, cancel
+
+
+@PROPERTY
+@given(product_pairs())
+def test_sum_of_products_matches_polynomial_arithmetic(drawn):
+    variables, pairs, cancel = drawn
+    fast = _sum_of_products(variables, [(cleared_terms(a), cleared_terms(b)) for a, b in pairs])
+    assert fast == sum((a * b for a, b in pairs), SparsePoly.zero(variables))
+    assert all(type(c) is Fraction for c in fast.terms.values())
+    if cancel:
+        assert fast.is_zero
 
 
 def fraction_det(rows):
