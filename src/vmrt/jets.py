@@ -1,31 +1,30 @@
-"""First-order jets: value + eps*derivative, eps^2 = 0, over a commutative ring.
+"""First-order jets in vector mode: value + sum_s eps_s*derivative[s], eps_s*eps_t = 0.
 
-Jet1 is the one dual-number class (forward-mode differentiation, Griewank
-and Walther, *Evaluating Derivatives*, ch. 3).  Its two parts live in
-one commutative ring: ints, the dual integers of the jet restriction,
-or SparsePoly forms in one variable list, the jets of the half-square
-recursion.  Its arithmetic takes other jets and int or Fraction scalars.
-Running an exact rational pipeline on jets yields the pipeline's
-directional derivative for free.  `variation.dmu_jet` uses this as the
-oracle for the closed-form differential `dmu_formula`.  It replays the
-pipeline of `vmrt_equations` at a jet base point, and it shares two
-pieces with `vmrt_equations`: the substitution loop of the line
-restriction and the half-square recursion `eco._half_square`, run here
-over Jet1 up to the lowest tail.  Those two pieces define the map being
-differentiated, and tests/test_kernels.py checks each against a reference
-of its own: a term-by-term expansion for the restriction, the composed
-certificate polynomial A_{m+1} for the recursion.  The oracle uses none
-of the formula's ingredients: graded parts, partial derivatives, and the
-certificate family with its tail partials (it never calls
-`build_family`).  A mistake in the hand-derived formula therefore
-cannot reappear in the oracle.
+Jet1 is the one dual-number class (vector forward-mode differentiation,
+Griewank and Walther, *Evaluating Derivatives*, ch. 3).  Its derivative
+is a tuple with one slot per direction, so one pass of an exact rational
+pipeline yields the derivative along every direction and pays for the
+value arithmetic once.  Value and slots live in one commutative ring:
+ints (the jet restriction) or SparsePoly forms in one variable list (the
+half-square recursion).  Jets mix with jets of as many slots and with
+int or Fraction scalars.  `variation.dmu_jet`, the oracle for the
+closed-form `dmu_formula`, replays the pipeline of `vmrt_equations` once
+at a jet base point with one slot per coordinate direction.  It shares
+two pieces with `vmrt_equations`, which define the map being
+differentiated: the substitution loop of the line restriction and the
+half-square recursion `eco._half_square`, run over Jet1 up to the lowest
+tail.  tests/test_kernels.py checks each against a reference of its own
+(a term-by-term expansion; the composed certificate polynomial A_{m+1}).
+The oracle uses none of the formula's ingredients: graded parts, partial
+derivatives, the certificate family and its tail partials (it never calls
+`build_family`), so a mistake in the hand-derived formula cannot reappear
+in the oracle.
 
-The jet restriction runs the one substitution loop of
-`unipoly.restrict_to_line` over Jet1 with int parts, after clearing the
-denominators of the jet point with `poly._cleared`, the one clearing step
-of every integer kernel.  Powers of a Jet1 use the closed form
-(v + eps*d)^k = v^k + eps*k*v^(k-1)*d instead of k jet products, which
-keeps `SparsePoly.compose` over jets cheap.
+The jet restriction clears the point and all tangents with one
+`poly._cleared`, the clearing step of every integer kernel, and runs the
+substitution loop of `unipoly.restrict_to_line` once over Jet1 with int
+parts.  Powers use the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d,
+slot by slot, which keeps `SparsePoly.compose` over jets cheap.
 """
 
 from __future__ import annotations
@@ -46,61 +45,64 @@ def _scalar(other):
 
 
 class Jet1:
-    """Truncated first-order jet value + eps*derivative with parts in one ring."""
+    """Truncated first-order jet value + sum_s eps_s*derivative[s] with parts in one ring.
+
+    `+`, `-` and `*` of jets with different slot counts raise ValueError.
+    """
 
     __slots__ = ("value", "derivative")
 
-    def __init__(self, value, derivative):
-        if isinstance(value, SparsePoly) and value.vars != derivative.vars:
-            raise InvalidInput("jet components must share a variable list")
+    def __init__(self, value, derivative: tuple):
+        if type(derivative) is not tuple:
+            raise InvalidInput("jet derivative must be a tuple of slots")
+        if isinstance(value, SparsePoly):
+            one_ring = all(isinstance(d, SparsePoly) and d.vars == value.vars for d in derivative)
+        else:
+            one_ring = SparsePoly not in map(type, derivative)
+        if not one_ring:
+            raise InvalidInput("jet parts must be all or none SparsePoly forms, in one variable list")
         self.value = value
         self.derivative = derivative
 
-    @classmethod
-    def constant(cls, variables: Sequence[str], value, derivative=0) -> "Jet1":
-        return cls(
-            SparsePoly.constant(variables, value),
-            SparsePoly.constant(variables, derivative),
-        )
-
     def __add__(self, other):
         if isinstance(other, Jet1):
-            return Jet1(self.value + other.value, self.derivative + other.derivative)
+            slots = zip(self.derivative, other.derivative, strict=True)
+            return Jet1(self.value + other.value, tuple([d + e for d, e in slots]))
         return Jet1(self.value + _scalar(other), self.derivative)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet1):
-            return Jet1(self.value - other.value, self.derivative - other.derivative)
+            slots = zip(self.derivative, other.derivative, strict=True)
+            return Jet1(self.value - other.value, tuple([d - e for d, e in slots]))
         return Jet1(self.value - _scalar(other), self.derivative)
 
     def __mul__(self, other):
         if isinstance(other, Jet1):
-            return Jet1(
-                self.value * other.value,
-                self.value * other.derivative + self.derivative * other.value,
-            )
+            v, w = self.value, other.value
+            slots = zip(self.derivative, other.derivative, strict=True)
+            return Jet1(v * w, tuple([v * e + d * w for d, e in slots]))
         c = _scalar(other)
-        return Jet1(self.value * c, self.derivative * c)
+        return Jet1(self.value * c, tuple([d * c for d in self.derivative]))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, and 1 for k = 0."""
+        """(v + eps*d)^k = v^k + eps*k*v^(k-1)*d per slot, and 1 for k = 0."""
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("jet power must be a non-negative integer")
         if k == 0:
-            return Jet1(self.value ** 0, self.derivative * 0)
+            return Jet1(self.value ** 0, tuple([d * 0 for d in self.derivative]))
         # with 0**0 = 1 the closed form is eps*d for v = 0, k = 1 and 0 for
         # v = 0, k >= 2
         below = self.value ** (k - 1)
-        return Jet1(below * self.value, below * self.derivative * k)
+        return Jet1(below * self.value, tuple([below * d * k for d in self.derivative]))
 
     def __bool__(self):
         # bare bool() of a SparsePoly is always True; comparing with 0 works
         # for both rings
-        return self.value != 0 or self.derivative != 0
+        return self.value != 0 or any(d != 0 for d in self.derivative)
 
     def inverse(self) -> "Jet1":
         """Inverse when the value part is an invertible scalar (Leibniz-exact)."""
@@ -110,10 +112,8 @@ class Jet1:
         if v == 0:
             raise InvalidInput("jet with zero value part is not invertible")
         inv = 1 / v
-        return Jet1(
-            SparsePoly.constant(self.value.vars, inv),
-            self.derivative * (-inv * inv),
-        )
+        slots = tuple([d * (-inv * inv) for d in self.derivative])
+        return Jet1(SparsePoly.constant(self.value.vars, inv), slots)
 
     def __eq__(self, other):
         if not isinstance(other, Jet1):
@@ -121,29 +121,30 @@ class Jet1:
         return self.value == other.value and self.derivative == other.derivative
 
     def __repr__(self):
-        return f"Jet1({self.value} + eps*({self.derivative}))"
+        return f"Jet1({self.value} + eps*({', '.join(map(str, self.derivative))}))"
 
 
-def restrict_to_line_jets(f: SparsePoly, point_jets: Sequence[tuple]) -> list[Jet1]:
-    """Line-restriction coefficients when the base point is a jet.
+def restrict_to_line_jets(f: SparsePoly, point: Sequence, tangents: Sequence[Sequence]) -> list[Jet1]:
+    """Line-restriction coefficients at the jet base point y = point + sum_s eps_s*tangents[s].
 
-    `point_jets` holds one (value, derivative) Fraction pair per affine
-    coordinate.  Substitutes t0 = 1, t_i = y_i + lam*z_i with y_i the given
-    jet scalars and symbolic z, and returns the list of lam^k coefficients
-    as Jet1 over z1..zn.  The pairs are scaled to Jet1 with int parts by
-    their common denominator and run through the substitution loop of the
-    plain restriction.
+    Substitutes t0 = 1, t_i = y_i + lam*z_i with symbolic z, and returns
+    the list of lam^k coefficients as Jet1 over z1..zn with one slot per
+    tangent (value-only jets for `tangents == []`).  The point and the
+    tangents are scaled to Jet1 with int parts by their common denominator
+    and run once through the substitution loop of the plain restriction.
     """
     n = len(f.vars) - 1
-    if len(point_jets) != n:
-        raise InvalidInput(f"need {n} jet coordinates")
-    d = f.homogeneous_degree()
-    y = [(Fraction(v), Fraction(dv)) for v, dv in point_jets]
-    nums, den = _cleared([c for pair in y for c in pair])
-    linear = [(Jet1(v, dv), den) for v, dv in zip(nums[::2], nums[1::2])]
+    if len(point) != n:
+        raise InvalidInput(f"point must have {n} coordinates")
+    if any(len(t) != n for t in tangents):
+        raise InvalidInput(f"every tangent must have {n} coordinates")
+    d, r = f.homogeneous_degree(), len(tangents)
+    nums, den = _cleared([Fraction(v) for v in point] + [Fraction(v) for t in tangents for v in t])
+    # nums holds the point, then tangent after tangent: slot s of y_i is nums[i + n*(s+1)]
+    linear = [(Jet1(nums[i], tuple(nums[i + n :: n])), den) for i in range(n)]
     out, divisor = _expand_line(f, d, linear, den, symbolic=True)
     if not linear:  # f = c*t0^d: nothing substituted, the coefficient stays an int
-        out = {key: Jet1(c, 0) for key, c in out.items()}
+        out = {key: Jet1(c, (0,) * r) for key, c in out.items()}
     values = _by_z_degree({key: c.value for key, c in out.items()}, divisor, n, d)
-    slopes = _by_z_degree({key: c.derivative for key, c in out.items()}, divisor, n, d)
-    return [Jet1(v, s) for v, s in zip(values, slopes)]
+    slopes = [_by_z_degree({key: c.derivative[s] for key, c in out.items()}, divisor, n, d) for s in range(r)]
+    return [Jet1(v, tuple(slope[k] for slope in slopes)) for k, v in enumerate(values)]

@@ -341,7 +341,8 @@ class SparsePoly:
         Fraction, so the same code evaluates coefficients numerically,
         composes with polynomials (the coordinate change of
         `count_vmrt_points`, the tail partials in `dmu_formula`), or pushes
-        first-order jets through.  Each power of each argument is taken
+        jets through: over Jet1 with one slot per direction, one call gives
+        the value and the whole gradient.  Each power of each argument is taken
         once and every term costs one product per variable it contains, so
         substituting into a polynomial with many terms (such as the
         certificate polynomials A_k) is dear; the equations and the jet

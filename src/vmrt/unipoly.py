@@ -17,7 +17,7 @@ one variable at a time and the caller divides each output coefficient by
 the common denominator at the end, so one gcd reduction is paid per
 coefficient instead of one per product and sum.  The loop is generic over
 the ring of the point coordinates: Python ints, or `jets.Jet1` with int
-parts a + eps*b for a jet base point.  The accumulator key is the
+parts a + eps_1*b_1 + ... + eps_r*b_r for a jet point.  The key is the
 lam-degree for a numeric direction and the tuple of z-exponents for a
 symbolic one; a power-table entry stores the key increment (j, or the
 1-tuple (j,)), so substituting a variable is `key + increment` in both

@@ -10,10 +10,10 @@ f(1, 0, ..., 0) = 1, with f_{2m+1} = 0) has the closed form
         - sum_j dA_k/dx_j(f_1..f_m) * (df_{j+1}/dt_i - f_j * df_1/dt_i),
 
 implemented in dmu_formula and cross-checked by dmu_jet, which replays
-the whole B_{m+1} pipeline over first-order jets and never touches the
-formula.  Variation is maximal when dmu has rank n and its image meets
-the tangent space of the GL(n) coordinate-change orbit (spanned by the
-forms z_i * dh/dz_j) only in 0.
+the whole B_{m+1} pipeline once over first-order jets with one slot per
+direction and never touches the formula.  Variation is maximal when dmu
+has rank n and its image meets the tangent space of the GL(n)
+coordinate-change orbit (spanned by the forms z_i * dh/dz_j) only in 0.
 """
 
 from __future__ import annotations
@@ -108,25 +108,22 @@ def dmu_formula(hyp: Hypersurface) -> QMatrix:
 def dmu_jet(hyp: Hypersurface) -> QMatrix:
     """Differential of mu at the origin by first-order jets (independent oracle).
 
-    Column i replays the full equation pipeline at the jet base point
-    y = eps*e_i: restriction, inversion of a_0 = 1 + eps*(...), and the
-    half-square recursion on the jet ratios up to the lowest tail.  The
-    derivative component of the resulting jet is dB_{m+1}/dy_i at the
-    origin.
+    Replays the full equation pipeline once, in vector mode, at the jet
+    base point y = eps_1*e_1 + ... + eps_n*e_n: restriction, inversion of
+    a_0 = 1 + eps*(...), and the half-square recursion on the jet ratios
+    up to the lowest tail.  Derivative slot i of the resulting jet is
+    dB_{m+1}/dy_i at the origin, column i of the matrix.
     """
     m, n = hyp.m, hyp.n
     if hyp.f.coefficient((2 * m,) + (0,) * n) != 1:  # f(1, 0, ..., 0)
         raise NormalizationViolated("requires f(1, 0, ..., 0) = 1")
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    a = restrict_to_line_jets(hyp.f, [0] * n, identity)
+    inv0 = a[0].inverse()
+    _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
+    bk = a[m + 1] * inv0 - tail
     basis = MonomialBasis(n, m + 1)
-    columns = []
-    for i in range(n):
-        jets = [(_ZERO, Fraction(1) if j == i else _ZERO) for j in range(n)]
-        a = restrict_to_line_jets(hyp.f, jets)
-        inv0 = a[0].inverse()
-        _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
-        bk = a[m + 1] * inv0 - tail
-        columns.append(coeff_vector(bk.derivative, basis))
-    return QMatrix.from_columns(columns)
+    return QMatrix.from_columns([coeff_vector(slope, basis) for slope in bk.derivative])
 
 
 def orbit_tangent(h: SparsePoly, degree: int | None = None) -> QMatrix:

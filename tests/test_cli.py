@@ -250,6 +250,15 @@ class TestLogging:
         assert all(line.endswith(" s") for line in timings)
 
 
+def test_import_loads_neither_logging_nor_argparse(monkeypatch):
+    # the library stays cheap to import; only the CLI front end needs them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, vmrt\nprint(sorted({'logging', 'argparse'} & set(sys.modules)))\n"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 class TestSizeLimits:
     """Oversized inputs are refused with exit 2 before any heavy work starts."""
 

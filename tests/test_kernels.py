@@ -63,7 +63,7 @@ from vmrt import linalg
 from vmrt.eco import _half_square
 from vmrt.poly import grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
-from vmrt.selftest import WITNESS_COMBOS
+from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS
 from vmrt.unipoly import poly_gcd
 from vmrt.variation import MonomialBasis, coeff_vector, dmu_jet
 
@@ -132,7 +132,7 @@ def reference_jet_restrict(f, point_jets):
     """f(1, y + lam*z) at a jet point y, symbolic z, expanded in Fractions.
 
     `point_jets` holds one (value, derivative) pair per coordinate; entry k
-    is the Jet1 of the degree-k part in z.
+    is the one-slot Jet1 of the degree-k part in z.
     """
     n = len(f.vars) - 1
     d = f.homogeneous_degree()
@@ -182,7 +182,7 @@ def reference_jet_restrict(f, point_jets):
             if ad:
                 ders[k][zexp] = ders[k].get(zexp, _ZERO) + c * ad
     return [
-        Jet1(SparsePoly(zvars, vals[k]), SparsePoly(zvars, ders[k]))
+        Jet1(SparsePoly(zvars, vals[k]), (SparsePoly(zvars, ders[k]),))
         for k in range(d + 1)
     ]
 
@@ -400,14 +400,21 @@ def assert_same_symbolic_restriction(f, y):
         assert all(type(c) is Fraction for c in a.terms.values())
 
 
-def assert_same_jet_restriction(f, point_jets):
-    fast = restrict_to_line_jets(f, point_jets)
-    ref = reference_jet_restrict(f, point_jets)
-    assert len(fast) == len(ref) == f.homogeneous_degree() + 1
-    assert fast == ref
-    for a, b in zip(fast, ref):
-        assert a.value == b.value and a.derivative == b.derivative
-        for part in (a.value, a.derivative):
+def assert_same_jet_restriction(f, point, tangents):
+    """One vector-mode restriction against one single-pair reference per slot."""
+    fast = restrict_to_line_jets(f, point, tangents)
+    assert len(fast) == f.homogeneous_degree() + 1
+    zeros = [0] * len(point)
+    for s, tangent in enumerate(list(tangents) or [zeros]):
+        ref = reference_jet_restrict(f, list(zip(point, tangent)))
+        assert len(ref) == len(fast)
+        for a, b in zip(fast, ref):
+            assert a.value == b.value
+            assert len(a.derivative) == len(tangents)
+            if tangents:
+                assert a.derivative[s] == b.derivative[0]
+    for a in fast:
+        for part in (a.value, *a.derivative):
             assert all(type(c) is Fraction for c in part.terms.values())
 
 
@@ -503,17 +510,16 @@ class TestSymbolicRestrictionEdges:
         assert_same_symbolic_restriction(f, [1, 0, 0])
 
 
-def unit_jets(n, i):
-    """The jet point eps*e_i that dmu_jet restricts at."""
-    return [(0, 1 if j == i else 0) for j in range(n)]
+def identity(n):
+    """The tangents e_1, ..., e_n: the jet point eps_1*e_1 + ... + eps_n*e_n of dmu_jet."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("n,m", WITNESS_COMBOS)
 def test_jet_restriction_matches_reference_at_unit_jets(n, m):
     rng = random.Random(4000 * n + m)
     f = rand_homogeneous(rng, tvars(n), 2 * m)
-    for i in range(n):
-        assert_same_jet_restriction(f, unit_jets(n, i))
+    assert_same_jet_restriction(f, [0] * n, identity(n))
 
 
 @pytest.mark.parametrize("n,m", WITNESS_COMBOS)
@@ -521,42 +527,45 @@ def test_jet_restriction_matches_reference_on_general_pairs(n, m):
     rng = random.Random(5000 * n + m)
     f = rand_homogeneous(rng, tvars(n), 2 * m)
     dens = (1, 2, -3, 5, -7, 9)
-    pairs = [
-        (Fraction(rng.randint(-9, 9), rng.choice(dens)), Fraction(rng.randint(-9, 9), rng.choice(dens)))
-        for _ in range(n)
-    ]
-    assert_same_jet_restriction(f, pairs)
+
+    def rand_vector():
+        return [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)]
+
+    point, tangent = rand_vector(), rand_vector()
+    # a zero tangent gives a zero slot
+    assert_same_jet_restriction(f, point, [tangent, [0] * n])
     # zero values: every power of a coordinate is eps^p, zero for p >= 2
-    assert_same_jet_restriction(f, [(0, dv) for _, dv in pairs])
-    # zero derivatives: the value parts are the plain restriction
-    assert_same_jet_restriction(f, [(v, 0) for v, _ in pairs])
+    assert_same_jet_restriction(f, [0] * n, [tangent, rand_vector()])
 
 
 class TestJetRestrictionEdges:
     def test_mixed_zero_values_and_derivatives(self):
         f = parse_poly("1/3*t0^4 - 5/7*t1^2*t2^2 + 2/9*t0*t3^3 - 11/4*t1*t2*t3^2")
-        pairs = [(Fraction(1, 2), 0), (0, Fraction(-5, 3)), (Fraction(7, -11), Fraction(3, 4))]
-        assert_same_jet_restriction(f, pairs)
-        assert_same_jet_restriction(f, [(0, 0), (0, 0), (0, 0)])
+        point = [Fraction(1, 2), 0, Fraction(7, -11)]
+        assert_same_jet_restriction(f, point, [[0, Fraction(-5, 3), Fraction(3, 4)], [1, 0, 0]])
+        assert_same_jet_restriction(f, [0, 0, 0], [[0, 0, 0]])
 
     def test_all_zero_derivatives_give_the_plain_restriction(self):
         rng = random.Random(19)
         f = rand_homogeneous(rng, tvars(4), 4)
         y = rand_point(rng, 4)
-        jets = restrict_to_line_jets(f, [(c, 0) for c in y])
-        assert_same_jet_restriction(f, [(c, 0) for c in y])
+        jets = restrict_to_line_jets(f, y, [[0] * 4, [0] * 4])
+        assert_same_jet_restriction(f, y, [[0] * 4, [0] * 4])
         assert [j.value for j in jets] == restrict_to_line(f, y)
-        assert all(j.derivative.is_zero for j in jets)
+        assert all(d.is_zero for j in jets for d in j.derivative)
+        # no tangents: value-only jets
+        assert_same_jet_restriction(f, y, [])
 
     def test_pure_t0_power(self):
         f = parse_poly("3/5*t0^6", tvars(3))
-        assert_same_jet_restriction(f, [(Fraction(1, 2), 1), (3, -2), (-1, Fraction(1, 3))])
+        assert_same_jet_restriction(f, [Fraction(1, 2), 3, -1], [[1, -2, Fraction(1, 3)], [0, 1, 0]])
         f0 = parse_poly("3/5*t0^6", ("t0",))
-        assert_same_jet_restriction(f0, [])
+        assert_same_jet_restriction(f0, [], [])
+        assert_same_jet_restriction(f0, [], [[], []])
 
     def test_single_term(self):
         f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
-        assert_same_jet_restriction(f, [(Fraction(2, 3), 1), (5, 0), (0, Fraction(-1, 2))])
+        assert_same_jet_restriction(f, [Fraction(2, 3), 5, 0], [[1, 0, Fraction(-1, 2)]])
 
 
 def assert_same_polys(fast, ref):
@@ -599,36 +608,67 @@ def test_equations_match_composed_tails_at_the_origin(n, m):
 
 
 def reference_dmu_jet_columns(hyp):
-    """Derivative parts of B_{m+1} at eps*e_i, the tail taken by composing A_{m+1}."""
+    """Derivative parts of B_{m+1} at eps*e_i, one one-slot replay per column.
+
+    Each column restricts at the single tangent e_i and takes the tail by
+    composing A_{m+1}; `dmu_jet` carries all n tangents in one pass.
+    """
     m, n = hyp.m, hyp.n
     out = []
-    for i in range(n):
-        a = restrict_to_line_jets(hyp.f, unit_jets(n, i))
+    for tangent in identity(n):
+        a = restrict_to_line_jets(hyp.f, [0] * n, [tangent])
         inv0 = a[0].inverse()
         ratios = [a[j] * inv0 for j in range(1, m + 1)]
-        out.append((a[m + 1] * inv0 - reference_jet_tail(ratios, m)).derivative)
+        (slope,) = (a[m + 1] * inv0 - reference_jet_tail(ratios, m)).derivative
+        out.append(slope)
     return out
+
+
+def assert_dmu_jet_matches_columns(hyp):
+    basis = MonomialBasis(hyp.n, hyp.m + 1)
+    columns = dmu_jet(hyp)
+    assert [columns.column(i) for i in range(hyp.n)] == [
+        coeff_vector(p, basis) for p in reference_dmu_jet_columns(hyp)
+    ]
+
+
+def normalized(f):
+    """f with its t0^d coefficient set to 1, as dmu_jet requires f(1, 0, ..., 0) = 1."""
+    d, tv = f.homogeneous_degree(), f.vars
+    return f + (1 - f.coefficient((d,) + (0,) * (len(tv) - 1))) * SparsePoly.variable(tv, "t0") ** d
 
 
 @pytest.mark.parametrize("n,m", WITNESS_COMBOS)
 def test_jet_tails_match_composed_tail_at_unit_jets(n, m):
     rng = random.Random(8000 * n + m)
-    f = rand_homogeneous(rng, tvars(n), 2 * m)
-    # dmu_jet requires f(1, 0, ..., 0) = 1
-    f = f + (1 - f.coefficient((2 * m,) + (0,) * n)) * SparsePoly.variable(tvars(n), "t0") ** (2 * m)
-    for i in range(n):
-        a = restrict_to_line_jets(f, unit_jets(n, i))
-        inv0 = a[0].inverse()
-        ratios = [a[j] * inv0 for j in range(1, m + 1)]
-        _, tails = _half_square(ratios, m + 1)
-        ref = reference_jet_tail(ratios, m)
-        assert tails == [ref]
-        assert_same_polys([tails[0].value, tails[0].derivative], [ref.value, ref.derivative])
-    hyp = Hypersurface(f)
-    columns = dmu_jet(hyp)
-    ref_columns = reference_dmu_jet_columns(hyp)
-    basis = MonomialBasis(n, m + 1)
-    assert [columns.column(i) for i in range(n)] == [coeff_vector(p, basis) for p in ref_columns]
+    f = normalized(rand_homogeneous(rng, tvars(n), 2 * m))
+    a = restrict_to_line_jets(f, [0] * n, identity(n))
+    inv0 = a[0].inverse()
+    ratios = [a[j] * inv0 for j in range(1, m + 1)]
+    _, tails = _half_square(ratios, m + 1)
+    ref = reference_jet_tail(ratios, m)
+    assert tails == [ref]
+    assert_same_polys([tails[0].value, *tails[0].derivative], [ref.value, *ref.derivative])
+    assert_dmu_jet_matches_columns(Hypersurface(f))
+
+
+@pytest.mark.parametrize("n,m", DMU_COMBOS)
+def test_dmu_jet_matches_per_column_replay_at_random_forms(n, m):
+    rng = random.Random(8500 * n + m)
+    for _ in range(2):
+        assert_dmu_jet_matches_columns(Hypersurface(normalized(rand_homogeneous(rng, tvars(n), 2 * m))))
+
+
+def test_dmu_jet_matches_per_column_replay_at_recentred_points():
+    rng = random.Random(8753)
+    for _ in range(2):
+        hyp = Hypersurface(rand_homogeneous(rng, tvars(5), 6))
+        assert_dmu_jet_matches_columns(recenter(hyp, rand_point_off_branch(rng, hyp)))
+
+
+@pytest.mark.parametrize("n,m,b,c", [(4, 2, 1, 2), (5, 2, Fraction(3, 2), -1), (4, 3, 2, 5), (5, 3, -1, Fraction(1, 3))])
+def test_dmu_jet_matches_per_column_replay_on_explicit_families(n, m, b, c):
+    assert_dmu_jet_matches_columns(explicit_family(n, m, b, c))
 
 
 def test_equations_at_a_point_on_the_branch_raise_with_the_point():

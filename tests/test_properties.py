@@ -90,8 +90,15 @@ def test_symbolic_restriction_matches_reference(data):
 def test_jet_restriction_matches_reference(data):
     f = data.draw(forms())
     n = len(f.vars) - 1
-    pairs = list(zip(data.draw(points(n)), data.draw(points(n))))
-    assert restrict_to_line_jets(f, pairs) == reference_jet_restrict(f, pairs)
+    point = data.draw(points(n))
+    tangents = data.draw(st.lists(points(n), max_size=3))
+    jets = restrict_to_line_jets(f, point, tangents)
+    for s, tangent in enumerate(tangents or [[0] * n]):
+        ref = reference_jet_restrict(f, list(zip(point, tangent)))
+        assert [j.value for j in jets] == [r.value for r in ref]
+        if tangents:
+            assert [j.derivative[s] for j in jets] == [r.derivative[0] for r in ref]
+    assert all(len(j.derivative) == len(tangents) for j in jets)
 
 
 def unipolys(min_degree, max_degree):
