@@ -94,6 +94,8 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 
 def _check_n(n: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"n = {n} is below the minimum n >= 1")
     if n > MAX_N:
         raise InvalidInput(f"n = {n} exceeds the limit n <= {MAX_N}")
 

@@ -141,5 +141,5 @@ def is_weighted_homogeneous(p: SparsePoly, degree: int, weights: Sequence[int]) 
     if any(w <= 0 for w in weights):
         raise InvalidInput("weights must be positive")
     return all(
-        sum(w * e for w, e in zip(weights, exp)) == degree for exp in p.terms
+        sum(w * e for w, e in zip(weights, exp)) == degree for exp in p.nums
     )

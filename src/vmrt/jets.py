@@ -21,10 +21,11 @@ derivatives, the certificate family and its tail partials (it never calls
 in the oracle.
 
 The jet restriction clears the point and all tangents with one
-`poly._cleared`, the clearing step of every integer kernel, and runs the
-substitution loop of `unipoly.restrict_to_line` once over Jet1 with int
-parts.  Powers use the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d,
-slot by slot, which keeps `SparsePoly.compose` over jets cheap.
+`poly._cleared` and runs the substitution loop of
+`unipoly.restrict_to_line` once over Jet1 with int parts, on the integer
+numerators that f stores.  Powers use the closed form
+(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by slot, which keeps
+`SparsePoly.compose` over jets cheap.
 """
 
 from __future__ import annotations
@@ -105,15 +106,17 @@ class Jet1:
         return self.value != 0 or any(d != 0 for d in self.derivative)
 
     def inverse(self) -> "Jet1":
-        """Inverse when the value part is an invertible scalar (Leibniz-exact)."""
-        if not self.value.is_constant:
-            raise InvalidInput("jet inversion needs a constant value part")
-        v = self.value.constant_value()
+        """1/v + eps*(-d/v^2) per slot, for an int or Fraction value v or a constant form v != 0."""
+        v = self.value
+        if isinstance(v, SparsePoly):
+            if not v.is_constant:
+                raise InvalidInput("jet inversion needs a constant value part")
+            v = v.constant_value()
         if v == 0:
             raise InvalidInput("jet with zero value part is not invertible")
-        inv = 1 / v
-        slots = tuple([d * (-inv * inv) for d in self.derivative])
-        return Jet1(SparsePoly.constant(self.value.vars, inv), slots)
+        inv = 1 / Fraction(v)
+        value = SparsePoly.constant(self.value.vars, inv) if isinstance(self.value, SparsePoly) else inv
+        return Jet1(value, tuple([d * (-inv * inv) for d in self.derivative]))
 
     def __eq__(self, other):
         if not isinstance(other, Jet1):

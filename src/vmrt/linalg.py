@@ -1,9 +1,9 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
-Rank works on integer rows, each cleared by `poly._cleared` (the one
-clearing step of every integer kernel), and is certified mod the
-fixed Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 5).  Reducing an integer matrix mod P can
+Rank works on integer rows, each cleared by `poly._cleared` (the
+clearing step of the Fraction inputs), and is certified mod the fixed
+Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 5).  Reducing an integer matrix mod P can
 only lose pivots, so rank mod P <= rank over Q <= min(rows, cols): when
 one Gaussian elimination over GF(P) reaches min(rows, cols) pivots, that
 is the exact rank, and the answer is the same on every run.  Otherwise the

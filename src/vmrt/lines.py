@@ -38,9 +38,10 @@ from .errors import (
     InvalidInput,
     ResultantDegenerate,
 )
-from .poly import SparsePoly, _cleared, _sum_of_products, monomials_of_degree
-from .sampling import _draw_cleared, rand_invertible
-from .unipoly import UniPoly, is_perfect_square, restrict_to_line, resultant, squarefree_factorization
+from .poly import SparsePoly, _cleared, _sum_of_products
+from .sampling import rand_homogeneous, rand_invertible
+from .unipoly import UniPoly, _by_z_degree, is_perfect_square, restrict_to_line
+from .unipoly import resultant, squarefree_factorization
 
 _ZERO = Fraction(0)
 
@@ -77,12 +78,8 @@ class Hypersurface:
 
     def graded_parts(self) -> list[SparsePoly]:
         """[f_0, ..., f_2m] in z1..zn with f = sum t0^(2m-k) f_k, f_k of degree k."""
-        d = 2 * self.m
-        buckets: list[dict] = [{} for _ in range(d + 1)]
-        for exp, c in self.f.terms.items():
-            buckets[d - exp[0]][exp[1:]] = c
-        zvars = tuple(f"z{i}" for i in range(1, self.n + 1))
-        return [SparsePoly(zvars, b) for b in buckets]
+        # f is homogeneous, so a term's z-degree is 2m minus its t0-degree
+        return _by_z_degree({exp[1:]: k for exp, k in self.f.nums.items()}, self.f.den, self.n, 2 * self.m)
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -207,9 +204,9 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     Builds f = Q^2 + sum L_j R_j with Q random of degree m (resampled until
     Q(1, y) != 0), L_j a basis of linear forms vanishing on the line
     through y with direction z, and R_j random of degree 2m-1.  Restricted
-    to that line f is (Q restricted)^2, a perfect square.  Q and the R_j
-    are drawn as integers over one denominator (`sampling._draw_cleared`)
-    and f is one integer sum of products (`poly._sum_of_products`).
+    to that line f is (Q restricted)^2, a perfect square.  f is one
+    integer sum of products (`poly._sum_of_products`) over the numerators
+    of Q, the L_j and the R_j.
     """
     if n < 2 or m < 1:
         raise InvalidInput("need n >= 2 and m >= 1")
@@ -229,14 +226,10 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     y_nums, y_den = _cleared(y)
     at_y = (y_den, *y_nums)
     while True:
-        q = _draw_cleared(rng, monomials_of_degree(n + 1, m))
-        if sum(k * prod(map(pow, at_y, exp)) for exp, k in q[0]):
+        q = rand_homogeneous(rng, tvars, m)
+        if sum(k * prod(map(pow, at_y, exp)) for exp, k in q.nums.items()):
             break
-    pairs = [(q, q)]
-    monos = monomials_of_degree(n + 1, 2 * m - 1)
-    for form in linear_forms:
-        nums, den = _cleared(form.terms.values())
-        pairs.append(((list(zip(form.terms, nums)), den), _draw_cleared(rng, monos)))
+    pairs = [(q, q)] + [(form, rand_homogeneous(rng, tvars, 2 * m - 1)) for form in linear_forms]
     return Hypersurface(_sum_of_products(tvars, pairs))
 
 

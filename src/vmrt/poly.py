@@ -1,27 +1,31 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a mapping from exponent tuples (one slot per variable) to
-nonzero Fraction coefficients, together with an ordered tuple of variable
-names.  All arithmetic is exact and zero coefficients are never stored.
-The canonical term order for printing, coefficient bases and leading-term
-logic is graded reverse lexicographic (grevlex), highest term first; it is
-fixed globally so every printed or serialized polynomial is deterministic.
+A polynomial is stored as its variable names, integer numerators `nums`
+(exponent tuple, one slot per variable, to a nonzero int) and one
+positive denominator `den` that shares no factor with all of them:
+FLINT's `fmpq_mpoly` layout, a content times an integer polynomial
+(https://flintlib.org/doc/fmpq_mpoly.html).  The form is canonical, so
+`==` and `hash` compare it directly; `terms` builds the Fraction
+coefficients afresh on each access.  The canonical term order for
+printing, coefficient bases and leading-term logic is graded reverse
+lexicographic (grevlex), highest term first; it is fixed globally so
+every printed or serialized polynomial is deterministic.
 
-Products are taken over the integers: `_add_products` is the integer
-product loop on exponent tuples, run by `SparsePoly.__mul__` on operands
-cleared to a common denominator and by the resultant on its integer
-Sylvester entries.  `_sum_of_products` takes a whole sum a_1*b_1 + ...
-of cleared operands in one accumulation over one denominator, with each
-exponent packed into one int (Monagan and Pearce, CASC 2007; FLINT's
-packed `fmpz_mpoly` exponents); `lines.eco_witness` builds its f with
-it.  Packing pays only where many products merge into few terms, about
-25,000 products onto 1,287 terms for a witness at (n, m) = (5, 4).  In
-`__mul__` and the resultant most products have an operand of at most
+The integer kernels read `nums` and `den` directly, and each builds its
+result through `SparsePoly._from_ints`, the one constructor that drops
+zeros and divides out the content.  `_add_products` is the integer
+product loop on exponent tuples, run by `SparsePoly.__mul__` and by the
+resultant on its integer Sylvester entries.  `_sum_of_products` takes a
+whole sum a_1*b_1 + ... in one accumulation over one denominator, with
+each exponent packed into one int (Monagan and Pearce, CASC 2007;
+FLINT's packed `fmpz_mpoly` exponents); `lines.eco_witness` builds its f
+with it.  Packing pays only where many products merge into few terms,
+about 25,000 products onto 1,287 terms for a witness at (n, m) = (5, 4).
+In `__mul__` and the resultant most products have an operand of at most
 three terms and about as many terms come out as products go in, so
-packing and unpacking the keys would be pure overhead there.
-`_cleared` is the one step that clears denominators, for every integer
-kernel: the product here, the line restriction, the gcd and the
-resultant in `unipoly`, the jet restriction and `QMatrix.rank`.
+packing and unpacking the keys would be pure overhead there.  `_cleared`
+clears the other rational inputs: the public constructor's Fractions,
+points, directions, matrix rows and `UniPoly` coefficients.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -67,37 +71,37 @@ def _add_products(acc: dict, left: Iterable[tuple], right: Collection[tuple]) ->
             acc[exp] = get(exp, 0) + k1 * k2
 
 
-def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[tuple, tuple]]) -> "SparsePoly":
-    """sum a_i*b_i for operands cleared as (terms, den): (exponent, int) terms over a positive den.
+def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
+    """sum a_i*b_i for SparsePoly pairs over `variables`, on their integer numerators.
 
-    One accumulation over the lcm of the da*db.  Each exponent is packed
-    into one int in base 1 + max(deg a + deg b), so no field of a product
-    carries into the next and multiplying monomials is one int addition;
-    keys are unpacked once per surviving term.  Terms come out in the
-    order of their first product.  `SparsePoly.__mul__` and the resultant
-    stay on `_add_products`: their products rarely merge (module docstring).
+    One accumulation over the lcm of the a.den*b.den.  Each exponent is
+    packed into one int in base 1 + max(deg a + deg b), so no field of a
+    product carries into the next and multiplying monomials is one int
+    addition; keys are unpacked once per accumulated term.  Terms come out
+    in the order of their first product.  `SparsePoly.__mul__` and the
+    resultant stay on `_add_products`: their products rarely merge (module
+    docstring).
     """
 
-    def degree(terms):
-        return max((sum(exp) for exp, _ in terms), default=0)
+    def degree(p):
+        return max(map(sum, p.nums), default=0)
 
-    def packed(terms, scale=1):
-        return [(sum(map(mul, exp, weights)), k * scale) for exp, k in terms]
+    def packed(p, scale=1):
+        return [(sum(map(mul, exp, weights)), k * scale) for exp, k in p.nums.items()]
 
-    den = lcm(*(da * db for (_, da), (_, db) in pairs))
-    base = 1 + max((degree(a) + degree(b) for (a, _), (b, _) in pairs), default=0)
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    base = 1 + max((degree(a) + degree(b) for a, b in pairs), default=0)
     weights = [base**i for i in range(len(variables))]
     acc: dict[int, int] = {}
     get = acc.get
-    for (a, da), (b, db) in pairs:
+    for a, b in pairs:
         right = packed(b)
-        for ka, ca in packed(a, den // (da * db)):
+        for ka, ca in packed(a, den // (a.den * b.den)):
             for kb, cb in right:
                 key = ka + kb
                 acc[key] = get(key, 0) + ca * cb
-    return SparsePoly(
-        variables, {tuple(key // w % base for w in weights): Fraction(v, den) for key, v in acc.items() if v}
-    )
+    nums = {tuple(key // w % base for w in weights): v for key, v in acc.items()}
+    return SparsePoly._from_ints(variables, nums, den)
 
 
 def _cleared(values: Collection) -> tuple[list[int], int]:
@@ -134,26 +138,44 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Exponent, ...]:
 
 
 class SparsePoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial: nonzero int `nums` over a positive `den`, gcd(den, *nums) == 1."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction]):
+        # reduced fractions over their lcm already share no factor with it
+        fractions = terms.values()
+        nums, self.den = _cleared(fractions)
         self.vars = tuple(variables)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.nums = {e: k for e, k in zip(terms, nums) if k}
+
+    @classmethod
+    def _from_ints(cls, variables: Sequence[str], nums: Mapping[Exponent, int], den: int) -> "SparsePoly":
+        """The polynomial sum nums[e]/den * t^e for a positive den: zeros dropped, content divided out."""
+        nums = {e: k for e, k in nums.items() if k}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: k // g for e, k in nums.items()}
+            den //= g
+        p = cls.__new__(cls)
+        p.vars, p.nums, p.den = tuple(variables), nums, den
+        return p
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """A fresh dict of the Fraction coefficients; changing it leaves the polynomial as it is."""
+        den = self.den
+        return {e: Fraction(k, den) for e, k in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "SparsePoly":
-        return cls(variables, {})
+        return cls._from_ints(variables, {}, 1)
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "SparsePoly":
-        c = Fraction(value)
-        if c == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): c})
+        return cls(variables, {(0,) * len(variables): Fraction(value)})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
@@ -162,7 +184,7 @@ class SparsePoly:
             raise VariableMismatch(f"unknown variable {name!r}")
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): _ONE})
+        return cls._from_ints(variables, {tuple(exp): 1}, 1)
 
     @classmethod
     def from_terms(cls, variables: Sequence[str], items: Iterable[tuple[Exponent, Fraction]]) -> "SparsePoly":
@@ -179,39 +201,35 @@ class SparsePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return _ZERO
         if not self.is_constant:
             raise InvalidInput("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.coefficient((0,) * len(self.vars))
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=-1)
 
     def homogeneous_degree(self) -> int:
         """Common total degree of all terms; raises if inhomogeneous or zero."""
-        if not self.terms:
+        if not self.nums:
             raise InvalidInput("zero polynomial has no homogeneous degree")
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.nums}
         if len(degs) != 1:
             raise InvalidInput(f"polynomial is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True if all terms share one total degree (the zero poly passes any)."""
-        if not self.terms:
+        if not self.nums:
             return True
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.nums}
         if len(degs) != 1:
             return False
         return degree is None or degs.pop() == degree
@@ -219,12 +237,10 @@ class SparsePoly:
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable; -1 for the zero polynomial."""
         i = self._var_index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.nums), default=-1)
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), _ZERO)
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical grevlex-descending order."""
@@ -248,15 +264,18 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_vars(other)
-        acc = dict(self.terms)
-        for exp, c in other.terms.items():
-            acc[exp] = acc.get(exp, _ZERO) + c
-        return SparsePoly(self.vars, acc)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        acc = {e: k * s for e, k in self.nums.items()}
+        get = acc.get
+        for e, k in other.nums.items():
+            acc[e] = get(e, 0) + k * t
+        return SparsePoly._from_ints(self.vars, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._from_ints(self.vars, {e: -k for e, k in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -271,26 +290,21 @@ class SparsePoly:
     def __mul__(self, other):
         """Product with a scalar or with a polynomial over the same variables.
 
-        Two polynomials are multiplied as integer polynomials over a common
-        denominator (FLINT's fmpq_poly representation): each operand is
-        cleared to its own least denominator, the integer products are
-        accumulated per exponent, and each surviving term is reduced once.
+        Two polynomials are multiplied as integer polynomials over the
+        product of their denominators: the integer products are accumulated
+        per exponent and the content is divided out once at the end.
         Terms come out in the order of their first product.
         """
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return SparsePoly.zero(self.vars)
-            return SparsePoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            nums = {e: k * c.numerator for e, k in self.nums.items()}
+            return SparsePoly._from_ints(self.vars, nums, self.den * c.denominator)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_vars(other)
-        n1, l1 = _cleared(self.terms.values())
-        n2, l2 = _cleared(other.terms.values())
         acc: dict[Exponent, int] = {}
-        _add_products(acc, zip(self.terms, n1), list(zip(other.terms, n2)))
-        den = l1 * l2
-        return SparsePoly(self.vars, {e: Fraction(v, den) for e, v in acc.items() if v})
+        _add_products(acc, self.nums.items(), list(other.nums.items()))
+        return SparsePoly._from_ints(self.vars, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -311,24 +325,18 @@ class SparsePoly:
             other = SparsePoly.constant(self.vars, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # -- calculus and substitution -------------------------------------------
 
     def partial(self, name: str) -> "SparsePoly":
         """Exact formal partial derivative with respect to one variable."""
         i = self._var_index(name)
-        acc: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = exp[:i] + (e - 1,) + exp[i + 1:]
-            acc[new] = acc.get(new, _ZERO) + c * e
-        return SparsePoly(self.vars, acc)
+        nums = {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: k * exp[i] for exp, k in self.nums.items() if exp[i]}
+        return SparsePoly._from_ints(self.vars, nums, self.den)
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Evaluate at rational arguments, one per variable."""
@@ -351,7 +359,7 @@ class SparsePoly:
         """
         if len(args) != len(self.vars):
             raise InvalidInput("wrong number of substitution arguments")
-        if not self.terms:
+        if not self.nums:
             return args[0] * 0 if args else _ZERO
         pows: list[dict[int, object]] = [dict() for _ in args]
 

@@ -6,11 +6,10 @@ rationals (numerators and denominators bounded well below 100) to keep
 exact arithmetic fast while staying generic enough for rank and
 squarefreeness checks.
 
-`rand_homogeneous` is a thin wrapper over `_draw_cleared`, the one
-sampler of coefficient forms: it makes the same two `randint` calls per
-monomial as `rand_fraction`, so every seeded draw is the same, and
-returns integer numerators over one denominator.  `lines.eco_witness`
-feeds those integers to `poly._sum_of_products` directly.
+`rand_homogeneous` is the one sampler of coefficient forms: it makes the
+same two `randint` calls per monomial as `rand_fraction`, so every seeded
+draw is the same, and builds the SparsePoly from integer numerators over
+one denominator without a Fraction per draw.
 """
 
 from __future__ import annotations
@@ -53,28 +52,18 @@ def rand_direction(rng: random.Random, n: int) -> tuple[Fraction, ...]:
             return z
 
 
-def _draw_cleared(rng: random.Random, monos: Sequence, nonzero: bool = True) -> tuple[list, int]:
-    """One `rand_fraction` per monomial, as (terms, den): (exponent, int) terms over a positive den.
-
-    den is the lcm of the denominators drawn for the nonzero terms; the
-    draws are resampled while all of them are zero and `nonzero` is set.
-    The integers feed `poly._sum_of_products` without a Fraction per draw.
-    """
-    randint = rng.randint
-    while True:
-        draws = [(exp, randint(-NUM_BOUND, NUM_BOUND), randint(1, DEN_BOUND)) for exp in monos]
-        den = lcm(*(d for _, k, d in draws if k))
-        terms = [(exp, k * (den // d)) for exp, k, d in draws if k]
-        if terms or not nonzero:
-            return terms, den
-
-
 def rand_homogeneous(
     rng: random.Random, variables: Sequence[str], degree: int, nonzero: bool = True
 ) -> SparsePoly:
-    """Dense random homogeneous form; resamples if a nonzero one is required."""
-    terms, den = _draw_cleared(rng, monomials_of_degree(len(variables), degree), nonzero)
-    return SparsePoly(tuple(variables), {exp: Fraction(k, den) for exp, k in terms})
+    """Dense random form, one `rand_fraction` draw per monomial; resampled if a nonzero one is required."""
+    randint = rng.randint
+    monos = monomials_of_degree(len(variables), degree)
+    while True:
+        draws = [(exp, randint(-NUM_BOUND, NUM_BOUND), randint(1, DEN_BOUND)) for exp in monos]
+        den = lcm(*(d for _, _, d in draws))
+        p = SparsePoly._from_ints(variables, {exp: k * (den // d) for exp, k, d in draws}, den)
+        if not (nonzero and p.is_zero):
+            return p
 
 
 def rand_point_off_branch(rng: random.Random, hyp):

@@ -10,14 +10,15 @@ f(1, y + lam*z): Fractions for a numeric direction, SparsePoly forms in
 z1..zn for a symbolic one.  All three flavours (these two and the jet
 restriction in `jets`) run through one substitution loop, `_expand_line`,
 that keeps an integer polynomial over one common denominator, like FLINT's
-fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The caller clears
-the denominators of the point (and direction) once with `poly._cleared`,
-the one clearing step of every integer kernel, the loop substitutes
-one variable at a time and the caller divides each output coefficient by
-the common denominator at the end, so one gcd reduction is paid per
-coefficient instead of one per product and sum.  The loop is generic over
-the ring of the point coordinates: Python ints, or `jets.Jet1` with int
-parts a + eps_1*b_1 + ... + eps_r*b_r for a jet point.  The key is the
+fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The loop reads f's
+integer numerators and denominator as SparsePoly stores them, the caller
+clears the denominators of the point (and direction) once with
+`poly._cleared`, the loop substitutes one variable at a time and the
+caller divides each output coefficient by the common denominator at the
+end, so one gcd reduction is paid per coefficient instead of one per
+product and sum.  The loop is generic over the ring of the point
+coordinates: Python ints, or `jets.Jet1` with int parts
+a + eps_1*b_1 + ... + eps_r*b_r for a jet point.  The key is the
 lam-degree for a numeric direction and the tuple of z-exponents for a
 symbolic one; a power-table entry stores the key increment (j, or the
 1-tuple (j,)), so substituting a variable is `key + increment` in both
@@ -34,9 +35,9 @@ Euclid over Q gives.
 
 Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable whose coefficients are
-polynomials in the other variables.  Each input is scaled by the lcm of
-its denominators (L_p, L_q), the Sylvester determinant of the integer
-coefficients is expanded over Z[z] by `linalg._bareiss`, the fraction-free
+polynomials in the other variables.  Each input is read as its integer
+numerators over its denominator (L_p, L_q), the Sylvester determinant of
+the integers is expanded over Z[z] by `linalg._bareiss`, the fraction-free
 elimination (Bareiss 1968) that the rank fallback runs over Z, and the
 determinant is divided once by L_p^e * L_q^d (e, d the degrees of q and
 p in the eliminated variable).  The ring operations passed to it are
@@ -303,15 +304,15 @@ def is_perfect_square(p: UniPoly) -> tuple[bool, UniPoly | None]:
 def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbolic: bool) -> tuple[dict, int]:
     """The one substitution loop: F(t0, a_1 + b_1*w_1, ..., a_n + b_n*w_n) with F = L*f.
 
-    f is homogeneous of degree d and L clears its denominators.  `linear`
-    holds one pair (a_i, b_i) per affine coordinate; b_i and t0 are ints and
-    a_i lives in any ring with +, *, ** and a truth value (ints, or the Jet1
-    with int parts of the jet restriction).  With `symbolic` false every w_i
-    is the one parameter lam and the result maps lam-degrees to
-    coefficients; with `symbolic` true w_i = lam*z_i and it maps z-exponent
-    tuples (whose sum is the lam-degree).  Returns that map and the divisor L*t0^d.
+    f is homogeneous of degree d and L = f.den, so F has the coefficients
+    f.nums.  `linear` holds one pair (a_i, b_i) per affine coordinate; b_i
+    and t0 are ints and a_i lives in any ring with +, *, ** and a truth
+    value (ints, or the Jet1 with int parts of the jet restriction).  With
+    `symbolic` false every w_i is the one parameter lam and the result maps
+    lam-degrees to coefficients; with `symbolic` true w_i = lam*z_i and it
+    maps z-exponent tuples (whose sum is the lam-degree).  Returns that map
+    and the divisor L*t0^d.
     """
-    nums, den_f = _cleared(f.terms.values())
     # a power-table entry stores the key increment of w_i^j: the 1-tuple (j,)
     # appends the z_i exponent, j adds to the lam-degree
     zero_key, incs = ((), [(j,) for j in range(d + 1)]) if symbolic else (0, range(d + 1))
@@ -319,7 +320,7 @@ def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbol
     # coefficients gathered so far, by key; substituting t_i merges the
     # terms that agree on the remaining exponents
     acc: dict[tuple, dict] = {
-        exp[1:]: {zero_key: k * t0 ** exp[0]} for exp, k in zip(f.terms, nums)
+        exp[1:]: {zero_key: k * t0 ** exp[0]} for exp, k in f.nums.items()
     }
     for a, b in linear:
         # e -> the nonzero (increment of w_i^j, coefficient) of (a + b*w_i)^e
@@ -342,7 +343,7 @@ def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbol
                     k = key + inc
                     tgt[k] = get(k, 0) + ck * cj
         acc = nxt
-    return acc[()], den_f * t0 ** d
+    return acc[()], f.den * t0 ** d
 
 
 def _by_z_degree(out: dict, den: int, n: int, d: int) -> list[SparsePoly]:
@@ -350,9 +351,8 @@ def _by_z_degree(out: dict, den: int, n: int, d: int) -> list[SparsePoly]:
     zvars = tuple(f"z{i}" for i in range(1, n + 1))
     buckets: list[dict] = [{} for _ in range(d + 1)]
     for zexp, v in out.items():
-        if v:
-            buckets[sum(zexp)][zexp] = Fraction(v, den)
-    return [SparsePoly(zvars, b) for b in buckets]
+        buckets[sum(zexp)][zexp] = v
+    return [SparsePoly._from_ints(zvars, b, den) for b in buckets]
 
 
 def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None = None) -> list:
@@ -391,15 +391,15 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
 def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
     """Ascending coefficients of L*p in one variable as integer term dicts, and L.
 
-    L is the lcm of p's denominators; the eliminated variable's slot of
-    every exponent is set to 0, so entries live over the full ring.
+    L = p.den, so L*p has the integer coefficients p.nums; the eliminated
+    variable's slot of every exponent is set to 0, so entries live over the
+    full ring.
     """
     i = p._var_index(var)
-    nums, den = _cleared(p.terms.values())
     buckets: list[dict] = [{} for _ in range(p.degree_in(var) + 1)]
-    for exp, k in zip(p.terms, nums):
+    for exp, k in p.nums.items():
         buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = k
-    return buckets, den
+    return buckets, p.den
 
 
 def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
@@ -478,4 +478,4 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
         det = dict(sorted(det.items(), key=lambda t: grevlex_key(t[0]), reverse=True))
     # the rows of p were scaled by lp, those of q by lq
     den = lp ** e * lq ** d
-    return SparsePoly(p.vars, {exp: Fraction(k, den) for exp, k in det.items()})
+    return SparsePoly._from_ints(p.vars, det, den)

@@ -286,6 +286,11 @@ class TestSizeLimits:
         argv = ["variation", "--family", "m2", "--n", "100000", "--json"]
         self.assert_invalid_input(capsys, argv, "n = 100000")
 
+    @pytest.mark.parametrize("argv", [["m2", "--n", "0"], ["mge3", "--n", "-1", "--m", "3"]])
+    def test_variation_family_with_n_below_one(self, capsys, argv):
+        argv = ["variation", "--family", *argv, "--json"]
+        self.assert_invalid_input(capsys, argv, f"n = {argv[4]}")
+
     def test_variation_family_with_huge_m(self, capsys):
         argv = ["variation", "--family", "mge3", "--n", "5", "--m", "13", "--json"]
         self.assert_invalid_input(capsys, argv, "degree 26")

@@ -41,6 +41,15 @@ def test_inverse_is_two_sided():
         assert one.value == SparsePoly.constant(ZV, 1)
         assert len(one.derivative) == len(slots)
         assert all(d.is_zero for d in one.derivative)
+    # int and Fraction values run through the same inversion
+    for value in (2, -3, Fraction(5, 7), Fraction(-1, 4)):
+        j = Jet1(value, (1, Fraction(-2, 3), 0))
+        inv = j.inverse()
+        assert inv.value == 1 / Fraction(value)
+        assert inv.derivative == tuple(-d / Fraction(value) ** 2 for d in j.derivative)
+        one = j * inv
+        assert (one.value, one.derivative) == (1, (0, 0, 0))
+    assert Jet1(2, ()).inverse() == Jet1(Fraction(1, 2), ())
 
 
 def test_inverse_requires_constant_value():
@@ -49,6 +58,9 @@ def test_inverse_requires_constant_value():
         j.inverse()
     with pytest.raises(InvalidInput):
         Jet1(SparsePoly.zero(ZV), (SparsePoly.zero(ZV),)).inverse()
+    for zero in (0, Fraction(0)):
+        with pytest.raises(InvalidInput):
+            Jet1(zero, (1,)).inverse()
 
 
 def test_polynomial_at_jet_point_gives_value_and_partial():

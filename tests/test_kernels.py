@@ -19,6 +19,10 @@ and in their printed text.
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.
 
+The stored form of SparsePoly, integer numerators over one denominator,
+is compared with plain Fraction-dict sums, scalings, products and
+partial derivatives, and its canonical form is asserted after each.
+
 `rand_homogeneous` draws integers over one denominator and `eco_witness`
 builds f as one fused integer sum of products.  Their references are the
 plain `rand_fraction` loop, which must leave the generator in the same
@@ -30,7 +34,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -61,7 +65,7 @@ from vmrt import (
 )
 from vmrt import linalg
 from vmrt.eco import _half_square
-from vmrt.poly import grevlex_key, monomials_of_degree
+from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
 from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS
 from vmrt.unipoly import poly_gcd
@@ -759,6 +763,129 @@ class TestProductEdges:
     def test_integer_only_operands(self):
         rng = random.Random(11)
         assert_same_product(integer_form(rng, 3, 2), integer_form(rng, 3, 3))
+
+
+# -- the stored form of SparsePoly: integer numerators over one denominator ----
+
+LAYOUT_VARS = ("z1", "z2", "z3")
+
+
+def reference_sum(a, b, sign=1):
+    """a + sign*b for Fraction dicts, zeros dropped."""
+    acc = dict(a)
+    for exp, c in b.items():
+        acc[exp] = acc.get(exp, _ZERO) + sign * c
+    return {exp: c for exp, c in acc.items() if c}
+
+
+def reference_scale(a, c):
+    return {exp: x * c for exp, x in a.items() if x * c}
+
+
+def reference_product(a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            acc[exp] = acc.get(exp, _ZERO) + c1 * c2
+    return {exp: c for exp, c in acc.items() if c}
+
+
+def reference_partial(a, i):
+    return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i] for exp, c in a.items() if c and exp[i]}
+
+
+def assert_canonical(p):
+    """Nonzero int numerators over a positive int denominator that shares no factor with all of them."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(k) is int and k != 0 for k in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+
+
+def layout_terms(rng):
+    """A Fraction dict in z1..z3 of up to 6 terms with mixed denominators; zero entries included."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exp = tuple(rng.randint(0, 2) for _ in LAYOUT_VARS)
+        terms[exp] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layout_operations_match_fraction_dicts(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        a, b = layout_terms(rng), layout_terms(rng)
+        # a common factor of a's numerators, so scaling by 1/k leaves a content to remove
+        k = rng.choice((2, 3, 6))
+        a = {exp: c * k for exp, c in a.items()}
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        i = rng.randrange(len(LAYOUT_VARS))
+        p, q = SparsePoly(LAYOUT_VARS, a), SparsePoly(LAYOUT_VARS, b)
+        cases = [
+            (p, reference_sum(a, {})),
+            (p + q, reference_sum(a, b)),
+            (p - q, reference_sum(a, b, -1)),
+            (p - p, {}),
+            (p + p * -1, {}),
+            (-p, reference_scale(a, -1)),
+            (p * c, reference_scale(a, c)),
+            (c * p, reference_scale(a, c)),
+            (p * Fraction(1, k), reference_scale(a, Fraction(1, k))),
+            (p * q, reference_product(a, b)),
+            (p * (q - q), {}),
+            (p.partial(LAYOUT_VARS[i]), reference_partial(a, i)),
+        ]
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.terms == want
+            assert all(type(x) is Fraction for x in got.terms.values())
+
+
+def test_layout_divides_out_the_content():
+    p = parse_poly("2/3*z1 + 4/3*z2", LAYOUT_VARS) * Fraction(3, 2)
+    assert (p.nums, p.den) == ({(1, 0, 0): 1, (0, 1, 0): 2}, 1)
+    s = parse_poly("1/6*z1 + 1/6*z2", LAYOUT_VARS) + parse_poly("1/3*z1 - 1/6*z2", LAYOUT_VARS)
+    assert (s.nums, s.den) == ({(1, 0, 0): 1}, 2)
+    d = parse_poly("3/4*z1^2*z3", LAYOUT_VARS).partial("z1")
+    assert (d.nums, d.den) == ({(1, 0, 1): 3}, 2)
+    for zero in (p - p, p * 0, SparsePoly.zero(LAYOUT_VARS), SparsePoly.constant(LAYOUT_VARS, 0)):
+        assert (zero.nums, zero.den) == ({}, 1)
+
+
+def test_equal_polynomials_from_different_routes_compare_and_hash_equal():
+    a = parse_poly("2/3*z1 + 4/3*z2", LAYOUT_VARS)
+    target = parse_poly("z1 + 2*z2", LAYOUT_VARS)
+    routes = [
+        a * Fraction(3, 2),
+        Fraction(3, 2) * a,
+        a + a * Fraction(1, 2),
+        (a * a).partial("z1") * Fraction(9, 8),
+        SparsePoly(LAYOUT_VARS, {(0, 1, 0): Fraction(2), (1, 0, 0): _ONE}),
+        SparsePoly.from_terms(
+            LAYOUT_VARS, [((1, 0, 0), Fraction(1, 2)), ((0, 1, 0), 2), ((1, 0, 0), Fraction(1, 2))]
+        ),
+        _sum_of_products(LAYOUT_VARS, [(a, SparsePoly.constant(LAYOUT_VARS, Fraction(3, 2)))]),
+        (target * parse_poly("1/5*z3", LAYOUT_VARS)).partial("z3") * 5,
+    ]
+    for p in routes:
+        assert_canonical(p)
+        assert p == target
+        assert hash(p) == hash(target)
+    assert len(set(routes)) == 1
+    assert hash(a - a) == hash(SparsePoly.zero(LAYOUT_VARS))
+
+
+def test_terms_is_a_fresh_dict_on_each_access():
+    assert SparsePoly.__slots__ == ("vars", "nums", "den")
+    p = parse_poly("1/2*z1^2 - 3*z2*z3", LAYOUT_VARS)
+    before = (dict(p.nums), p.den, format_poly(p))
+    view = p.terms
+    assert view is not p.terms
+    view[(1, 0, 0)] = Fraction(5)
+    del view[(2, 0, 0)]
+    assert p.terms == {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-3)}
+    assert (p.nums, p.den, format_poly(p)) == before
 
 
 @pytest.mark.parametrize(

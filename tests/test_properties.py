@@ -207,11 +207,6 @@ def test_cleared_gives_numerators_over_the_least_denominator(values):
     assert gcd(den, *nums) == 1
 
 
-def cleared_terms(p):
-    nums, den = _cleared(p.terms.values())
-    return list(zip(p.terms, nums)), den
-
-
 @st.composite
 def product_pairs(draw):
     """Variables and operand pairs (a, b) over them, for the fused sum of products.
@@ -246,7 +241,7 @@ def product_pairs(draw):
 @given(product_pairs())
 def test_sum_of_products_matches_polynomial_arithmetic(drawn):
     variables, pairs, cancel = drawn
-    fast = _sum_of_products(variables, [(cleared_terms(a), cleared_terms(b)) for a, b in pairs])
+    fast = _sum_of_products(variables, pairs)
     assert fast == sum((a * b for a, b in pairs), SparsePoly.zero(variables))
     assert all(type(c) is Fraction for c in fast.terms.values())
     if cancel:
@@ -358,15 +353,27 @@ POLY_FILES = st.one_of(
             b"t0^4 - t1^4 + t2^4 + t3^4",
             b"t0^2 + t1^2",
             b"t0^4 + 1/0*t1^4",
+            # sparse files at the caps n = 12 and degree 24
+            b"t0^24 + t12^24",
+            b"t0^22*t1^2 + t12^24",
         ]
     ),
     st.text(max_size=20).map(lambda s: s.encode("utf-8", "surrogatepass")),
     st.binary(max_size=20),
 )
 
-# prescribed equations for converse, and t-variable files it must refuse
+# prescribed equations for converse, degree-24 forms at the cap, and t-variable files it must refuse
 CONVERSE_FILES = st.sampled_from(
-    [b"z1^3 + z2^3 + z3^3", b"z1^4 - 2*z2^4 + z3^4", b"z2^3", b"t0^3 + t1^3", b"t2^4"]
+    [
+        b"z1^3 + z2^3 + z3^3",
+        b"z1^4 - 2*z2^4 + z3^4",
+        b"z2^3",
+        b"t0^3 + t1^3",
+        b"t2^4",
+        b"z1^24 + z12^24",
+        b"z1^23*z2 - 1/7*z12^24",
+        b"z1^12*z12^12",
+    ]
 )
 
 
@@ -390,7 +397,7 @@ def test_cli_exits_cleanly_on_drawn_input(poly_path, data):
         st.sampled_from(["eqs", "eco-line", "count", "eco-cert", "converse", "variation"])
     )
     as_json = data.draw(st.booleans())
-    n = data.draw(st.integers(1, 3))
+    n = data.draw(st.one_of(st.integers(1, 3), st.just(12)))
     if command == "eco-cert":
         argv = [command, "--coeffs=" + data.draw(number_lists(2 * n))]
     elif command == "converse":
@@ -405,6 +412,13 @@ def test_cli_exits_cleanly_on_drawn_input(poly_path, data):
                 path.write_bytes(entry)
                 paths.append(str(path))
         argv = [command, "--b=" + ",".join(paths)]
+    elif command == "variation" and data.draw(st.booleans()):
+        family = data.draw(st.sampled_from(["m2", "mge3"]))
+        argv = [command, "--family", family, "--n=" + str(data.draw(st.integers(-2, 6)))]
+        m = data.draw(st.one_of(st.none(), st.integers(-1, 4)))
+        if m is not None:
+            argv.append(f"--m={m}")
+        argv += ["--b=" + data.draw(NUMBER_TEXTS), "--c=" + data.draw(NUMBER_TEXTS)]
     elif command == "variation":
         poly_path.write_bytes(data.draw(POLY_FILES))
         argv = [command, "--f", str(poly_path)]
