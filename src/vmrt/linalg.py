@@ -11,6 +11,12 @@ rows go to fraction-free (Bareiss 1968) elimination over Z, whose
 intermediate growth stays polynomial and whose every pivot decision is
 exact.
 
+That GF(P) elimination, `_rank_mod_p`, is the one mod-P elimination: it
+returns the rank and, for a square matrix, the determinant mod P.  The
+rank serves `QMatrix.rank`; the determinant serves the mod-P certificate
+of `lines.count_vmrt_points`, which evaluates a Sylvester determinant at
+13 points instead of expanding it over the integer polynomials.
+
 That elimination, `_bareiss`, is written once for every ring: the rank
 fallback runs it over Python ints and `unipoly.resultant` over integer
 polynomials, each passing its ring's cross product and exact division.
@@ -85,7 +91,7 @@ class QMatrix:
         """
         m = [_cleared(row)[0] for row in self.data]
         full = min(self.rows, self.cols)
-        if _rank_mod_p(m, self.cols) == full:
+        if _rank_mod_p(m, self.cols)[0] == full:
             return full
         return _bareiss(m, self.cols, _int_cross, _int_exact)[0]
 
@@ -136,16 +142,23 @@ def _bareiss(m: list[list], cols: int, cross, exact) -> tuple[int, int]:
     return r, sign
 
 
-def _rank_mod_p(m: list[list[int]], cols: int) -> int:
-    """Rank of the integer rows m over GF(P), by Gaussian elimination; m is left as it is."""
+def _rank_mod_p(m: list[list[int]], cols: int) -> tuple[int, int]:
+    """(rank, det) of the integer rows m over GF(P), by one Gaussian elimination; m is left as it is.
+
+    det is the product of the pivots, negated once per row swap: for a
+    square m it is the determinant mod P, and 0 when m is singular there.
+    """
     rows = [[x % _P for x in row] for row in m]
-    r = 0
+    r, det = 0, 1
     for c in range(cols):
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
         pivot = rows[r]
+        det = det * pivot[c] % _P
         inv = pow(pivot[c], -1, _P)
         for i in range(r + 1, len(rows)):
             f = rows[i][c] * inv % _P
@@ -153,7 +166,7 @@ def _rank_mod_p(m: list[list[int]], cols: int) -> int:
                 # entries left of c are 0 in both rows; column c becomes 0
                 rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], pivot)]
         r += 1
-    return r
+    return r, det if r == len(rows) else 0
 
 
 def span_intersection(a: QMatrix, b: QMatrix) -> int:

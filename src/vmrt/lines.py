@@ -22,6 +22,12 @@ sigma_k is a form of degree k in z, no larger than an equation.
 At a general base point off the hypersurface, the common zero locus of
 the B_k is the variety of tangent directions of ECO lines; for
 (n, m) = (3, 2) it is a finite set of length 12 counted by a resultant.
+That count is first certified mod the prime P = 2^61 - 1: the Sylvester
+determinant is evaluated at 13 points over GF(P), interpolated and tested
+for degree and squarefreeness there (Collins 1971).  A certified answer is
+exact; only when the certificate declines does the resultant over the
+integer polynomials run, with Yun's squarefree test of its
+dehomogenization.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ from .errors import (
     InvalidInput,
     ResultantDegenerate,
 )
+from .linalg import _P, _rank_mod_p
 from .poly import SparsePoly, _cleared, _sum_of_products
 from .sampling import rand_homogeneous, rand_invertible
 from .unipoly import UniPoly, _by_z_degree, is_perfect_square, restrict_to_line
-from .unipoly import resultant, squarefree_factorization
+from .unipoly import _integer_coeffs_in, _sylvester_rows, resultant, squarefree_factorization
 
 _ZERO = Fraction(0)
 
@@ -233,6 +240,62 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     return Hypersurface(_sum_of_products(tvars, pairs))
 
 
+def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
+    """Whether arithmetic mod P proves that the exact count of c3, c4 is (d*e, True).
+
+    Let R_Z be the Sylvester determinant in z3 of the integer coefficients
+    (`_integer_coeffs_in`) of c3 and c4, of degrees d and e in z3 with
+    nonzero leading coefficients: a binary form in z1, z2, homogeneous of
+    degree d*e, and a nonzero rational multiple of resultant(c3, c4, "z3")
+    when it is nonzero.  Its entries are evaluated at (z1, z2) = (a, 1) for
+    a = 0..d*e, each determinant is taken mod P (`linalg._rank_mod_p`), and
+    Newton interpolation gives R(z1) = R_Z(z1, 1) mod P.  The answer is True
+    exactly when deg R >= d*e - 1 and gcd(R, R') = 1 over GF(P).
+
+    A True answer is exact.  R is nonzero, so R_Z is nonzero.  If R_Z had a
+    repeated primitive factor G (a nonconstant form), the reduction of G
+    would be a nonzero form of the same degree whose square divides the
+    reduction of R_Z as a binary form.  That square is not a power of z2,
+    since deg R >= d*e - 1 leaves z2^2 out of the reduction, so it would
+    give a repeated factor of R, against gcd(R, R') = 1 (P > d*e, so R' is
+    nonzero).  So R_Z is squarefree and z2^2 does not divide it: the
+    dehomogenization at z2 = 1 that `count_vmrt_points` hands to Yun is
+    squarefree and loses at most one degree, and the form has degree d*e.
+    """
+    pc, qc = _integer_coeffs_in(c3, "z3")[0], _integer_coeffs_in(c4, "z3")[0]
+    d, e = len(pc) - 1, len(qc) - 1
+    top = d * e
+    r = []
+    for a in range(top + 1):
+        at = [[sum(k * a ** exp[0] for exp, k in c.items()) for c in cs] for cs in (pc, qc)]
+        r.append(_rank_mod_p(_sylvester_rows(*at, 0), d + e)[1])
+    # divided differences on the nodes 0..top, whose spacing j inverts to pow(j, -1, P)
+    for j in range(1, top + 1):
+        inv = pow(j, -1, _P)
+        for i in range(top, j - 1, -1):
+            r[i] = (r[i] - r[i - 1]) * inv % _P
+    # Newton form to ascending coefficients: R = R*(z1 - k) + r[k], k = top-1 .. 0
+    poly = [r[top]]
+    for k in range(top - 1, -1, -1):
+        poly = [(lo - k * hi) % _P for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + r[k]) % _P
+    while poly and not poly[-1]:
+        poly.pop()
+    if len(poly) < top:
+        return False
+    # Euclid over GF(P) on R and R'; a constant gcd has one coefficient
+    u, v = poly, [i * c % _P for i, c in enumerate(poly)][1:]
+    while v:
+        inv = pow(v[-1], -1, _P)
+        while len(u) >= len(v):
+            f, s = u[-1] * inv % _P, len(u) - len(v)
+            u = u[:s] + [(c - f * b) % _P for c, b in zip(u[s:-1], v)]
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) == 1
+
+
 def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[int, bool]:
     """Length of the zero-dimensional tangent variety for (n, m) = (3, 2).
 
@@ -241,6 +304,12 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
     two equations and returns (degree of the binary form, squarefree?).
     Generic inputs give degree 12 = 3*4.  Raises ResultantDegenerate when
     the equations share a positive-dimensional component.
+
+    The resultant and its squarefree test are first certified mod P
+    (`_count_certified`, 13 determinants of 7x7 integer matrices over
+    GF(P)), which settles (12, True) exactly.  Only when that certificate
+    declines does the exact route run: the Sylvester resultant over the
+    integer polynomials and Yun's test of its dehomogenization.
     """
     if (hyp.n, hyp.m) != (3, 2):
         raise InvalidInput("point count is implemented for n=3, m=2")
@@ -263,6 +332,8 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
             break
     else:
         raise ResultantDegenerate("no coordinate change exposed leading coefficients")
+    if _count_certified(c3, c4):
+        return 3 * 4, True
     res = resultant(c3, c4, "z3")
     if res.is_zero:
         raise ResultantDegenerate("resultant vanishes identically")

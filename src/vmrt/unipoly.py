@@ -46,7 +46,10 @@ product loop of `SparsePoly.__mul__`, and `_exact_quotient`, an exact
 division with integer divmod.  Convention:
 coefficient rows in ascending-power layout, first argument's rows on top;
 only vanishing and degree of the result carry meaning downstream, the sign
-is fixed for reproducibility.
+is fixed for reproducibility.  One helper, `_sylvester_rows`, lays out
+those rows for any entry ring: the resultant pads with the empty integer
+polynomial, and the mod-P point-count certificate of `lines` with the
+integer 0, over the same entries evaluated at a point.
 """
 
 from __future__ import annotations
@@ -402,6 +405,17 @@ def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
     return buckets, p.den
 
 
+def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
+    """Sylvester matrix of the ascending coefficient lists pc and qc, entries padded with `zero`.
+
+    With d = len(pc) - 1 and e = len(qc) - 1: e shifted copies of pc on
+    top of d shifted copies of qc, each row d + e long.
+    """
+    d, e = len(pc) - 1, len(qc) - 1
+    rows = [[zero] * i + pc + [zero] * (e - 1 - i) for i in range(e)]
+    return rows + [[zero] * i + qc + [zero] * (d - 1 - i) for i in range(d)]
+
+
 def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d for integer polynomials keyed by exponent tuples, zeros dropped."""
     acc: dict = {}
@@ -467,8 +481,7 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     if d == 0 and e == 0:
         raise InvalidInput("neither operand involves the eliminated variable")
     size = d + e
-    rows = [[{}] * i + pc + [{}] * (e - 1 - i) for i in range(e)]
-    rows += [[{}] * i + qc + [{}] * (d - 1 - i) for i in range(d)]
+    rows = _sylvester_rows(pc, qc, {})
     rank, sign = _bareiss(rows, size, _cross_difference, _exact_quotient)
     det = rows[-1][-1] if rank == size else {}
     if sign < 0:

@@ -19,6 +19,12 @@ and in their printed text.
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.
 
+`count_vmrt_points` certifies its count mod 2^61 - 1 and runs the
+resultant and Yun only when that declines; the point-count kernel tests
+make the certificate decline, so both exact kernels still meet their
+references on the same operands, and one test checks that a generic
+certified run calls neither.
+
 The stored form of SparsePoly, integer numerators over one denominator,
 is compared with plain Fraction-dict sums, scalings, products and
 partial derivatives, and its canonical form is asserted after each.
@@ -955,8 +961,13 @@ def assert_same_gcd(a, b):
 
 
 def point_count_inputs(monkeypatch, hyp, point, seed):
-    """The resultant operands and the squarefree-tested form of one count_vmrt_points run."""
+    """The resultant operands and the squarefree-tested form of one exact count_vmrt_points run.
+
+    The mod-P certificate is made to decline, so the exact route runs on
+    the operands a certified run would have settled.
+    """
     seen = {}
+    monkeypatch.setattr(lines, "_count_certified", lambda c3, c4: False)
 
     def spy_resultant(p, q, var):
         seen["resultant"] = (p, q, var)
@@ -987,6 +998,19 @@ def test_point_count_kernels_match_references(monkeypatch, seed):
     zv = ("z1", "z2", "z3")
     hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
     assert_same_point_count_kernels(monkeypatch, hyp, rand_point_off_branch(rng, hyp), seed)
+
+
+def test_certified_point_count_calls_neither_exact_kernel(monkeypatch):
+    # a certificate that always declined would still count right, about 9 times slower
+    def refuse(*args):
+        raise AssertionError("the exact route ran on a generic input")
+
+    monkeypatch.setattr(lines, "resultant", refuse)
+    monkeypatch.setattr(lines, "squarefree_factorization", refuse)
+    rng = random.Random(3)
+    zv = ("z1", "z2", "z3")
+    hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
+    assert count_vmrt_points(hyp, rand_point_off_branch(rng, hyp), 3) == (12, True)
 
 
 def test_decomposable_point_count_system_matches_references(monkeypatch):
@@ -1171,13 +1195,14 @@ def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
 
 
 def modular_ranks(monkeypatch):
-    """Record what the certificate mod P returns inside QMatrix.rank."""
+    """Record the ranks the certificate mod P returns inside QMatrix.rank."""
     seen = []
     rank_mod_p = linalg._rank_mod_p
 
     def spy(m, cols):
-        seen.append(rank_mod_p(m, cols))
-        return seen[-1]
+        out = rank_mod_p(m, cols)
+        seen.append(out[0])
+        return out
 
     monkeypatch.setattr(linalg, "_rank_mod_p", spy)
     return seen

@@ -1,4 +1,8 @@
-"""Even-contact lines, defining equations, converse construction, point count."""
+"""Even-contact lines, defining equations, converse construction, point count.
+
+The point count's certificate mod 2^61 - 1 is checked against the exact
+route it replaces, made to run by a certificate that always declines.
+"""
 
 import random
 from fractions import Fraction
@@ -11,6 +15,7 @@ from vmrt import (
     InvalidInput,
     ResultantDegenerate,
     SparsePoly,
+    UniPoly,
     build_converse,
     count_vmrt_points,
     eco_witness,
@@ -19,14 +24,18 @@ from vmrt import (
     line_certificate,
     parse_poly,
     recenter,
+    resultant,
+    squarefree_factorization,
     vmrt_equations,
 )
+from vmrt import lines
 from vmrt.sampling import (
     rand_direction,
     rand_homogeneous,
     rand_point,
     rand_point_off_branch,
 )
+from vmrt.selftest import _rng
 
 ZV3 = ("z1", "z2", "z3")
 
@@ -299,6 +308,100 @@ class TestBezoutEnumeration:
         degree, squarefree = count_vmrt_points(hyp, [0, 0, 0], seed=2)
         assert degree == 12
         assert squarefree  # 12 distinct transverse points, generic projection
+
+
+def tangent_system_with_a_double_line():
+    """b3 = z1*z2*z3 and b4 with the double line z1 = z3: the length stays 12, not reduced."""
+    b4 = parse_poly("z1 - z3", ZV3) ** 2 * parse_poly("z1 + z2 + z3", ZV3) * parse_poly("z1 + 2*z2 + 3*z3", ZV3)
+    return build_converse([parse_poly("z1*z2*z3", ZV3), b4])
+
+
+def certificate_answers(monkeypatch):
+    """The list that records each answer of the mod-P count certificate from now on."""
+    answers = []
+    certified = lines._count_certified
+
+    def spy(c3, c4):
+        answers.append(certified(c3, c4))
+        return answers[-1]
+
+    monkeypatch.setattr(lines, "_count_certified", spy)
+    return answers
+
+
+def count_both_ways(monkeypatch, hyp, point, seed):
+    """(certified count, exact count, the certificate's answers) of one input."""
+    answers = certificate_answers(monkeypatch)
+    fast = count_vmrt_points(hyp, point, seed)
+    monkeypatch.setattr(lines, "_count_certified", lambda c3, c4: False)
+    exact = count_vmrt_points(hyp, point, seed)
+    monkeypatch.undo()
+    return fast, exact, answers
+
+
+class TestCountCertificate:
+    """The mod-P certificate of count_vmrt_points against the exact route it replaces."""
+
+    def test_random_converse_systems(self, monkeypatch):
+        for seed in range(30):
+            rng = random.Random(7000 + seed)
+            hyp = build_converse([rand_homogeneous(rng, ZV3, 3), rand_homogeneous(rng, ZV3, 4)])
+            fast, exact, answers = count_both_ways(monkeypatch, hyp, rand_point_off_branch(rng, hyp), seed)
+            assert fast == exact
+            assert answers == [fast == (12, True)]
+
+    def test_selftest_criterion_seven_trials(self, monkeypatch):
+        # the draws of selftest.criterion_point_count at seed 42
+        rng = _rng(42, 7)
+        for _ in range(10):
+            hyp = build_converse([rand_homogeneous(rng, ZV3, 3), rand_homogeneous(rng, ZV3, 4)])
+            y = rand_point_off_branch(rng, hyp)
+            fast, exact, _ = count_both_ways(monkeypatch, hyp, y, rng.randrange(2**32))
+            assert fast == exact
+
+    def test_bezout_enumeration_system(self, monkeypatch):
+        b4 = SparsePoly.constant(ZV3, 1)
+        for c in TestBezoutEnumeration.LIN4:
+            b4 = b4 * TestBezoutEnumeration._form(c)
+        hyp = build_converse([parse_poly("z1*z2*z3", ZV3), b4])
+        fast, exact, answers = count_both_ways(monkeypatch, hyp, [0, 0, 0], 2)
+        assert fast == exact == (12, True)
+        assert answers == [True]
+
+    @pytest.mark.parametrize("seed", [2, 5, 9])
+    def test_double_line_declines_and_the_fallback_counts_twelve_not_squarefree(self, monkeypatch, seed):
+        fast, exact, answers = count_both_ways(monkeypatch, tangent_system_with_a_double_line(), [0, 0, 0], seed)
+        assert fast == exact == (12, False)
+        assert answers == [False]
+
+    def test_shared_line_declines_and_the_fallback_raises(self, monkeypatch):
+        line = parse_poly("z1 + z2 - z3", ZV3)
+        hyp = build_converse([line * parse_poly("z1*z2 + z3^2", ZV3), line * parse_poly("z1^3 - z2^2*z3", ZV3)])
+        answers = certificate_answers(monkeypatch)
+        with pytest.raises(ResultantDegenerate, match="resultant vanishes"):
+            count_vmrt_points(hyp, [0, 0, 0], 4)
+        assert answers == [False]
+
+    def test_tangency_over_z2_zero_declines(self):
+        # both curves pass through (1:0:0) with tangent z2 = 0, so z2^2 divides
+        # the resultant: its dehomogenization is squarefree but of degree 10
+        c3 = parse_poly("z3^3 + z1^2*z2 + 2*z2^3 - z1*z3^2 + 3*z2^2*z3 + z1*z2*z3", ZV3)
+        c4 = parse_poly("z3^4 + z1^3*z2 - z2^4 + 2*z1^2*z3^2 - z2*z3^3 + 5*z1*z2^2*z3 + z1^2*z2^2", ZV3)
+        res = resultant(c3, c4, "z3")
+        coeffs = [Fraction(0)] * 13
+        for exp, c in res.terms.items():
+            coeffs[exp[0]] += c
+        _, factors = squarefree_factorization(UniPoly(coeffs))
+        assert res.homogeneous_degree() == 12 and UniPoly(coeffs).degree() == 10
+        assert [mult for _, mult in factors] == [1]
+        assert not lines._count_certified(c3, c4)
+
+    def test_global_square_raises_before_the_certificate(self, monkeypatch):
+        def refuse(c3, c4):
+            raise AssertionError("the certificate ran on an identically vanishing system")
+
+        monkeypatch.setattr(lines, "_count_certified", refuse)
+        TestCount().test_global_square_is_degenerate()
 
 
 class TestRecenter:
