@@ -53,7 +53,7 @@ from .lines import (
     line_certificate,
     vmrt_equations,
 )
-from .poly import format_poly, parse_poly
+from .poly import SparsePoly, format_poly, parse_poly
 from .selftest import run_selftest
 from .variation import explicit_family, variation_report
 
@@ -281,7 +281,7 @@ def _cmd_converse(args) -> None:
     n = max(len(p.vars) for p in polys)
     zvars = tuple(f"z{i}" for i in range(1, n + 1))
     widened = [
-        type(p)(zvars, {exp + (0,) * (n - len(p.vars)): c for exp, c in p.terms.items()})
+        SparsePoly._from_ints(zvars, {exp + (0,) * (n - len(p.vars)): k for exp, k in p.nums.items()}, p.den)
         for p in polys
     ]
     hyp = build_converse(widened)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .eco import EcoCertificate, _half_square, certify
@@ -104,8 +104,9 @@ def _from_graded_parts(parts: Sequence[SparsePoly]) -> Hypersurface:
     """
     d = len(parts) - 1
     n = len(parts[0].vars)
-    terms = {(d - k,) + exp: c for k, part in enumerate(parts) for exp, c in part.terms.items()}
-    return Hypersurface(SparsePoly(tuple(f"t{i}" for i in range(n + 1)), terms))
+    den = lcm(*(part.den for part in parts))
+    nums = {(d - k,) + exp: c * (den // part.den) for k, part in enumerate(parts) for exp, c in part.nums.items()}
+    return Hypersurface(SparsePoly._from_ints(tuple(f"t{i}" for i in range(n + 1)), nums, den))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ printing, coefficient bases and leading-term logic is graded reverse
 lexicographic (grevlex), highest term first; it is fixed globally so
 every printed or serialized polynomial is deterministic.
 
-The integer kernels read `nums` and `den` directly, and each builds its
-result through `SparsePoly._from_ints`, the one constructor that drops
-zeros and divides out the content.  `_add_products` is the integer
-product loop on exponent tuples, run by `SparsePoly.__mul__` and by the
-resultant on its integer Sylvester entries.  `_sum_of_products` takes a
+The integer kernels and the text layer (`parse_poly`, `format_poly`) read
+and write `nums` and `den` directly; each builds its result through
+`SparsePoly._from_ints`, the one constructor that drops zeros and divides
+out the content.  `_add_products` is the integer product loop on
+exponent tuples, run by `SparsePoly.__mul__` and by the resultant on its
+integer Sylvester entries.  `_sum_of_products` takes a
 whole sum a_1*b_1 + ... in one accumulation over one denominator, with
 each exponent packed into one int (Monagan and Pearce, CASC 2007;
 FLINT's packed `fmpz_mpoly` exponents); `lines.eco_witness` builds its f
@@ -24,8 +25,9 @@ about 25,000 products onto 1,287 terms for a witness at (n, m) = (5, 4).
 In `__mul__` and the resultant most products have an operand of at most
 three terms and about as many terms come out as products go in, so
 packing and unpacking the keys would be pure overhead there.  `_cleared`
-clears the other rational inputs: the public constructor's Fractions,
-points, directions, matrix rows and `UniPoly` coefficients.
+clears the other rational inputs: the Fractions of the public constructor
+(`constant`, `from_terms`, `variation.explicit_family`), points,
+directions, matrix rows and `UniPoly` coefficients.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 
@@ -242,10 +244,6 @@ class SparsePoly:
     def coefficient(self, exp: Exponent) -> Fraction:
         return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in canonical grevlex-descending order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
     def _var_index(self, name: str) -> int:
         try:
             return self.vars.index(name)
@@ -398,25 +396,18 @@ _TERM_SPLIT_RE = re.compile(r"([+-])")
 
 
 def format_poly(p: SparsePoly) -> str:
-    """Canonical text form: grevlex-descending terms, '+'/'-' separated."""
+    """Canonical text form: grevlex-descending terms, '+'/'-' separated, each nums[e]/den in lowest terms."""
     if p.is_zero:
         return "0"
     chunks: list[str] = []
-    for exp, c in p.sorted_terms():
-        mono = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exp) if e
-        )
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    for exp in sorted(p.nums, key=grevlex_key, reverse=True):
+        k = p.nums[exp]
+        g = gcd(k, p.den)
+        mag = str(abs(k) // g) if g == p.den else f"{abs(k) // g}/{p.den // g}"
+        powers = [v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exp) if e]
+        body = "*".join(powers if powers and mag == "1" else [mag, *powers])
+        sign = ("+ " if k > 0 else "- ") if chunks else ("" if k > 0 else "-")
+        chunks.append(sign + body)
     return " ".join(chunks)
 
 
@@ -460,21 +451,23 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
     if not all(body for _, body in terms):
         raise ParseError(f"dangling sign in {text!r}")
 
-    raw: list[tuple[int, dict[str, int], Fraction]] = []
+    raw: list[tuple[dict[str, int], int, int]] = []
     seen: set[str] = set()
     for sgn, body in terms:
-        coeff = _ONE
+        num, den = sgn, 1
         powers: dict[str, int] = {}
         for factor in body.split("*"):
             if not factor:
                 raise ParseError(f"empty factor in term {body!r}")
             if _NUMBER_RE.match(factor):
+                top, _, bottom = factor.partition("/")
                 try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in {factor!r}") from None
+                    num *= int(top)
+                    den *= int(bottom or 1)
                 except ValueError:  # more digits than int() converts
                     raise ParseError(f"number too long: {factor[:20]!r}...") from None
+                if not den:
+                    raise ParseError(f"zero denominator in {factor!r}")
                 continue
             mt = _FACTOR_RE.match(factor)
             if not mt:
@@ -485,7 +478,7 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
                 raise ParseError(f"exponent too long: {factor[:20]!r}...") from None
             powers[name] = powers.get(name, 0) + exp
             seen.add(name)
-        raw.append((sgn, powers, coeff))
+        raw.append((powers, num, den))
 
     if variables is None:
         variables = _infer_variables(seen)
@@ -494,8 +487,10 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
     if unknown:
         raise ParseError(f"unknown symbols {sorted(unknown)}; variables are {list(variables)}")
 
-    items = []
-    for sgn, powers, coeff in raw:
+    # each term is num/den; sum them as integers over the lcm of the dens
+    common = lcm(*(den for _, _, den in raw))
+    acc: dict[Exponent, int] = {}
+    for powers, num, den in raw:
         exp = tuple(powers.get(v, 0) for v in variables)
-        items.append((exp, sgn * coeff))
-    return SparsePoly.from_terms(variables, items)
+        acc[exp] = acc.get(exp, 0) + num * (common // den)
+    return SparsePoly._from_ints(variables, acc, common)

@@ -34,6 +34,13 @@ builds f as one fused integer sum of products.  Their references are the
 plain `rand_fraction` loop, which must leave the generator in the same
 state, and f = Q*Q + L_1*R_1 + ... by SparsePoly products and sums of
 Fraction draws.
+
+`parse_poly` and `format_poly` read and write the integer layout
+directly.  Their references are the Fraction routes they replaced: a
+Fraction per numeric factor summed by `SparsePoly.from_terms`, and the
+`terms` dict sorted by `grevlex_key` with each coefficient printed by
+str.  The parse must give the same nums, den and key order, and both
+formats the same text.
 """
 
 import random
@@ -71,6 +78,7 @@ from vmrt import (
 )
 from vmrt import linalg
 from vmrt.eco import _half_square
+from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables
 from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
 from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS
@@ -943,6 +951,116 @@ def test_witness_resamples_q_that_vanishes_at_the_point():
     assert first_q.evaluate((1,) + point) == 0
     f = eco_witness(2, 1, point, (1, 1), 3).f
     assert f.terms == reference_eco_witness(2, 1, point, (1, 1), 3).terms
+
+
+# -- text layer ----------------------------------------------------------------
+
+
+def reference_parse_poly(text, variables=None):
+    """The Fraction parse: each numeric factor a Fraction, terms summed by `from_terms`."""
+    compact = "".join(text.replace("**", "^").split())
+    sign = 1
+    if compact[0] in "+-":
+        sign = -1 if compact[0] == "-" else 1
+        compact = compact[1:]
+    parts = _TERM_SPLIT_RE.split(compact)
+    signs = [sign] + [-1 if s == "-" else 1 for s in parts[1::2]]
+    raw, seen = [], set()
+    for sgn, body in zip(signs, parts[::2]):
+        coeff, powers = _ONE, {}
+        for factor in body.split("*"):
+            if _NUMBER_RE.match(factor):
+                coeff *= Fraction(factor)
+                continue
+            name, exp = _FACTOR_RE.match(factor).groups()
+            powers[name] = powers.get(name, 0) + int(exp or 1)
+            seen.add(name)
+        raw.append((sgn, powers, coeff))
+    variables = tuple(variables or _infer_variables(seen))
+    items = [(tuple(powers.get(v, 0) for v in variables), sgn * coeff) for sgn, powers, coeff in raw]
+    return SparsePoly.from_terms(variables, items)
+
+
+def reference_format_poly(p):
+    """The Fraction format: the `terms` dict sorted by `grevlex_key`, each coefficient printed by str."""
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for exp, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exp) if e)
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+def assert_same_text_layer(text, variables=None):
+    """parse_poly equals the Fraction parse in nums, den and key order; both formats print the same text."""
+    fast, ref = parse_poly(text, variables), reference_parse_poly(text, variables)
+    assert_canonical(fast)
+    assert (fast.vars, fast.den) == (ref.vars, ref.den)
+    assert list(fast.nums.items()) == list(ref.nums.items())
+    assert format_poly(fast) == reference_format_poly(ref)
+    return fast
+
+
+def random_poly_text(rng, variables, big):
+    """Up to 8 terms with numbers before, between and after the variables, repeats, zeros and signs."""
+    def number():
+        num = rng.choice((0, 1, 1, 2, 3, 6, 12, 2**70 + 1, 3**50)) if big else rng.randint(0, 12)
+        den = rng.choice((1, 1, 2, 3, 4, 6, 9, 2**65, 5**40 * 3)) if big else rng.randint(1, 12)
+        return f"{num}/{den}" if den != 1 or rng.random() < 0.3 else str(num)
+
+    chunks = []
+    for i in range(rng.randint(1, 8)):
+        factors = [f"{rng.choice(variables)}^{rng.randint(1, 3)}" for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            factors.insert(rng.randint(0, len(factors)), number())
+        sign = rng.choice(("+", "-")) if i else rng.choice(("", "-", "+"))
+        chunks.append(f"{sign} {'*'.join(factors) or number()}")
+    return " ".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "text,variables",
+    [
+        ("2*3/4*t0^2", None),
+        ("z1^3*2/3*z2", None),
+        ("t0^2 - t0^2 + 3/6*t1^2", None),
+        ("t0^2 - t0^2", ("t0", "t1")),
+        ("0*t1^2 + t0 + 0/7*t0", None),
+        ("-t0^4 + 1/2*t1^4 - 3", None),
+        ("7/2 - z1^2", ("z1", "z2")),
+        ("5", ("t0", "t1")),
+        ("-6/4*t0*2*t0^2*t1 + 1/3*t1*t0^3", None),
+        (f"{2**70}/{3**45}*t0^2 - {5**30}*t1^2 + 1/{2**64 + 1}*t0*t1", None),
+        (f"{2**80}/{2**66}*z2 + {6**40}/{6**39}*z1", None),
+    ],
+)
+def test_text_layer_matches_the_fraction_route(text, variables):
+    assert_same_text_layer(text, variables)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("big", [False, True])
+def test_text_layer_matches_the_fraction_route_on_seeded_texts(seed, big):
+    rng = random.Random(seed)
+    for _ in range(40):
+        assert_same_text_layer(random_poly_text(rng, tvars(3), big), tvars(3))
+
+
+@pytest.mark.parametrize("n,m", WITNESS_COMBOS)
+def test_text_layer_matches_the_fraction_route_on_witnesses_and_equations(n, m):
+    rng = random.Random(31 * n + m)
+    point, direction = rand_point(rng, n), rand_direction(rng, n)
+    f = eco_witness(n, m, point, direction, seed=rng.randrange(2**32)).f
+    assert assert_same_text_layer(format_poly(f)) == f
+    for eq in vmrt_equations(Hypersurface(f), rand_point(rng, n)).equations:
+        assert assert_same_text_layer(format_poly(eq), eq.vars) == eq
+        assert format_poly(eq) == reference_format_poly(eq)
 
 
 def assert_same_resultant(p, q, var):

@@ -305,14 +305,25 @@ def test_bareiss_determinant_matches_fraction_elimination(drawn):
         assert rank < n
 
 
+# small and over-64-bit numerators over mixed denominators
+mixed_fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.integers(-(2**80), 2**80)),
+    st.one_of(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 35]), st.integers(1, 2**70)),
+)
+
+
 @PROPERTY
 @given(
     st.sampled_from([("t0", "t1", "t2"), ("z1", "z2", "z3")]),
-    st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * 3), fractions), max_size=8),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.one_of(fractions, mixed_fractions)), max_size=8),
 )
 def test_format_then_parse_round_trips(variables, items):
     p = SparsePoly.from_terms(variables, items)
-    assert parse_poly(format_poly(p), variables) == p
+    text = format_poly(p)
+    q = parse_poly(text, variables)
+    assert q == p
+    assert format_poly(q) == text
 
 
 # -- the command line under malformed input -----------------------------------
