@@ -21,11 +21,11 @@ derivatives, the certificate family and its tail partials (it never calls
 in the oracle.
 
 The jet restriction clears the point and all tangents with one
-`poly._cleared` and runs the substitution loop of
-`unipoly.restrict_to_line` once over Jet1 with int parts, on the integer
-numerators that f stores.  Powers use the closed form
-(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by slot, which keeps
-`SparsePoly.compose` over jets cheap.
+`poly._cleared` and runs `unipoly._substitute`, the loop of
+`unipoly.restrict_to_line`, once with Jet1 coordinates of int parts; a
+coefficient that never meets one comes out as an int and is wrapped.
+Powers use the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by
+slot, which keeps `SparsePoly.compose` over jets cheap.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import InvalidInput
 from .poly import SparsePoly, _cleared
-from .unipoly import _by_z_degree, _expand_line
+from .unipoly import _by_z_degree, _line_images, _substitute
 
 
 def _scalar(other):
@@ -144,10 +144,11 @@ def restrict_to_line_jets(f: SparsePoly, point: Sequence, tangents: Sequence[Seq
     d, r = f.homogeneous_degree(), len(tangents)
     nums, den = _cleared([Fraction(v) for v in point] + [Fraction(v) for t in tangents for v in t])
     # nums holds the point, then tangent after tangent: slot s of y_i is nums[i + n*(s+1)]
-    linear = [(Jet1(nums[i], tuple(nums[i + n :: n])), den) for i in range(n)]
-    out, divisor = _expand_line(f, d, linear, den, symbolic=True)
-    if not linear:  # f = c*t0^d: nothing substituted, the coefficient stays an int
-        out = {key: Jet1(c, (0,) * r) for key, c in out.items()}
+    coords = [Jet1(nums[i], tuple(nums[i + n :: n])) for i in range(n)]
+    out = _substitute(f, d, _line_images(den, coords))
+    # a coefficient that never met a coordinate jet is still an int
+    out = {key: c if isinstance(c, Jet1) else Jet1(c, (0,) * r) for key, c in out.items()}
+    divisor = f.den * den**d
     values = _by_z_degree({key: c.value for key, c in out.items()}, divisor, n, d)
     slopes = [_by_z_degree({key: c.derivative[s] for key, c in out.items()}, divisor, n, d) for s in range(r)]
     return [Jet1(v, tuple(slope[k] for slope in slopes)) for k, v in enumerate(values)]

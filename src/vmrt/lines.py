@@ -47,10 +47,8 @@ from .errors import (
 from .linalg import _P, _rank_mod_p
 from .poly import SparsePoly, _cleared, _sum_of_products
 from .sampling import rand_homogeneous, rand_invertible
-from .unipoly import UniPoly, _by_z_degree, is_perfect_square, restrict_to_line
+from .unipoly import UniPoly, _by_z_degree, _substitute, is_perfect_square, restrict_to_line
 from .unipoly import _integer_coeffs_in, _sylvester_rows, resultant, squarefree_factorization
-
-_ZERO = Fraction(0)
 
 
 def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, ...]:
@@ -241,6 +239,12 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     return Hypersurface(_sum_of_products(tvars, pairs))
 
 
+def _linear_change(p: SparsePoly, rows: Sequence[Sequence[int]]) -> SparsePoly:
+    """p(M*w) in p's variables for the integer matrix M with these rows, through `unipoly._substitute`."""
+    images = [(0, tuple(row)) for row in rows]
+    return SparsePoly._from_ints(p.vars, _substitute(p, max(p.total_degree(), 0), images), p.den)
+
+
 def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
     """Whether arithmetic mod P proves that the exact count of c3, c4 is (d*e, True).
 
@@ -300,9 +304,10 @@ def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
 def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[int, bool]:
     """Length of the zero-dimensional tangent variety for (n, m) = (3, 2).
 
-    Applies a random invertible coordinate change (retried while a leading
-    coefficient in z3 still vanishes), eliminates z3 by a resultant of the
-    two equations and returns (degree of the binary form, squarefree?).
+    Applies a random invertible integer coordinate change (`_linear_change`,
+    retried while a leading coefficient in z3 still vanishes), eliminates z3
+    by a resultant of the two equations and returns (degree of the binary
+    form, squarefree?).
     Generic inputs give degree 12 = 3*4.  Raises ResultantDegenerate when
     the equations share a positive-dimensional component.
 
@@ -319,16 +324,10 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
     if b3.is_zero or b4.is_zero:
         raise ResultantDegenerate("an equation vanishes identically")
     rng = random.Random(seed)
-    zvars = b3.vars
-    gens = [SparsePoly.variable(zvars, v) for v in zvars]
     for _ in range(32):
-        mat = rand_invertible(rng, 3)
-        images = [
-            sum((gens[j] * mat.entry(i, j) for j in range(3)), SparsePoly.zero(zvars))
-            for i in range(3)
-        ]
-        c3 = b3.compose(images)
-        c4 = b4.compose(images)
+        # rand_invertible draws integer entries
+        rows = [[x.numerator for x in row] for row in rand_invertible(rng, 3).data]
+        c3, c4 = _linear_change(b3, rows), _linear_change(b4, rows)
         if c3.coefficient((0, 0, 3)) != 0 and c4.coefficient((0, 0, 4)) != 0:
             break
     else:
@@ -340,9 +339,9 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
         raise ResultantDegenerate("resultant vanishes identically")
     degree = res.homogeneous_degree()
     # squarefreeness of the binary form, read off the dehomogenization at z2=1
-    coeffs = [_ZERO] * (degree + 1)
-    for exp, c in res.terms.items():
-        coeffs[exp[0]] += c
+    coeffs = [0] * (degree + 1)
+    for exp, k in res.nums.items():
+        coeffs[exp[0]] += k
     dehom = UniPoly(coeffs)
     _, factors = squarefree_factorization(dehom)
     squarefree = all(mult == 1 for _, mult in factors) and degree - dehom.degree() <= 1

@@ -20,8 +20,9 @@ integer Sylvester entries.  `_sum_of_products` takes a
 whole sum a_1*b_1 + ... in one accumulation over one denominator, with
 each exponent packed into one int (Monagan and Pearce, CASC 2007;
 FLINT's packed `fmpz_mpoly` exponents); `lines.eco_witness` builds its f
-with it.  Packing pays only where many products merge into few terms,
-about 25,000 products onto 1,287 terms for a witness at (n, m) = (5, 4).
+with it (`unipoly._substitute` packs alike).  Packing pays only where many
+products merge into few terms, about 25,000 products onto 1,287 terms for
+a witness at (n, m) = (5, 4).
 In `__mul__` and the resultant most products have an operand of at most
 three terms and about as many terms come out as products go in, so
 packing and unpacking the keys would be pure overhead there.  `_cleared`
@@ -344,16 +345,16 @@ class SparsePoly:
         """Substitute one ring element per variable (Fraction, SparsePoly, Jet1, ...).
 
         Arguments only need +, * and integer powers, plus multiplication by
-        Fraction, so the same code evaluates coefficients numerically,
-        composes with polynomials (the coordinate change of
-        `count_vmrt_points`, the tail partials in `dmu_formula`), or pushes
-        jets through: over Jet1 with one slot per direction, one call gives
-        the value and the whole gradient.  Each power of each argument is taken
-        once and every term costs one product per variable it contains, so
-        substituting into a polynomial with many terms (such as the
-        certificate polynomials A_k) is dear; the equations and the jet
-        differential avoid it by running the half-square recursion of
-        `eco` on their inputs instead.
+        int and Fraction, so the same code evaluates coefficients
+        numerically, composes with polynomials (the tail partials in
+        `dmu_formula`), or pushes jets through: over Jet1 with one slot per
+        direction, one call gives the value and the whole gradient.  Terms
+        take their integer numerators and the sum is divided by `den` once.
+        Each power of each argument is taken once and every term costs one
+        product per variable it contains, so substituting into a polynomial
+        with many terms (such as the certificate polynomials A_k) is dear;
+        the equations and the jet differential run the half-square recursion
+        of `eco` instead, and linear substitutions `unipoly._substitute`.
         """
         if len(args) != len(self.vars):
             raise InvalidInput("wrong number of substitution arguments")
@@ -369,14 +370,14 @@ class SparsePoly:
 
         total = None
         one = args[0] ** 0 if args else _ONE
-        for exp, c in self.terms.items():
+        for exp, k in self.nums.items():
             term = one
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
-            term = term * c
+            term = term * k
             total = term if total is None else total + term
-        return total
+        return total * Fraction(1, self.den)
 
     # -- printing -------------------------------------------------------------
 

@@ -8,21 +8,15 @@ square oracle.
 Line restriction returns a plain list of the lam^0..lam^d coefficients of
 f(1, y + lam*z): Fractions for a numeric direction, SparsePoly forms in
 z1..zn for a symbolic one.  All three flavours (these two and the jet
-restriction in `jets`) run through one substitution loop, `_expand_line`,
-that keeps an integer polynomial over one common denominator, like FLINT's
-fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The loop reads f's
-integer numerators and denominator as SparsePoly stores them, the caller
-clears the denominators of the point (and direction) once with
-`poly._cleared`, the loop substitutes one variable at a time and the
-caller divides each output coefficient by the common denominator at the
-end, so one gcd reduction is paid per coefficient instead of one per
-product and sum.  The loop is generic over the ring of the point
-coordinates: Python ints, or `jets.Jet1` with int parts
-a + eps_1*b_1 + ... + eps_r*b_r for a jet point.  The key is the
-lam-degree for a numeric direction and the tuple of z-exponents for a
-symbolic one; a power-table entry stores the key increment (j, or the
-1-tuple (j,)), so substituting a variable is `key + increment` in both
-cases.
+restriction in `jets`) and the coordinate change of `lines.count_vmrt_points`
+run one linear-substitution loop, `_substitute`: t_i -> a_i + sum_j b_ij*w_j
+over k new variables, on f's integer numerators, with a_i an int or a
+`jets.Jet1` with int parts.  A numeric direction has k = 1 and w = lam, a
+symbolic one or a jet point k = n and w_i = lam*z_i, the coordinate change
+a_i = 0 and b the drawn matrix.  Denominators are cleared once
+(`poly._cleared`) and divided out per output coefficient, like FLINT's
+fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The keys are packed
+ints, one field per w_j that never carries, so a key step is one addition.
 
 The squarefree factorization is Yun's (1976): a chain of gcds with the
 derivative.  Each gcd runs over the integers: both operands are cleared to
@@ -56,8 +50,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 from operator import add
+from sys import byteorder
 from typing import Sequence
 
 from .errors import InvalidInput
@@ -304,49 +299,64 @@ def is_perfect_square(p: UniPoly) -> tuple[bool, UniPoly | None]:
     return True, q
 
 
-def _expand_line(f: SparsePoly, d: int, linear: Sequence[tuple], t0: int, symbolic: bool) -> tuple[dict, int]:
-    """The one substitution loop: F(t0, a_1 + b_1*w_1, ..., a_n + b_n*w_n) with F = L*f.
+def _substitute(f: SparsePoly, d: int, images: Sequence[tuple]) -> dict:
+    """The one substitution loop: F(a_0 + b_0.w, ..., a_n + b_n.w) for F = f.nums and w = (w_1..w_k).
 
-    f is homogeneous of degree d and L = f.den, so F has the coefficients
-    f.nums.  `linear` holds one pair (a_i, b_i) per affine coordinate; b_i
-    and t0 are ints and a_i lives in any ring with +, *, ** and a truth
-    value (ints, or the Jet1 with int parts of the jet restriction).  With
-    `symbolic` false every w_i is the one parameter lam and the result maps
-    lam-degrees to coefficients; with `symbolic` true w_i = lam*z_i and it
-    maps z-exponent tuples (whose sum is the lam-degree).  Returns that map
-    and the divisor L*t0^d.
+    `images` holds one (a_i, b_i) per variable of f: b_i is a tuple of k
+    ints, a_i an int or a ring element with +, * and a truth value (Jet1).
+    d bounds the total degree of f.  Returns the coefficients keyed by
+    w-exponent tuples; one that never met an a_i stays an int.  A key packs
+    w^alpha into one field of `size` bytes per w_j, 256^size > d: no
+    exponent of a form of degree at most d exceeds d, so no field carries
+    and multiplying monomials is one int addition.  Keys are unpacked once.
     """
-    # a power-table entry stores the key increment of w_i^j: the 1-tuple (j,)
-    # appends the z_i exponent, j adds to the lam-degree
-    zero_key, incs = ((), [(j,) for j in range(d + 1)]) if symbolic else (0, range(d + 1))
-    # acc maps the exponents of the variables not yet substituted to the
-    # coefficients gathered so far, by key; substituting t_i merges the
-    # terms that agree on the remaining exponents
-    acc: dict[tuple, dict] = {
-        exp[1:]: {zero_key: k * t0 ** exp[0]} for exp, k in f.nums.items()
-    }
-    for a, b in linear:
-        # e -> the nonzero (increment of w_i^j, coefficient) of (a + b*w_i)^e
-        powers: dict[int, tuple] = {}
+    size = next(s for s in (1, 2, 4, 8) if d < 256**s)
+    weights = [256 ** (size * j) for j in range(len(images[0][1]))]
+
+    def powers(a, b):
+        # (key, coefficient) pairs of (a + b.w)^e, e = 0..d, by repeated products
+        linear = [(key, c) for key, c in zip([0, *weights], [a, *b]) if c]
+        table = [[(0, 1)]]
+        for _ in range(d):
+            power: dict[int, object] = {}
+            for key, c in table[-1]:
+                for inc, v in linear:
+                    power[key + inc] = power.get(key + inc, 0) + c * v
+            table.append([item for item in power.items() if item[1]])
+        return table
+
+    # acc maps the exponents of the variables not yet substituted to the coefficients
+    # by packed key; the first image (t0 in a restriction) is applied as acc is built
+    (a, b), *rest = images
+    first = powers(a, b)
+    acc: dict[tuple, dict] = {}
+    for exp, c in f.nums.items():
+        tgt = acc.setdefault(exp[1:], {})
+        for key, v in first[exp[0]]:
+            tgt[key] = tgt.get(key, 0) + c * v
+    for a, b in rest:
+        table = powers(a, b)
         nxt: dict[tuple, dict] = {}
-        for rest, cur in acc.items():
-            tgt = nxt.get(rest[1:])
-            if tgt is None:
-                tgt = nxt[rest[1:]] = {}
-            e = rest[0]
-            fac = powers.get(e)
-            if fac is None:
-                fac = tuple(
-                    (incs[j], v) for j in range(e + 1) if (v := comb(e, j) * a ** (e - j) * b ** j)
-                )
-                powers[e] = fac
+        for exps, cur in acc.items():
+            tgt = nxt.setdefault(exps[1:], {})
+            fac = table[exps[0]]
             get = tgt.get
             for key, ck in cur.items():
                 for inc, cj in fac:
                     k = key + inc
                     tgt[k] = get(k, 0) + ck * cj
         acc = nxt
-    return acc[()], f.den * t0 ** d
+    # the keys' bytes, read as native fields of `size` bytes; f in t0 alone has the one key ()
+    out = acc.get((), {})
+    fields = memoryview(b"".join([key.to_bytes(size * len(weights), byteorder) for key in out]))
+    exps = zip(*[iter(fields.cast("BH_I___Q"[size - 1]))] * len(weights)) if weights else [()]
+    return dict(zip(exps, out.values()))
+
+
+def _line_images(den: int, coords: Sequence) -> list[tuple]:
+    """Images t0 -> den, t_i -> coords[i] + den*w_i: the line y + lam*z for y = coords/den, w_i = lam*z_i."""
+    n = len(coords)
+    return [(den, (0,) * n)] + [(a, (0,) * i + (den,) + (0,) * (n - 1 - i)) for i, a in enumerate(coords)]
 
 
 def _by_z_degree(out: dict, den: int, n: int, d: int) -> list[SparsePoly]:
@@ -378,14 +388,13 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     # E = 1, Z = z for the symbolic one.
     ys, den_y = _cleared(y)
     if direction is None:
-        out, den = _expand_line(f, d, [(k, den_y) for k in ys], den_y, symbolic=True)
-        return _by_z_degree(out, den, n, d)
+        return _by_z_degree(_substitute(f, d, _line_images(den_y, ys)), f.den * den_y**d, n, d)
     if len(direction) != n:
         raise InvalidInput(f"direction must have {n} coordinates")
     zs, den_z = _cleared([Fraction(v) for v in direction])
-    linear = [(k * den_z, j * den_y) for k, j in zip(ys, zs)]
-    out, den = _expand_line(f, d, linear, den_y * den_z, symbolic=False)
-    return [Fraction(out.get(k, 0), den) for k in range(d + 1)]
+    out = _substitute(f, d, [(den_y * den_z, (0,))] + [(k * den_z, (j * den_y,)) for k, j in zip(ys, zs)])
+    den = f.den * (den_y * den_z) ** d
+    return [Fraction(out.get((k,), 0), den) for k in range(d + 1)]
 
 
 # -- resultants ---------------------------------------------------------------

@@ -66,8 +66,8 @@ def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> list[Fraction]:
     if not p.is_homogeneous(basis.degree):
         raise InvalidInput(f"polynomial is not homogeneous of degree {basis.degree}")
     col = [_ZERO] * basis.size
-    for exp, c in p.terms.items():
-        col[basis.index(exp)] = c
+    for exp, k in p.nums.items():
+        col[basis.index(exp)] = Fraction(k, p.den)
     return col
 
 

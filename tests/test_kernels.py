@@ -19,6 +19,12 @@ and in their printed text.
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.
 
+The coordinate change of `count_vmrt_points` runs the linear-substitution
+loop of the line restrictions; its reference is the route it replaced,
+`compose` with linear SparsePoly images, and both must give the same nums
+and den on every matrix, singular ones included, and on every system the
+point-count certificate tests run.
+
 `count_vmrt_points` certifies its count mod 2^61 - 1 and runs the
 resultant and Yun only when that declines; the point-count kernel tests
 make the certificate decline, so both exact kernels still meet their
@@ -57,6 +63,7 @@ from vmrt import (
     Hypersurface,
     Jet1,
     QMatrix,
+    ResultantDegenerate,
     SparsePoly,
     UniPoly,
     build_converse,
@@ -81,9 +88,11 @@ from vmrt.eco import _half_square
 from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables
 from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
-from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS
+from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS, _rng
 from vmrt.unipoly import poly_gcd
 from vmrt.variation import MonomialBasis, coeff_vector, dmu_jet
+
+import test_lines
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -500,6 +509,14 @@ class TestRestrictionEdges:
         assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]) == [Fraction(3, 5)] + [_ZERO] * 6
 
 
+@pytest.mark.parametrize("d", [255, 256, 300])
+def test_restrictions_of_degree_past_one_byte_keys(d):
+    # the packed keys of the substitution widen from one byte per field at d = 256
+    f = parse_poly(f"2*t0^{d} - 3/5*t0^{d - 7}*t1^7 + t1^{d}", ("t0", "t1"))
+    assert_same_restriction(f, [Fraction(-3, 2)], [Fraction(5, 7)])
+    assert_same_symbolic_restriction(f, [Fraction(-3, 2)])
+
+
 class TestSymbolicRestrictionEdges:
     def test_integer_only_inputs(self):
         f = integer_form(random.Random(15), 3, 4)
@@ -584,6 +601,25 @@ class TestJetRestrictionEdges:
     def test_single_term(self):
         f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
         assert_same_jet_restriction(f, [Fraction(2, 3), 5, 0], [[1, 0, Fraction(-1, 2)]])
+
+
+def test_jet_restriction_wraps_int_coefficients_in_jets():
+    # at a zero point with zero tangent slots every coordinate jet is zero, so
+    # no coefficient of the substitution meets a jet
+    rng = random.Random(23)
+    f = rand_homogeneous(rng, tvars(3), 4)
+    cases = [
+        ([0, 0, 0], [[0, 0, 0]]),
+        ([0, 0, 0], [[0, 0, 0], [0, 0, 0]]),
+        ([0, Fraction(2, 3), 0], [[0, 0, 0], [1, 0, -2]]),
+        ([0, 0, 0], []),
+    ]
+    for point, tangents in cases:
+        jets = restrict_to_line_jets(f, point, tangents)
+        assert len(jets) == 5
+        assert all(type(j) is Jet1 and len(j.derivative) == len(tangents) for j in jets)
+        assert [j.value for j in jets] == restrict_to_line(f, point)
+        assert_same_jet_restriction(f, point, tangents)
 
 
 def assert_same_polys(fast, ref):
@@ -1140,6 +1176,110 @@ def test_decomposable_point_count_system_matches_references(monkeypatch):
         b4 = b4 * SparsePoly(zv, {e: Fraction(k) for e, k in zip(units, c)})
     hyp = build_converse([parse_poly("z1*z2*z3", zv), b4])
     assert_same_point_count_kernels(monkeypatch, hyp, [0, 0, 0], 2)
+
+
+def reference_coordinate_change(p, rows):
+    """p(M*w) by `compose` with the linear SparsePoly images sum_j M_ij*w_j, the route it replaced."""
+    gens = [SparsePoly.variable(p.vars, v) for v in p.vars]
+    images = [sum((gens[j] * c for j, c in enumerate(row)), SparsePoly.zero(p.vars)) for row in rows]
+    return p.compose(images)
+
+
+def assert_same_coordinate_change(p, rows):
+    fast = lines._linear_change(p, rows)
+    ref = reference_coordinate_change(p, rows)
+    assert fast.nums == ref.nums
+    assert fast.den == ref.den
+    return fast
+
+
+class TestCoordinateChange:
+    ZV = ("z1", "z2", "z3")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_integer_matrices(self, seed):
+        rng = random.Random(8000 + seed)
+        rows = [[rng.choice((-7, -2, -1, 0, 0, 1, 3, 5)) for _ in range(3)] for _ in range(3)]
+        for degree in (1, 3, 4):
+            assert_same_coordinate_change(rand_homogeneous(rng, self.ZV, degree), rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3], [2, 4, 6], [0, 1, -1]],  # singular
+            [[1, 0, 2], [0, 0, 0], [3, -1, 1]],  # a zero row
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ],
+    )
+    def test_singular_zero_and_identity_matrices(self, rows):
+        rng = random.Random(81)
+        for degree in (3, 4):
+            assert_same_coordinate_change(rand_homogeneous(rng, self.ZV, degree), rows)
+
+    def test_degree_past_one_byte_keys(self):
+        p = parse_poly("z1^260 - 4*z1^130*z2^130 + 1/3*z2^259*z3", self.ZV)
+        assert_same_coordinate_change(p, [[1, 2, 0], [3, -1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "z2^3 - 2/3*z2*z3^2 + 5*z3^3",  # z1 absent: every term takes its zeroth power
+            "z1^3 - 2/3*z1*z2^2",  # z3 absent
+            "-9/4*z2^4",
+            "z1^3 + 1/2*z2*z3 - z3 + 7/5",  # inhomogeneous, with a constant term
+            "3*z1*z2 - z1^4 + 2",
+        ],
+    )
+    def test_absent_variables_and_inhomogeneous_forms(self, text):
+        p = parse_poly(text, self.ZV)
+        for rows in ([[2, -1, 0], [0, 3, 1], [-4, 0, 5]], [[1, 1, 1], [0, 0, 0], [1, -1, 2]]):
+            assert_same_coordinate_change(p, rows)
+
+
+def count_certificate_systems():
+    """(hypersurface, point, seed) for every count_vmrt_points run of tests/test_lines.py::TestCountCertificate."""
+    zv = ("z1", "z2", "z3")
+    for seed in range(30):
+        rng = random.Random(7000 + seed)
+        hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
+        yield hyp, rand_point_off_branch(rng, hyp), seed
+    rng = _rng(42, 7)
+    for _ in range(10):
+        hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
+        y = rand_point_off_branch(rng, hyp)
+        yield hyp, y, rng.randrange(2**32)
+    b4 = SparsePoly.constant(zv, 1)
+    for c in test_lines.TestBezoutEnumeration.LIN4:
+        b4 = b4 * test_lines.TestBezoutEnumeration._form(c)
+    yield build_converse([parse_poly("z1*z2*z3", zv), b4]), [0, 0, 0], 2
+    for seed in (2, 5, 9):
+        yield test_lines.tangent_system_with_a_double_line(), [0, 0, 0], seed
+    line = parse_poly("z1 + z2 - z3", zv)
+    yield build_converse([line * parse_poly("z1*z2 + z3^2", zv), line * parse_poly("z1^3 - z2^2*z3", zv)]), [0, 0, 0], 4
+
+
+def test_coordinate_changes_of_the_count_certificate_systems_match_compose(monkeypatch):
+    calls = []
+    change = lines._linear_change
+
+    def spy(p, rows):
+        calls.append((p, rows))
+        return change(p, rows)
+
+    monkeypatch.setattr(lines, "_linear_change", spy)
+    runs = 0
+    for hyp, point, seed in count_certificate_systems():
+        try:
+            count_vmrt_points(hyp, point, seed)
+        except ResultantDegenerate:  # the shared-line system, after its coordinate change
+            pass
+        runs += 1
+    monkeypatch.undo()
+    assert runs == 45
+    assert len(calls) >= 2 * runs
+    for p, rows in calls:
+        assert_same_coordinate_change(p, rows)
 
 
 class TestResultantEdges:

@@ -1,7 +1,8 @@
 """Even-contact lines, defining equations, converse construction, point count.
 
 The point count's certificate mod 2^61 - 1 is checked against the exact
-route it replaces, made to run by a certificate that always declines.
+route it replaces, made to run by a certificate that always declines.  Its
+retry loop is driven by a drawn matrix that hides a leading coefficient.
 """
 
 import random
@@ -13,6 +14,7 @@ from vmrt import (
     BasePointOnBranch,
     Hypersurface,
     InvalidInput,
+    QMatrix,
     ResultantDegenerate,
     SparsePoly,
     UniPoly,
@@ -265,6 +267,46 @@ class TestCount:
         with pytest.raises(InvalidInput):
             count_vmrt_points(hyp, [0, 0, 0, 0], seed=3)
 
+
+    # third column (0, 0, 1): the change sends z3 to a zero of b3 below, so
+    # c3 has no z3^3 term
+    HIDING = QMatrix([[2, 1, 0], [-1, 3, 0], [4, 5, 1]])
+
+    @staticmethod
+    def _system_vanishing_at_z3():
+        """A generic converse (3,2) system whose b3 vanishes at (0:0:1); its equations at the origin are b3, b4."""
+        rng = random.Random(95)
+        b3 = rand_homogeneous(rng, ZV3, 3)
+        b3 = b3 - SparsePoly.from_terms(ZV3, [((0, 0, 3), b3.coefficient((0, 0, 3)))])
+        return build_converse([b3, rand_homogeneous(rng, ZV3, 4)])
+
+    def test_retries_a_change_that_hides_a_leading_coefficient(self, monkeypatch):
+        draws = []
+        draw = lines.rand_invertible
+
+        def first_hides(rng, size):
+            draws.append(size)
+            return self.HIDING if len(draws) == 1 else draw(rng, size)
+
+        monkeypatch.setattr(lines, "rand_invertible", first_hides)
+        assert count_vmrt_points(self._system_vanishing_at_z3(), [0, 0, 0], seed=11) == (12, True)
+        assert draws == [3, 3]
+
+    def test_raises_when_no_change_exposes_the_leading_coefficients(self, monkeypatch):
+        monkeypatch.setattr(lines, "rand_invertible", lambda rng, size: self.HIDING)
+        with pytest.raises(ResultantDegenerate, match="no coordinate change exposed leading coefficients"):
+            count_vmrt_points(self._system_vanishing_at_z3(), [0, 0, 0], seed=11)
+
+    def test_makes_no_compose_call(self, monkeypatch):
+        rng = random.Random(95)
+        hyp = build_converse([rand_homogeneous(rng, ZV3, 3), rand_homogeneous(rng, ZV3, 4)])
+        y = rand_point_off_branch(rng, hyp)
+
+        def refuse(self, args):
+            raise AssertionError("count_vmrt_points called SparsePoly.compose")
+
+        monkeypatch.setattr(SparsePoly, "compose", refuse)
+        assert count_vmrt_points(hyp, y, seed=11) == (12, True)
 
 class TestBezoutEnumeration:
     """Independent count oracle: fully decomposable equations.
