@@ -26,9 +26,9 @@ a witness at (n, m) = (5, 4).
 In `__mul__` and the resultant most products have an operand of at most
 three terms and about as many terms come out as products go in, so
 packing and unpacking the keys would be pure overhead there.  `_cleared`
-clears the other rational inputs: the Fractions of the public constructor
-(`constant`, `from_terms`, `variation.explicit_family`), points,
-directions, matrix rows and `UniPoly` coefficients.
+clears the other rational inputs: the Fractions of the public constructors
+(`constant`, `from_terms`, `variation.explicit_family`, `UniPoly`, which
+keeps this layout in one variable), points, directions and matrix rows.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 

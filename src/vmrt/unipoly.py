@@ -1,9 +1,10 @@
 """Univariate polynomial tools: restrictions, Yun factorization, resultants.
 
 UniPoly is a dense polynomial in an abstract parameter (printed as `lam`)
-with Fraction coefficients by ascending power; trailing zeros are never
-stored.  It is the ring of the Yun squarefree factorization and the
-square oracle.
+in the layout of `SparsePoly`: int `nums` by ascending power, no trailing
+zero, over one positive `den` (FLINT's fmpq_poly), built by
+`UniPoly._from_ints`; `coeffs` is a Fraction view.  It is the ring of the
+Yun squarefree factorization and the square oracle.
 
 Line restriction returns a plain list of the lam^0..lam^d coefficients of
 f(1, y + lam*z): Fractions for a numeric direction, SparsePoly forms in
@@ -19,13 +20,13 @@ fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The keys are packed
 ints, one field per w_j that never carries, so a key step is one addition.
 
 The squarefree factorization is Yun's (1976): a chain of gcds with the
-derivative.  Each gcd runs over the integers: both operands are cleared to
-primitive integer polynomials and the primitive pseudo-remainder sequence
-(Knuth, TAOCP vol. 2, 4.6.1, Algorithm E) divides out the content of every
-remainder, so the coefficients stay at the size of the subresultants
-instead of growing through a Fraction Euclid; only the final gcd is made
-monic in Fractions.  The monic gcd is unique, so the factors are the ones
-Euclid over Q gives.
+derivative, and exact divisions by them through `_exact_quotient`, the
+division of the resultant's Bareiss steps, all on integer numerators.
+Each gcd is the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
+4.6.1, Algorithm E), which divides out the content of every remainder, so
+the coefficients stay at the size of the subresultants instead of growing
+through a Fraction Euclid.  The monic gcd is unique, so the factors are
+the ones Euclid over Q gives.
 
 Resultants are taken over the multivariate ring: both inputs are viewed
 as polynomials in the eliminated variable whose coefficients are
@@ -50,7 +51,8 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 from operator import add
 from sys import byteorder
 from typing import Sequence
@@ -59,84 +61,98 @@ from .errors import InvalidInput
 from .linalg import _bareiss
 from .poly import SparsePoly, _add_products, _cleared, grevlex_key
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class UniPoly:
-    """Dense univariate polynomial, Fraction coefficients ascending by power."""
+    """Dense univariate polynomial: int `nums` ascending by power over a positive `den`, gcd(den, *nums) == 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        p = UniPoly._from_ints(*_cleared([Fraction(c) for c in coeffs]))
+        self.nums, self.den = p.nums, p.den
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int) -> "UniPoly":
+        """The polynomial sum nums[k]/den * lam^k, den nonzero: trailing zeros dropped, content and sign divided out."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        p = cls.__new__(cls)
+        p.nums, p.den = tuple(k // g for k in nums), den // g
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients ascending by power, built afresh on each access."""
+        return tuple(Fraction(k, self.den) for k in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial (trailing zeros are never stored)."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else _ZERO
+        return Fraction(self.nums[k] if k < len(self.nums) else 0, self.den)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise InvalidInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+    def __add__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return UniPoly._from_ints([s * a + t * b for a, b in zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
+    def __sub__(self, other):
+        return self + -other if isinstance(other, UniPoly) else NotImplemented
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._from_ints([-k for k in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return UniPoly([x * c for x in self.coeffs])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
+            return UniPoly._from_ints([k * c.numerator for k in self.nums], self.den * c.denominator)
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
         if not isinstance(k, int) or k < 0:
             raise InvalidInput("exponent must be a non-negative integer")
-        result = UniPoly([_ONE])
+        result = UniPoly._from_ints([1], 1)
         for _ in range(k):
             result = result * self
         return result
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return UniPoly._from_ints([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "UniPoly":
-        inv = 1 / self.leading()
-        return UniPoly([x * inv for x in self.coeffs])
+        if not self.nums:
+            raise InvalidInput("zero polynomial has no leading coefficient")
+        return UniPoly._from_ints(self.nums, self.nums[-1])  # p / (nums[-1]/den)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __str__(self):
         parts = []
@@ -155,32 +171,20 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-def _divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    if b.is_zero:
-        raise InvalidInput("division by the zero polynomial")
-    db = b.degree()
-    inv = 1 / b.leading()
-    rem = list(a.coeffs)
-    quot = [_ZERO] * max(len(rem) - db, 1)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv
-        if c == 0:
-            continue
-        quot[i - db] = c
-        for j in range(db + 1):
-            rem[i - db + j] -= c * b.coeffs[j]
-    return UniPoly(quot), UniPoly(rem[:db])
+def _quotient(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a / b = (A/B) * db/da for a = A/da and a primitive b = B/db dividing a over Q.
+
+    A/B is `_exact_quotient` of the numerators, exact over Z by Gauss's
+    lemma; it raises ArithmeticError when b does not divide a.
+    """
+    q = _exact_quotient({(k,): c for k, c in enumerate(a.nums) if c}, {(k,): c for k, c in enumerate(b.nums) if c})
+    return UniPoly._from_ints([q.get((k,), 0) * b.den for k in range(len(a.nums) - len(b.nums) + 1)], a.den)
 
 
 def _primitive(cs: list[int]) -> list[int]:
     """Integer coefficients divided by their content (the gcd of all of them)."""
     g = gcd(*cs)
     return cs if g == 1 else [c // g for c in cs]
-
-
-def _primitive_part(p: UniPoly) -> list[int]:
-    """The primitive integer polynomial with the roots of p: clear denominators, drop the content."""
-    return _primitive(_cleared(p.coeffs)[0])
 
 
 def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
@@ -210,7 +214,7 @@ def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the rationals, by the primitive PRS over the integers.
 
-    Both operands are cleared to primitive integer polynomials; each
+    The PRS starts from the integer numerators of both operands; each
     pseudo-remainder is made primitive again before the next step (Knuth,
     TAOCP vol. 2, 4.6.1, Algorithm E), so the coefficients stay near the
     size of the subresultants.  The last nonzero remainder, made monic, is
@@ -219,22 +223,26 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if a.is_zero or b.is_zero:
         rest = b if a.is_zero else a
         return rest if rest.is_zero else rest.monic()
-    u, v = _primitive_part(a), _primitive_part(b)
+    u, v = a.nums, b.nums
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
         r = _pseudo_remainder(u, v)
         if not r:
-            return UniPoly([Fraction(c, v[-1]) for c in v])
+            return UniPoly._from_ints(v, v[-1])
         u, v = v, _primitive(r)
-    return UniPoly([_ONE])
+    return UniPoly._from_ints([1], 1)
 
 
 def squarefree_factorization(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     """Yun decomposition p = content * prod(factor_i ^ i).
 
     Factors are monic, squarefree and pairwise coprime; the content is the
-    leading coefficient.  Constants give (value, []).  Exact throughout.
+    leading coefficient.  Constants give (value, []).  Exact throughout,
+    in integers: every divisor g, h of the chain is monic, so its nums
+    are primitive (their content divides nums[-1] == den, and
+    gcd(den, *nums) == 1), and by Gauss's lemma it divides its dividend's
+    numerators over Z, as `_quotient` needs.
     """
     if p.is_zero:
         raise InvalidInput("zero polynomial has no squarefree factorization")
@@ -246,16 +254,16 @@ def squarefree_factorization(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, 
     factors: list[tuple[UniPoly, int]] = []
     if g.degree() == 0:
         return content, [(pm, 1)]
-    w = _divmod(pm, g)[0]
-    y = _divmod(pm.derivative(), g)[0]
+    w = _quotient(pm, g)
+    y = _quotient(pm.derivative(), g)
     z = y - w.derivative()
     i = 1
     while w.degree() > 0:
         h = poly_gcd(w, z)
         if h.degree() > 0:
             factors.append((h, i))
-            w = _divmod(w, h)[0]
-            y = _divmod(z, h)[0]
+            w = _quotient(w, h)
+            y = _quotient(z, h)
         else:
             y = z
         z = y - w.derivative()

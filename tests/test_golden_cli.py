@@ -27,12 +27,17 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
 _CONVERSE = ",".join(str(DATA / f"converse_b{k}.poly") for k in (4, 5, 6))
+# eco_3_2.poly is eco_witness(3, 2, (1, -1, Fraction(1, 2)), (1, 2, -1), seed=3):
+# even-contact along its designed line, not along a generic one
+_ECO = ["eco-line", "--f", str(DATA / "eco_3_2.poly"), "--point", "1,-1,1/2", "--dir"]
 
 CASES = {
     "eqs_4_3": ["eqs", "--f", str(DATA / "witness_4_3.poly"), "--point", "1,0,-1,2"],
     "eqs_5_4": ["eqs", "--f", str(DATA / "sparse_5_4.poly"), "--point", "1,0,-1,1,1/2"],
     "eco_cert_square": ["eco-cert", "--coeffs", "4,6,4,1"],
     "eco_cert": ["eco-cert", "--coeffs", "1/2,-3,5/7,2,0,1"],
+    "eco_line": _ECO + ["1,2,-1"],
+    "eco_line_generic": _ECO + ["0,1,1"],
     "converse": ["converse", "--b", _CONVERSE],
     "count": ["count", "--f", str(DATA / "witness_3_2.poly"), "--point", "1,-2,1/3", "--seed", "5"],
     "variation": ["variation", "--f", str(DATA / "recentred_4_3.poly")],

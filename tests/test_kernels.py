@@ -1,13 +1,14 @@
 """Integer kernels against term-by-term Fraction references.
 
 The line restriction (numeric direction, symbolic direction and jet base
-point), the sparse product, the gcd of the squarefree factorization and
-the resultant clear denominators once and work over the integers.  The
-reference functions below are plain Fraction loops (Euclid over Q for the
-gcd, Bareiss over SparsePoly entries with a Fraction exact division for
-the resultant); each fast result must equal its reference exactly,
-coefficient by coefficient (and, for the product and the resultant, in
-the same term order).
+point), the sparse product, the gcds and quotients of the squarefree
+factorization and the resultant clear denominators once and work over the
+integers.  The reference functions below are plain Fraction loops (Euclid
+over Q for the gcd, Yun on Fraction lists with a long division for the
+squarefree factorization, Bareiss over SparsePoly entries with a Fraction
+exact division for the resultant); each fast result must equal its
+reference exactly, coefficient by coefficient (and, for the product and
+the resultant, in the same term order).
 
 The certificate family, the equations and the jet differential run the
 half-square recursion `eco._half_square`.  Their references solve the
@@ -52,9 +53,8 @@ formats the same text.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from math import comb, gcd
-from unittest import mock
 
 import pytest
 
@@ -79,7 +79,6 @@ from vmrt import (
     restrict_to_line_jets,
     resultant,
     squarefree_factorization,
-    unipoly,
     variation_report,
     vmrt_equations,
 )
@@ -257,24 +256,72 @@ def reference_eco_witness(n, m, point, direction, seed):
     return f
 
 
+def _trimmed(cs):
+    """A Fraction coefficient list without its trailing zeros."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def reference_divmod(a, b):
+    """(quotient, remainder) of ascending Fraction lists by long division over Q; b has no trailing zero."""
+    db = len(b) - 1
+    rem = list(a)
+    quot = [_ZERO] * max(len(rem) - db, 1)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] / b[-1]
+        quot[i - db] = c
+        for j in range(db + 1):
+            rem[i - db + j] -= c * b[j]
+    return _trimmed(quot), _trimmed(rem[:db])
+
+
+def reference_gcd_list(a, b):
+    """Monic gcd of ascending Fraction lists by Euclid's algorithm over Q."""
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
 def reference_poly_gcd(a, b):
     """Monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
-    while not b.is_zero:
-        rem = list(a.coeffs)
-        inv = 1 / b.leading()
-        db = b.degree()
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] * inv
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b.coeffs[j]
-        a, b = b, UniPoly(rem[:db])
-    return a if a.is_zero else a.monic()
+    return UniPoly(reference_gcd_list(a.coeffs, b.coeffs))
 
 
 def reference_squarefree(p):
-    """Yun's factorization with every gcd taken by reference_poly_gcd."""
-    with mock.patch.object(unipoly, "poly_gcd", reference_poly_gcd):
-        return squarefree_factorization(p)
+    """Yun's factorization on ascending Fraction lists: Euclid's gcds, long divisions, Fraction sums."""
+
+    def derivative(u):
+        return _trimmed([k * c for k, c in enumerate(u)][1:])
+
+    def minus(u, v):
+        return _trimmed([x - y for x, y in zip_longest(u, v, fillvalue=_ZERO)])
+
+    def quotient(u, v):
+        return reference_divmod(u, v)[0]
+
+    cs = list(p.coeffs)
+    if len(cs) == 1:
+        return cs[0], []
+    content = cs[-1]
+    pm = [c / content for c in cs]
+    g = reference_gcd_list(pm, derivative(pm))
+    if len(g) == 1:
+        return content, [(UniPoly(pm), 1)]
+    w, y = quotient(pm, g), quotient(derivative(pm), g)
+    z = minus(y, derivative(w))
+    factors, i = [], 1
+    while len(w) > 1:
+        h = reference_gcd_list(w, z)
+        if len(h) > 1:
+            factors.append((UniPoly(h), i))
+            w, y = quotient(w, h), quotient(z, h)
+        else:
+            y = z
+        z = minus(y, derivative(w))
+        i += 1
+    return content, factors
 
 
 def reference_exact_div(num, den):
@@ -1152,6 +1199,16 @@ def test_point_count_kernels_match_references(monkeypatch, seed):
     zv = ("z1", "z2", "z3")
     hyp = build_converse([rand_homogeneous(rng, zv, 3), rand_homogeneous(rng, zv, 4)])
     assert_same_point_count_kernels(monkeypatch, hyp, rand_point_off_branch(rng, hyp), seed)
+
+
+@pytest.mark.parametrize("seed", [5, 11, 23])
+def test_squarefree_of_planted_powers_matches_reference(seed):
+    # a generic form is squarefree, so it never reaches Yun's quotients; planted powers do
+    rng = random.Random(seed)
+    p = UniPoly([rand_fraction(rng) or 1])
+    for mult in (1, 2, 3):
+        p = p * UniPoly([rand_fraction(rng) for _ in range(mult + 1)] + [rand_fraction(rng) or 1]) ** mult
+    assert squarefree_factorization(p) == reference_squarefree(p)
 
 
 def test_certified_point_count_calls_neither_exact_kernel(monkeypatch):

@@ -1,7 +1,9 @@
 """Univariate tools: line restriction, Yun factorization, squares, resultants."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +19,7 @@ from vmrt import (
     squarefree_factorization,
 )
 from vmrt.sampling import rand_homogeneous, rand_point
-from vmrt.unipoly import _rational_sqrt, poly_gcd
+from vmrt.unipoly import _quotient, _rational_sqrt, poly_gcd
 
 
 def U(*coeffs):
@@ -222,3 +224,66 @@ def test_unipoly_degree_strips_trailing_zeros():
     p = UniPoly([1, 2, 0, 0])
     assert len(p.coeffs) == 2 and p.degree() == 1
     assert p.coeff(7) == 0
+
+
+def assert_canonical(p):
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+class TestLayout:
+    def test_equal_inputs_give_one_form(self):
+        a, b = UniPoly([Fraction(1, 2), 1]), UniPoly([Fraction(2, 4), Fraction(3, 3)])
+        assert a == b and hash(a) == hash(b)
+        assert (a.nums, a.den) == ((1, 2), 2)
+
+    def test_canonical_after_every_operation(self):
+        p = U(Fraction(3, 4), -6, Fraction(-9, 2))
+        for q in (p, p * Fraction(-2, 3), -p, p.monic(), p.derivative(), p + p, p - U(1), p * p, p**3):
+            assert_canonical(q)
+        # the leading coefficient is negative: monic divides by it, sign included
+        assert p.monic().coeffs == (Fraction(-1, 6), Fraction(4, 3), Fraction(1))
+        assert (p.monic().nums, p.monic().den) == ((-1, 8, 6), 6)
+
+    def test_coeffs_is_a_fraction_view(self):
+        p = U(Fraction(3, 4), -6, Fraction(-9, 2), 0)
+        assert type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+        assert p.coeffs == (Fraction(3, 4), Fraction(-6), Fraction(-9, 2))
+
+    def test_zero(self):
+        for z in (UniPoly([0, 0]), U(Fraction(1, 2), 1) - U(Fraction(1, 2), 1), U(Fraction(1, 3)) * 0):
+            assert z.is_zero and z.nums == () and z.den == 1 and z.degree() == -1
+        with pytest.raises(InvalidInput):
+            UniPoly([0, 0]).monic()
+
+    def test_quotient_is_exact(self):
+        b, c = U(Fraction(1, 2), 1), U(Fraction(2, 3), -5)
+        assert _quotient(b * c, b) == c
+        with pytest.raises(ArithmeticError):
+            _quotient(U(1, 0, 1), U(1, 1))
+
+
+@pytest.mark.parametrize(
+    "op, other",
+    [
+        (operator.add, 1),
+        (operator.add, Fraction(1, 2)),
+        (operator.sub, 1),
+        (operator.sub, Fraction(1, 2)),
+        (operator.mul, "x"),
+        (operator.mul, 1.5),
+        (operator.mul, SparsePoly.constant(("z1",), 2)),
+    ],
+)
+def test_foreign_operands_raise_type_error(op, other):
+    p = UniPoly([1, 2])
+    with pytest.raises(TypeError):
+        op(p, other)
+    with pytest.raises(TypeError):
+        op(other, p)
+
+
+def test_scalar_products():
+    p = UniPoly([1, 2])
+    assert p * 2 == 2 * p == p + p
+    assert p * Fraction(-1, 2) == Fraction(-1, 2) * p == U(Fraction(-1, 2), -1)
