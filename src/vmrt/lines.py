@@ -59,9 +59,13 @@ def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, .
 
 
 class Hypersurface:
-    """Hypersurface of even degree 2m in projective n-space, f in t0..tn."""
+    """Hypersurface of even degree 2m in projective n-space, f in t0..tn.
 
-    __slots__ = ("n", "m", "f")
+    The private slot `_line` memoizes the last numeric line restriction
+    (`_moved_parts`), which the certificate and the square oracle share.
+    """
+
+    __slots__ = ("n", "m", "f", "_line")
 
     def __init__(self, f: SparsePoly):
         if f.is_zero:
@@ -75,6 +79,7 @@ class Hypersurface:
         self.n = n
         self.m = d // 2
         self.f = f
+        self._line = None  # (f, y, z, parts) of the last numeric restriction
 
     def affine_value(self, point: Sequence) -> Fraction:
         """f(1, y_1, ..., y_n)."""
@@ -136,24 +141,35 @@ def vmrt_equations(hyp: Hypersurface, point: Sequence) -> VmrtSystem:
     return VmrtSystem(n=hyp.n, m=m, point=y, equations=equations)
 
 
-def _moved_parts(hyp: Hypersurface, y: Sequence, z: Sequence | None = None) -> list:
-    """[a_0/a_0, ..., a_2m/a_0] for the restriction f(1, y + lam*z) = sum a_k lam^k.
+def _moved_parts(hyp: Hypersurface, y: Sequence, z: Sequence | None = None) -> tuple:
+    """(a_0/a_0, ..., a_2m/a_0) for the restriction f(1, y + lam*z) = sum a_k lam^k.
 
     Fractions along a rational direction z; with z None, forms a_k/a_0 of
     degree k in z1..zn, the graded parts of f moved to y.  Raises
     BasePointOnBranch when a_0 = f(1, y) vanishes.
+
+    A numeric result is memoized in `hyp._line`, keyed on the identity of
+    hyp.f and the values of y and z, so a certificate and a square oracle
+    on one line restrict it once.  Symbolic results are not: no caller
+    repeats one, and a hypersurface kept for a whole run would hold it.
     """
     y = _as_fractions(y, "point", hyp.n)
     if z is not None:
         z = _as_fractions(z, "direction", hyp.n)
         if all(c == 0 for c in z):
             raise InvalidInput("direction must be nonzero")
+        memo = hyp._line
+        if memo is not None and memo[0] is hyp.f and memo[1] == y and memo[2] == z:
+            return memo[3]
     rest = restrict_to_line(hyp.f, y, z)
     a0 = rest[0] if z is not None else rest[0].constant_value()  # the restriction at lam = 0
     if a0 == 0:
         raise BasePointOnBranch(f"f(1, {', '.join(map(str, y))}) = 0")
     inv = 1 / a0
-    return [a * inv for a in rest]
+    parts = tuple(a * inv for a in rest)
+    if z is not None:
+        hyp._line = (hyp.f, y, z, parts)
+    return parts
 
 
 def line_certificate(hyp: Hypersurface, point: Sequence, direction: Sequence) -> EcoCertificate:

@@ -80,7 +80,8 @@ def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly,
     One accumulation over the lcm of the a.den*b.den.  Each exponent is
     packed into one int in base 1 + max(deg a + deg b), so no field of a
     product carries into the next and multiplying monomials is one int
-    addition; keys are unpacked once per accumulated term.  Terms come out
+    addition; keys are unpacked once per accumulated term.  A square pair
+    (a is b) takes each cross product once and doubles it.  Terms come out
     in the order of their first product.  `SparsePoly.__mul__` and the
     resultant stay on `_add_products`: their products rarely merge (module
     docstring).
@@ -99,8 +100,13 @@ def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly,
     get = acc.get
     for a, b in pairs:
         right = packed(b)
-        for ka, ca in packed(a, den // (a.den * b.den)):
-            for kb, cb in right:
+        for i, (ka, ca) in enumerate(packed(a, den // (a.den * b.den))):
+            rest = right
+            if a is b:
+                key = ka + right[i][0]
+                acc[key] = get(key, 0) + ca * right[i][1]
+                ca, rest = 2 * ca, right[i + 1:]
+            for kb, cb in rest:
                 key = ka + kb
                 acc[key] = get(key, 0) + ca * cb
     nums = {tuple(key // w % base for w in weights): v for key, v in acc.items()}

@@ -259,6 +259,8 @@ def squarefree_factorization(p: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, 
     z = y - w.derivative()
     i = 1
     while w.degree() > 0:
+        if i > p.degree():  # no factor has a larger multiplicity
+            raise ArithmeticError("Yun's loop ran past the degree: a quotient or gcd is wrong")
         h = poly_gcd(w, z)
         if h.degree() > 0:
             factors.append((h, i))

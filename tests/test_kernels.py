@@ -1036,6 +1036,38 @@ def test_witness_resamples_q_that_vanishes_at_the_point():
     assert f.terms == reference_eco_witness(2, 1, point, (1, 1), 3).terms
 
 
+def plain_sum_of_products(variables, pairs):
+    """sum a*b by the full double loop over the integer numerators: nums in first-product order, and den."""
+    den = 1
+    for a, b in pairs:
+        den = den * a.den * b.den // gcd(den, a.den * b.den)
+    acc = {}
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        for ea, ca in a.nums.items():
+            for eb, cb in b.nums.items():
+                key = tuple(map(sum, zip(ea, eb)))
+                acc[key] = acc.get(key, 0) + ca * scale * cb
+    acc = {e: k for e, k in acc.items() if k}
+    g = gcd(den, *acc.values())
+    return [(e, k // g) for e, k in acc.items()], den // g
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_square_pair_matches_the_plain_double_loop(degree):
+    rng = random.Random(degree)
+    variables = tvars(3)
+    for _ in range(3):
+        q = rand_homogeneous(rng, variables, degree)
+        other = (rand_homogeneous(rng, variables, 1), rand_homogeneous(rng, variables, 2 * degree - 1))
+        for pairs in ([(q, q)], [(q, q), other], [other, (q, q)]):
+            fast = _sum_of_products(variables, pairs)
+            assert (list(fast.nums.items()), fast.den) == plain_sum_of_products(variables, pairs)
+        # an equal copy is not the same object, so it takes the plain loop to the same result
+        twin = SparsePoly._from_ints(variables, dict(q.nums), q.den)
+        assert _sum_of_products(variables, [(q, twin)]).nums == _sum_of_products(variables, [(q, q)]).nums
+
+
 # -- text layer ----------------------------------------------------------------
 
 

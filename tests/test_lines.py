@@ -30,7 +30,8 @@ from vmrt import (
     squarefree_factorization,
     vmrt_equations,
 )
-from vmrt import lines
+from vmrt import lines, selftest
+from vmrt.cli import main
 from vmrt.sampling import (
     rand_direction,
     rand_homogeneous,
@@ -462,3 +463,98 @@ class TestRecenter:
         hyp = Hypersurface(parse_poly("t0^4 - t1^4", ("t0", "t1", "t2", "t3")))
         with pytest.raises(BasePointOnBranch):
             recenter(hyp, [1, 0, 0])
+
+
+@pytest.fixture
+def restrictions(monkeypatch):
+    """The directions of every line restriction `lines` makes, None for a symbolic one."""
+    made = []
+    real = lines.restrict_to_line
+
+    def spy(f, y, z=None):
+        made.append(z)
+        return real(f, y, z)
+
+    monkeypatch.setattr(lines, "restrict_to_line", spy)
+    return made
+
+
+class TestLineMemo:
+    """Each numeric line is restricted once per hypersurface (`Hypersurface._line`)."""
+
+    @staticmethod
+    def witness():
+        y, z = (1, -1, Fraction(1, 2)), (1, 2, -1)
+        return eco_witness(3, 2, y, z, seed=7), y, z
+
+    def test_certificate_and_oracle_share_one_restriction(self, restrictions):
+        hyp, y, z = self.witness()
+        assert line_certificate(hyp, y, z).passed and is_eco_line(hyp, y, z)
+        assert len(restrictions) == 1
+        hyp, y, z = self.witness()
+        assert is_eco_line(hyp, y, z) and line_certificate(hyp, y, z).passed
+        assert len(restrictions) == 2
+
+    def test_a_different_line_restricts_again(self, restrictions):
+        hyp, y, z = self.witness()
+        line_certificate(hyp, y, z)
+        for point, direction in [((0, 0, 0), z), (y, (0, 1, 1)), (y, [2 * c for c in z]), (y, z)]:
+            is_eco_line(hyp, point, direction)
+        assert len(restrictions) == 5
+        # the memo holds the last line only, and its parts are immutable
+        assert hyp._line[1:3] == (tuple(map(Fraction, y)), tuple(map(Fraction, z)))
+        assert isinstance(hyp._line[3], tuple)
+
+    def test_equal_values_of_other_types_hit(self, restrictions):
+        hyp, y, z = self.witness()
+        first = line_certificate(hyp, y, z)
+        again = line_certificate(hyp, [Fraction(c) for c in y], (Fraction(1), 2, Fraction(-2, 2)))
+        assert again == first and len(restrictions) == 1
+
+    def test_reassigning_f_invalidates(self, restrictions):
+        hyp, y, z = self.witness()
+        assert is_eco_line(hyp, y, z)
+        hyp.f = hyp.f + parse_poly("t1^4", tvars(3))
+        assert not is_eco_line(hyp, y, z)
+        assert hyp._line[0] is hyp.f
+        # an equal polynomial in a new object is a new key too
+        hyp.f = SparsePoly._from_ints(hyp.f.vars, dict(hyp.f.nums), hyp.f.den)
+        assert not line_certificate(hyp, y, z).passed
+        assert len(restrictions) == 3
+
+    def test_symbolic_restrictions_are_not_memoized(self, restrictions):
+        hyp, y, _ = self.witness()
+        vmrt_equations(hyp, y)
+        recenter(hyp, y)
+        assert hyp._line is None and restrictions == [None, None]
+
+    def test_branch_point_stores_nothing(self, restrictions):
+        hyp = Hypersurface(parse_poly("t0^4 - t1^4", tvars(3)))
+        for _ in range(2):
+            with pytest.raises(BasePointOnBranch):
+                line_certificate(hyp, [1, 0, 0], [0, 1, 0])
+            assert hyp._line is None
+        assert len(restrictions) == 2
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        hyp, y, z = self.witness()
+        fresh = Hypersurface(hyp.f)
+        text = repr(hyp)
+        is_eco_line(hyp, y, z)
+        assert hyp == fresh and fresh == hyp
+        assert repr(hyp) == repr(fresh) == text == f"Hypersurface(n=3, m=2, f={hyp.f})"
+
+    def test_cli_eco_line_restricts_once(self, restrictions, tmp_path, capsys):
+        hyp, y, z = self.witness()
+        path = tmp_path / "witness.poly"
+        path.write_text(format_poly(hyp.f))
+        argv = ["eco-line", "--f", str(path), "--point", ",".join(map(str, y)), "--dir", ",".join(map(str, z))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("eco_line: True\n")
+        assert len(restrictions) == 1
+
+    def test_witness_criterion_restricts_once_per_line(self, restrictions, monkeypatch):
+        monkeypatch.setattr(selftest, "WITNESS_COMBOS", ((3, 2), (4, 2)))
+        report = selftest.criterion_witness_vanishing(42)
+        assert report["pass"] and report["instances"] == 100
+        assert len(restrictions) == 100 and None not in restrictions

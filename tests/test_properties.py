@@ -1,4 +1,4 @@
-"""Property tests: kernels, square tests, half-square recursion, text, CLI.
+"""Property tests: kernels, square tests, half-square recursion, line memo, text, CLI.
 
 The kernels are denominator clearing, restriction, gcd, rank and Bareiss.
 Hypothesis draws small forms, points, roots, polynomials and command
@@ -29,12 +29,17 @@ from test_kernels import (
     reference_symbolic_restrict,
 )
 from vmrt import (
+    BasePointOnBranch,
+    Hypersurface,
+    InvalidInput,
     QMatrix,
     SparsePoly,
     UniPoly,
     certify,
     format_poly,
+    is_eco_line,
     is_perfect_square,
+    line_certificate,
     monomials_of_degree,
     parse_poly,
     restrict_to_line,
@@ -83,6 +88,28 @@ def test_symbolic_restriction_matches_reference(data):
     f = data.draw(forms())
     y = data.draw(points(len(f.vars) - 1))
     assert restrict_to_line(f, y) == reference_symbolic_restrict(f, y)
+
+
+def line_outcome(judge, hyp, y, z):
+    """A certificate or square verdict, or the type of the error it raised."""
+    try:
+        return judge(hyp, y, z)
+    except (BasePointOnBranch, InvalidInput) as err:
+        return type(err)
+
+
+@PROPERTY
+@given(st.data())
+def test_memoized_line_judgements_match_fresh_hypersurfaces(data):
+    f = data.draw(forms().filter(lambda f: f.homogeneous_degree() % 2 == 0))
+    n = len(f.vars) - 1
+    drawn = data.draw(st.lists(st.tuples(points(n), points(n)), min_size=2, max_size=3))
+    order = data.draw(st.lists(st.tuples(st.integers(0, len(drawn) - 1), st.booleans()), min_size=1, max_size=8))
+    hyp = Hypersurface(f)
+    for i, by_certificate in order:
+        judge = line_certificate if by_certificate else is_eco_line
+        y, z = drawn[i]
+        assert line_outcome(judge, hyp, y, z) == line_outcome(judge, Hypersurface(f), y, z)
 
 
 @PROPERTY

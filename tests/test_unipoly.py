@@ -8,16 +8,19 @@ from math import gcd
 import pytest
 
 from vmrt import (
+    Hypersurface,
     InvalidInput,
     SparsePoly,
     UniPoly,
     build_converse,
+    is_eco_line,
     is_perfect_square,
     parse_poly,
     resultant,
     restrict_to_line,
     squarefree_factorization,
 )
+from vmrt import unipoly
 from vmrt.sampling import rand_homogeneous, rand_point
 from vmrt.unipoly import _quotient, _rational_sqrt, poly_gcd
 
@@ -126,6 +129,19 @@ class TestSquarefree:
             for factor, mult in factors:
                 rebuilt = rebuilt * factor ** mult
             assert rebuilt == p
+
+    def test_wrong_quotient_raises_instead_of_looping(self, monkeypatch):
+        # a "quotient" that returns its dividend never shrinks w, so an
+        # unbounded loop would spin; the multiplicity bound stops it
+        monkeypatch.setattr(unipoly, "_quotient", lambda a, b: a)
+        with pytest.raises(ArithmeticError):
+            squarefree_factorization(U(1, 1) * U(1, 1) * U(2, 1))
+        with pytest.raises(ArithmeticError):
+            is_perfect_square(U(1, 6, 13, 12, 4))
+        # restricted to the t1 axis, f is (1 + lam^2)^2, so Yun enters its loop
+        hyp = Hypersurface(parse_poly("t0^4 + 2*t0^2*t1^2 + t1^4 + t2^4 + t3^4"))
+        with pytest.raises(ArithmeticError):
+            is_eco_line(hyp, [0, 0, 0], [1, 0, 0])
 
 
 class TestPerfectSquare:
