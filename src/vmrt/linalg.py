@@ -1,20 +1,22 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
-Rank works on integer rows, each cleared by `poly._cleared` (the
-clearing step of the Fraction inputs), and is certified mod the fixed
-Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 5).  Reducing an integer matrix mod P can
-only lose pivots, so rank mod P <= rank over Q <= min(rows, cols): when
-one Gaussian elimination over GF(P) reaches min(rows, cols) pivots, that
-is the exact rank, and the answer is the same on every run.  Otherwise the
-rows go to fraction-free (Bareiss 1968) elimination over Z, whose
-intermediate growth stays polynomial and whose every pivot decision is
-exact.
+There is one certified rank, `_certified_rank`, on integer lines: the
+rows of a matrix or, since rank(A) = rank(A^T), its columns; scaling a
+line by a nonzero rational keeps the rank.  `QMatrix.rank` clears the
+lines of its shorter side by `poly._cleared`, and `variation_report`
+passes in the integer coefficient columns of its forms.  The rank is
+certified mod the Mersenne prime P = 2^61 - 1 first (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 5).  Reducing an integer matrix
+mod P can only lose pivots, so rank mod P <= rank over Q <= min(lines,
+length): one Gaussian elimination over GF(P) that reaches that bound
+gives the exact rank, the same on every run.  Otherwise the lines go to
+fraction-free (Bareiss 1968) elimination over Z, whose intermediate
+growth stays polynomial and whose every pivot decision is exact.
 
 That GF(P) elimination, `_rank_mod_p`, is the one mod-P elimination: it
 returns the rank and, for a square matrix, the determinant mod P.  The
-rank serves `QMatrix.rank`; the determinant serves the mod-P certificate
-of `lines.count_vmrt_points`, which evaluates a Sylvester determinant at
+rank serves `_certified_rank`; the determinant serves the certificate of
+`lines.count_vmrt_points`, which evaluates a Sylvester determinant at
 13 points instead of expanding it over the integer polynomials.
 
 That elimination, `_bareiss`, is written once for every ring: the rank
@@ -83,17 +85,18 @@ class QMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank over Q.
+        """Exact rank over Q: `_certified_rank` of the cleared rows, or of the columns when rows > cols."""
+        if self.rows > self.cols:
+            return _certified_rank([_cleared(col)[0] for col in zip(*self.data)], self.rows)
+        return _certified_rank([_cleared(row)[0] for row in self.data], self.cols)
 
-        Certified by one elimination mod P when that reaches
-        min(rows, cols) pivots; otherwise the number of pivots of a
-        fraction-free (Bareiss) row echelon form of the integer rows.
-        """
-        m = [_cleared(row)[0] for row in self.data]
-        full = min(self.rows, self.cols)
-        if _rank_mod_p(m, self.cols)[0] == full:
-            return full
-        return _bareiss(m, self.cols, _int_cross, _int_exact)[0]
+
+def _certified_rank(lines: Sequence[Sequence[int]], length: int) -> int:
+    """Exact rank over Q of integer lines of `length` entries: mod P if that is full, else by Bareiss on a copy."""
+    full = min(len(lines), length)
+    if _rank_mod_p(lines, length)[0] == full:
+        return full
+    return _bareiss([list(line) for line in lines], length, _int_cross, _int_exact)[0]
 
 
 def _int_cross(a: int, b: int, c: int, d: int) -> int:

@@ -14,6 +14,10 @@ the whole B_{m+1} pipeline once over first-order jets with one slot per
 direction and never touches the formula.  Variation is maximal when dmu
 has rank n and its image meets the tangent space of the GL(n)
 coordinate-change orbit (spanned by the forms z_i * dh/dz_j) only in 0.
+
+dmu_formula and orbit_tangent wrap the forms of `_dmu_forms` and
+`_orbit_forms` in a QMatrix; variation_report ranks their integer
+columns (`_int_columns`), with no Fraction and no QMatrix.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Sequence
 from .eco import _half_square, build_family
 from .errors import InvalidInput, NormalizationViolated
 from .jets import restrict_to_line_jets
-from .linalg import QMatrix
+from .linalg import QMatrix, _certified_rank
 from .lines import Hypersurface, _from_graded_parts, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
 
@@ -65,10 +69,16 @@ def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> list[Fraction]:
         raise InvalidInput(f"expected variables {basis.variables}")
     if not p.is_homogeneous(basis.degree):
         raise InvalidInput(f"polynomial is not homogeneous of degree {basis.degree}")
-    col = [_ZERO] * basis.size
-    for exp, k in p.nums.items():
-        col[basis.index(exp)] = Fraction(k, p.den)
-    return col
+    return [Fraction(k, p.den) if k else _ZERO for k in _int_columns([p], basis)[0]]
+
+
+def _int_columns(forms: Sequence[SparsePoly], basis: MonomialBasis) -> list[list[int]]:
+    """The coordinates of each form times its den: its nums in the basis order."""
+    columns = [[0] * basis.size for _ in forms]
+    for col, p in zip(columns, forms):
+        for exp, k in p.nums.items():
+            col[basis._index[exp]] = k
+    return columns
 
 
 def mu(hyp: Hypersurface, point: Sequence) -> list[Fraction]:
@@ -86,23 +96,28 @@ def _normalized_parts(hyp: Hypersurface) -> list[SparsePoly]:
     return parts
 
 
-def dmu_formula(hyp: Hypersurface) -> QMatrix:
-    """Differential of mu at the origin by the closed-form derivative identity."""
+def _dmu_forms(hyp: Hypersurface, parts: Sequence[SparsePoly]) -> list[SparsePoly]:
+    """The n forms dB_{m+1}/dy_i at the origin, from the normalized graded parts."""
     m, n = hyp.m, hyp.n
-    parts = _normalized_parts(hyp)
     fam = build_family(m)
     k = m + 1
     weights = [fam.tail_partials[(k, j)].compose(parts[1 : m + 1]) for j in range(1, m + 1)]
-    basis = MonomialBasis(n, k)
-    columns = []
+    forms = []
     for i in range(1, n + 1):
         zi = f"z{i}"
         d1 = parts[1].partial(zi)
-        col = parts[k + 1].partial(zi) - parts[k] * d1
+        form = parts[k + 1].partial(zi) - parts[k] * d1
         for j in range(1, m + 1):
-            col = col - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
-        columns.append(coeff_vector(col, basis))
-    return QMatrix.from_columns(columns)
+            form = form - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
+        forms.append(form)
+    return forms
+
+
+def dmu_formula(hyp: Hypersurface) -> QMatrix:
+    """Differential of mu at the origin by the closed-form derivative identity."""
+    basis = MonomialBasis(hyp.n, hyp.m + 1)
+    forms = _dmu_forms(hyp, _normalized_parts(hyp))
+    return QMatrix.from_columns([coeff_vector(form, basis) for form in forms])
 
 
 def dmu_jet(hyp: Hypersurface) -> QMatrix:
@@ -126,6 +141,12 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
     return QMatrix.from_columns([coeff_vector(slope, basis) for slope in bk.derivative])
 
 
+def _orbit_forms(h: SparsePoly) -> list[SparsePoly]:
+    """The n^2 forms z_i * dh/dz_j, (i, j) in row-major order."""
+    partials = [h.partial(v) for v in h.vars]
+    return [SparsePoly.variable(h.vars, v) * d for v in h.vars for d in partials]
+
+
 def orbit_tangent(h: SparsePoly, degree: int | None = None) -> QMatrix:
     """Spanning set of the tangent space to the GL(n) orbit of a form.
 
@@ -133,18 +154,12 @@ def orbit_tangent(h: SparsePoly, degree: int | None = None) -> QMatrix:
     row-major order; they span the orbit tangent space at h and there are
     n^2 of them (not necessarily independent).
     """
-    n = len(h.vars)
     if degree is None:
         degree = h.homogeneous_degree()
     elif not h.is_homogeneous(degree):
         raise InvalidInput(f"form is not homogeneous of degree {degree}")
-    basis = MonomialBasis(n, degree)
-    gens = [SparsePoly.variable(h.vars, v) for v in h.vars]
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            columns.append(coeff_vector(gens[i] * h.partial(h.vars[j]), basis))
-    return QMatrix.from_columns(columns)
+    basis = MonomialBasis(len(h.vars), degree)
+    return QMatrix.from_columns([coeff_vector(form, basis) for form in _orbit_forms(h)])
 
 
 @dataclass(frozen=True)
@@ -170,18 +185,19 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     """Rank of dmu, orbit-tangent dimension and their intersection at the origin.
 
     Requires f_0 = 1.  Variation is maximal when dmu is injective (rank n)
-    and its image meets the orbit tangent space only in 0.
+    and its image meets the orbit tangent space only in 0.  A column
+    scaled by a nonzero rational keeps the rank, so dens are dropped.
     """
     parts = _normalized_parts(hyp)
     m, n = hyp.m, hyp.n
-    differential = dmu_formula(hyp)
     _, (tail,) = _half_square(parts[1 : m + 1], m + 1)
-    lowest = parts[m + 1] - tail
-    orbit = orbit_tangent(lowest, degree=m + 1)
-    rank_dmu = differential.rank()
-    dim_orbit = orbit.rank()
+    basis = MonomialBasis(n, m + 1)
+    differential = _int_columns(_dmu_forms(hyp, parts), basis)
+    orbit = _int_columns(_orbit_forms(parts[m + 1] - tail), basis)
+    rank_dmu = _certified_rank(differential, basis.size)
+    dim_orbit = _certified_rank(orbit, basis.size)
     # the span_intersection formula, reusing the two ranks just taken
-    dim_intersection = rank_dmu + dim_orbit - differential.hstack(orbit).rank()
+    dim_intersection = rank_dmu + dim_orbit - _certified_rank(differential + orbit, basis.size)
     return VariationReport(
         n=n,
         m=m,

@@ -18,7 +18,11 @@ and in their printed text.
 
 `QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
 over the integers; its reference is a plain Fraction Gauss-Jordan
-elimination that shares no code with either.
+elimination that shares no code with either.  `variation_report` takes
+the same certified rank on integer coefficient columns, with no QMatrix:
+its three ranks must equal the reference ranks of the public
+`dmu_formula`, `orbit_tangent` and their hstack, also when every rank is
+forced through Bareiss.
 
 The coordinate change of `count_vmrt_points` runs the linear-substitution
 loop of the line restrictions; its reference is the route it replaced,
@@ -69,10 +73,12 @@ from vmrt import (
     build_converse,
     build_family,
     count_vmrt_points,
+    dmu_formula,
     eco_witness,
     explicit_family,
     format_poly,
     lines,
+    orbit_tangent,
     parse_poly,
     recenter,
     restrict_to_line,
@@ -1514,31 +1520,97 @@ def test_rank_with_mixed_denominators():
         assert_same_rank(rand_rational_matrix(rng, 4, 6).hstack(rand_rational_matrix(rng, 4, 2)))
 
 
-def variation_matrices(monkeypatch, n, m, seed):
-    """dmu, orbit tangent and their hstack, as variation_report ranks them at a recentred point."""
+def recentred_surface(n, m, seed):
     rng = random.Random(seed)
     hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
-    moved = recenter(hyp, rand_point_off_branch(rng, hyp))
+    return recenter(hyp, rand_point_off_branch(rng, hyp))
+
+
+def public_variation_matrices(moved):
+    """dmu and the orbit tangent of B_{m+1} at the origin, built by the public QMatrix routes."""
+    lowest = reference_vmrt_equations(moved, [0] * moved.n)[0]
+    return dmu_formula(moved), orbit_tangent(lowest, degree=moved.m + 1)
+
+
+def ranked_lines(monkeypatch):
+    """Record the integer lines each certified rank hands to the elimination mod P."""
     seen = []
-    rank = QMatrix.rank
+    rank_mod_p = linalg._rank_mod_p
 
-    def spy_rank(mat):
-        seen.append(mat)
-        return rank(mat)
+    def spy(m, cols):
+        seen.append([list(line) for line in m])
+        return rank_mod_p(m, cols)
 
-    monkeypatch.setattr(QMatrix, "rank", spy_rank)
-    variation_report(moved)
-    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
     return seen
+
+
+def assert_proportional(line, column):
+    """line == c * column for one nonzero rational c (both zero when the column is)."""
+    j = next((j for j, x in enumerate(column) if x), None)
+    if j is None:
+        assert not any(line)
+        return
+    c = Fraction(line[j]) / column[j]
+    assert c and [c * x for x in column] == line
+
+
+def report_triple(report):
+    """The report's ranks of dmu, of the orbit tangent and of both columns together."""
+    return report.rank_dmu, report.dim_orbit, report.rank_dmu + report.dim_orbit - report.dim_intersection
 
 
 @pytest.mark.parametrize("n,m,seed", [(4, 3, 1), (4, 3, 2), (5, 3, 3), (5, 3, 4)])
 def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
-    dmu, orbit, both = variation_matrices(monkeypatch, n, m, seed)
-    assert both == dmu.hstack(orbit)
-    assert max(abs(x.numerator).bit_length() for row in both.data for x in row) > 64
-    for mat in (dmu, orbit, both):
-        assert_same_rank(mat)
+    moved = recentred_surface(n, m, seed)
+    lines = ranked_lines(monkeypatch)
+    report = variation_report(moved)
+    monkeypatch.undo()
+    dmu, orbit = public_variation_matrices(moved)
+    both = dmu.hstack(orbit)
+    assert report_triple(report) == tuple(reference_rank(mat) for mat in (dmu, orbit, both))
+    # the ranked lines are the public matrices' columns, each scaled by a nonzero rational
+    assert len(lines) == 3
+    for seen, mat in zip(lines, (dmu, orbit, both)):
+        assert len(seen) == mat.cols
+        for j, line in enumerate(seen):
+            assert_proportional(line, mat.column(j))
+    assert max(abs(x).bit_length() for line in lines[2] for x in line) > 64
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 3, 1), (5, 3, 3), (3, 2, 5)])
+def test_variation_report_is_unchanged_when_every_rank_comes_from_bareiss(monkeypatch, n, m, seed):
+    moved = recentred_surface(n, m, seed)
+    expected = variation_report(moved)
+    rank_mod_p, bareiss = linalg._rank_mod_p, linalg._bareiss
+    ranks = []
+
+    def under_reported(lines, cols):
+        rank, det = rank_mod_p(lines, cols)
+        return rank - 1, det
+
+    def spy_bareiss(*args):
+        out = bareiss(*args)
+        ranks.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", under_reported)
+    monkeypatch.setattr(linalg, "_bareiss", spy_bareiss)
+    assert variation_report(moved) == expected
+    assert ranks == list(report_triple(expected))
+
+
+def test_variation_report_builds_no_qmatrix(monkeypatch):
+    moved = recentred_surface(4, 3, 1)
+    expected = variation_report(moved)
+
+    def refuse(self, data):
+        raise AssertionError("QMatrix built")
+
+    monkeypatch.setattr(QMatrix, "__init__", refuse)
+    assert variation_report(moved) == expected
+    with pytest.raises(AssertionError, match="QMatrix built"):
+        dmu_formula(moved)
 
 
 def modular_ranks(monkeypatch):
@@ -1564,12 +1636,31 @@ def modular_ranks(monkeypatch):
         ([[1, 2, 3], [2, 4, 6 + P]], 2),
         ([[Fraction(1, 2), 0], [0, Fraction(P, 3)]], 2),
         ([[2 * P, 4 * P, 1], [P, 2 * P, 7], [0, 0, 0]], 2),
+        # tall: ranked through the columns
+        ([[P, 0], [0, 1], [0, 0]], 2),
+        ([[1, 2], [2, 4 + P], [3, 6]], 2),
+        ([[Fraction(1, 2), 0], [0, Fraction(P, 3)], [0, 0], [Fraction(5, 7), 0]], 2),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, P], [0, 0, 0]], 3),
     ],
 )
 def test_rank_that_drops_only_mod_p_comes_from_bareiss(monkeypatch, rows, rank):
     mod_p = modular_ranks(monkeypatch)
     assert assert_same_rank(QMatrix(rows)) == rank
     assert mod_p == [rank - 1]
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 3), (3, 5), (3, 3), (1, 4), (4, 1)])
+def test_rank_eliminates_along_the_shorter_side(monkeypatch, rows, cols):
+    rng = random.Random(rows * 13 + cols)
+    mat = rand_rational_matrix(rng, rows, cols)
+    lines = ranked_lines(monkeypatch)
+    assert assert_same_rank(mat) == min(rows, cols)
+    (seen,) = lines
+    # tall matrices go through their columns; square and wide ones keep their rows
+    expected = [mat.column(j) for j in range(cols)] if rows > cols else [list(row) for row in mat.data]
+    assert len(seen) == len(expected) == min(rows, cols)
+    for line, values in zip(seen, expected):
+        assert_proportional(line, values)
 
 
 def test_full_rank_mod_p_returns_without_bareiss(monkeypatch):

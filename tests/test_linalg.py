@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vmrt import InvalidInput, QMatrix, span_intersection
-from vmrt.linalg import _bareiss, _int_cross, _int_exact, _rank_mod_p
+from vmrt.linalg import _bareiss, _certified_rank, _int_cross, _int_exact, _rank_mod_p
 
 
 def rand_matrix(rng, rows, cols):
@@ -127,3 +127,10 @@ def test_det_mod_p_matches_bareiss_on_random_matrices():
 def test_rank_mod_p_leaves_its_input_unchanged():
     m = [[0, P + 1], [3, 4]]
     assert _rank_mod_p(m, 2) == (2, (-3) % P) and m == [[0, P + 1], [3, 4]]
+
+
+def test_certified_rank_leaves_its_lines_unchanged():
+    # rank 2 mod P, below full, so the lines go to Bareiss, which eliminates in place
+    lines = [[P, 1, 2], [2 * P, 3, 5], [0, 1, 1]]
+    kept = [list(line) for line in lines]
+    assert _certified_rank(lines, 3) == 2 and lines == kept
