@@ -1,16 +1,13 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
-There is one certified rank, `_certified_rank`, on integer lines: the
-rows of a matrix or, since rank(A) = rank(A^T), its columns; scaling a
-line by a nonzero rational keeps the rank.  `QMatrix.rank` clears the
-lines of its shorter side by `poly._cleared`, and `variation_report`
-passes in the integer coefficient columns of its forms.  The rank is
-certified mod the Mersenne prime P = 2^61 - 1 first (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 5).  Reducing an integer matrix
-mod P can only lose pivots, so rank mod P <= rank over Q <= min(lines,
-length): one Gaussian elimination over GF(P) that reaches that bound
-gives the exact rank, the same on every run.  Otherwise the lines go to
-fraction-free (Bareiss 1968) elimination over Z, whose intermediate
+Rank is certified on integer lines by `_certified_rank`: the rows of a
+`QMatrix`, each cleared by `poly._cleared`, or the integer coefficient
+columns of `variation_report`.  It runs mod the Mersenne prime
+P = 2^61 - 1 first (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 5).  Reducing mod P can only lose pivots, so rank mod P <= rank over
+Q <= min(lines, length): one elimination over GF(P) that reaches that
+bound gives the exact rank, the same on every run.  Otherwise the lines
+go to fraction-free (Bareiss 1968) elimination over Z, whose intermediate
 growth stays polynomial and whose every pivot decision is exact.
 
 That GF(P) elimination, `_rank_mod_p`, is the one mod-P elimination: it
@@ -60,9 +57,6 @@ class QMatrix:
             raise InvalidInput("columns of unequal height")
         return cls([[columns[j][i] for j in range(len(columns))] for i in range(height)])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
     def column(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -85,17 +79,15 @@ class QMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank over Q: `_certified_rank` of the cleared rows, or of the columns when rows > cols."""
-        if self.rows > self.cols:
-            return _certified_rank([_cleared(col)[0] for col in zip(*self.data)], self.rows)
+        """Exact rank over Q: `_certified_rank` of the cleared rows."""
         return _certified_rank([_cleared(row)[0] for row in self.data], self.cols)
 
 
 def _certified_rank(lines: Sequence[Sequence[int]], length: int) -> int:
     """Exact rank over Q of integer lines of `length` entries: mod P if that is full, else by Bareiss on a copy."""
-    full = min(len(lines), length)
-    if _rank_mod_p(lines, length)[0] == full:
-        return full
+    rank = _rank_mod_p(lines, length)[0]
+    if rank == min(len(lines), length):
+        return rank
     return _bareiss([list(line) for line in lines], length, _int_cross, _int_exact)[0]
 
 

@@ -14,10 +14,6 @@ the whole B_{m+1} pipeline once over first-order jets with one slot per
 direction and never touches the formula.  Variation is maximal when dmu
 has rank n and its image meets the tangent space of the GL(n)
 coordinate-change orbit (spanned by the forms z_i * dh/dz_j) only in 0.
-
-dmu_formula and orbit_tangent wrap the forms of `_dmu_forms` and
-`_orbit_forms` in a QMatrix; variation_report ranks their integer
-columns (`_int_columns`), with no Fraction and no QMatrix.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .eco import _half_square, build_family
 from .errors import InvalidInput, NormalizationViolated
@@ -69,16 +65,14 @@ def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> list[Fraction]:
         raise InvalidInput(f"expected variables {basis.variables}")
     if not p.is_homogeneous(basis.degree):
         raise InvalidInput(f"polynomial is not homogeneous of degree {basis.degree}")
-    return [Fraction(k, p.den) if k else _ZERO for k in _int_columns([p], basis)[0]]
+    return [Fraction(k, p.den) if k else _ZERO for k in _int_column(p, basis)]
 
 
-def _int_columns(forms: Sequence[SparsePoly], basis: MonomialBasis) -> list[list[int]]:
-    """The coordinates of each form times its den: its nums in the basis order."""
-    columns = [[0] * basis.size for _ in forms]
-    for col, p in zip(columns, forms):
-        for exp, k in p.nums.items():
-            col[basis._index[exp]] = k
-    return columns
+def _int_column(p: SparsePoly, basis: MonomialBasis) -> list[int]:
+    col = [0] * basis.size  # den times the coordinates of p
+    for exp, k in p.nums.items():
+        col[basis._index[exp]] = k
+    return col
 
 
 def mu(hyp: Hypersurface, point: Sequence) -> list[Fraction]:
@@ -96,27 +90,24 @@ def _normalized_parts(hyp: Hypersurface) -> list[SparsePoly]:
     return parts
 
 
-def _dmu_forms(hyp: Hypersurface, parts: Sequence[SparsePoly]) -> list[SparsePoly]:
+def _dmu_forms(parts: Sequence[SparsePoly], m: int, n: int) -> Iterator[SparsePoly]:
     """The n forms dB_{m+1}/dy_i at the origin, from the normalized graded parts."""
-    m, n = hyp.m, hyp.n
     fam = build_family(m)
     k = m + 1
     weights = [fam.tail_partials[(k, j)].compose(parts[1 : m + 1]) for j in range(1, m + 1)]
-    forms = []
     for i in range(1, n + 1):
         zi = f"z{i}"
         d1 = parts[1].partial(zi)
         form = parts[k + 1].partial(zi) - parts[k] * d1
         for j in range(1, m + 1):
             form = form - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
-        forms.append(form)
-    return forms
+        yield form
 
 
 def dmu_formula(hyp: Hypersurface) -> QMatrix:
     """Differential of mu at the origin by the closed-form derivative identity."""
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    forms = _dmu_forms(hyp, _normalized_parts(hyp))
+    forms = _dmu_forms(_normalized_parts(hyp), hyp.m, hyp.n)
     return QMatrix.from_columns([coeff_vector(form, basis) for form in forms])
 
 
@@ -185,27 +176,21 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     """Rank of dmu, orbit-tangent dimension and their intersection at the origin.
 
     Requires f_0 = 1.  Variation is maximal when dmu is injective (rank n)
-    and its image meets the orbit tangent space only in 0.  A column
-    scaled by a nonzero rational keeps the rank, so dens are dropped.
+    and its image meets the orbit tangent space only in 0.
     """
     parts = _normalized_parts(hyp)
     m, n = hyp.m, hyp.n
     _, (tail,) = _half_square(parts[1 : m + 1], m + 1)
     basis = MonomialBasis(n, m + 1)
-    differential = _int_columns(_dmu_forms(hyp, parts), basis)
-    orbit = _int_columns(_orbit_forms(parts[m + 1] - tail), basis)
+    # columns scaled by their dens: a nonzero scale keeps every rank
+    differential = [_int_column(form, basis) for form in _dmu_forms(parts, m, n)]
+    orbit = [_int_column(form, basis) for form in _orbit_forms(parts[m + 1] - tail)]
     rank_dmu = _certified_rank(differential, basis.size)
     dim_orbit = _certified_rank(orbit, basis.size)
     # the span_intersection formula, reusing the two ranks just taken
     dim_intersection = rank_dmu + dim_orbit - _certified_rank(differential + orbit, basis.size)
-    return VariationReport(
-        n=n,
-        m=m,
-        rank_dmu=rank_dmu,
-        dim_orbit=dim_orbit,
-        dim_intersection=dim_intersection,
-        maximal=(rank_dmu == n and dim_intersection == 0),
-    )
+    maximal = rank_dmu == n and dim_intersection == 0
+    return VariationReport(n, m, rank_dmu, dim_orbit, dim_intersection, maximal)
 
 
 def explicit_family(n: int, m: int, b, c) -> Hypersurface:

@@ -22,12 +22,11 @@ from vmrt import (
     mu,
     orbit_tangent,
     parse_poly,
-    recenter,
     span_intersection,
     variation_report,
     vmrt_equations,
 )
-from vmrt.sampling import rand_homogeneous, rand_nonzero_fraction, rand_point_off_branch
+from vmrt.sampling import rand_homogeneous, rand_nonzero_fraction
 from vmrt.selftest import _random_normalized
 
 
@@ -243,6 +242,17 @@ class TestReportsAndFamilies:
             assert (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection) == (4, 16, 0)
             assert rep.maximal
 
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (4, 5, 6) for m in range(2, n)])
+    def test_family_report_matches_public_route(self, n, m):
+        # variation_report ranks integer columns; the public QMatrix routes must agree
+        # (recentred random points: tests/test_kernels.py::test_rank_of_variation_matrices_matches_reference)
+        hyp = explicit_family(n, m, 1, 1)
+        lowest = vmrt_equations(hyp, [0] * n).equations[0]
+        dmu, orbit = dmu_formula(hyp), orbit_tangent(lowest, degree=m + 1)
+        rep = variation_report(hyp)
+        triple = (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection)
+        assert triple == (dmu.rank(), orbit.rank(), span_intersection(dmu, orbit)) == (n, n * n, 0)
+
     def test_maximal_flag_stable_over_random_parameters(self):
         rng = random.Random(61)
         for m in (2, 3):
@@ -263,37 +273,3 @@ class TestReportsAndFamilies:
         hyp = Hypersurface(parse_poly("3*t0^4 + t1^4 + t2^4 + t3^4 + t4^4"))
         with pytest.raises(NormalizationViolated):
             variation_report(hyp)
-
-
-# the five family sizes of the benchmark's variation workload (bench/workloads.py)
-FAMILY_SIZES = ((5, 2), (5, 3), (5, 4), (6, 2), (6, 3))
-
-
-def public_triple(hyp):
-    """(rank dmu, dim orbit, dim intersection) from the public QMatrix routes."""
-    lowest = vmrt_equations(hyp, [0] * hyp.n).equations[0]
-    dmu, orbit = dmu_formula(hyp), orbit_tangent(lowest, degree=hyp.m + 1)
-    return dmu.rank(), orbit.rank(), span_intersection(dmu, orbit)
-
-
-class TestIntegerRoute:
-    """variation_report ranks integer columns; the public QMatrix route must give the same triple."""
-
-    @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3), (5, 2)])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_recentred_points(self, n, m, seed):
-        rng = random.Random(1000 * n + 100 * m + seed)
-        hyp = Hypersurface(rand_homogeneous(rng, tuple(f"t{i}" for i in range(n + 1)), 2 * m))
-        moved = recenter(hyp, rand_point_off_branch(rng, hyp))
-        rep = variation_report(moved)
-        triple = (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection)
-        assert triple == public_triple(moved)
-        if (n, m) == (3, 2):
-            # cubics in 3 variables: a rank-3 image meets the 9-dimensional orbit tangent
-            assert triple == (3, 9, 2)
-
-    @pytest.mark.parametrize("n,m", FAMILY_SIZES)
-    def test_families(self, n, m):
-        hyp = explicit_family(n, m, 1, 1)
-        rep = variation_report(hyp)
-        assert (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection) == public_triple(hyp) == (n, n * n, 0)
