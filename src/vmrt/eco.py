@@ -12,16 +12,15 @@ only +, -, * and scaling by 1/2 of its ring.  It runs over Fractions in
 `certify`, over the symbolic t_i in `build_family`, over the ratio forms
 a_k/a_0 in z in `lines.vmrt_equations`, over first-order jets in
 `variation.dmu_jet` and over the graded parts of f in
-`variation.variation_report`.  Everything divides only by 2, so the whole
-certificate stays inside the rationals.
+`variation.variation_report` and `variation.dmu_formula`.  Everything
+divides only by 2, so the whole certificate stays inside the rationals.
 
 `build_family` keeps the symbolic solutions: root_polys[k] = G_k(t) with
 sigma_k = G_k(a_1..a_m), and the certificate polynomials
 tail_polys[k] = A_k = sum_l G_l*G_{k-l} (G_l = 0 for l > m).  No caller
 composes A_k with its inputs: the A_k serve the weighted-homogeneity
-check of selftest criterion 2 and, through their partial derivatives,
-the closed-form differential `variation.dmu_formula`.  Variable t_i carries weight i; G_k and A_k are
-weighted homogeneous of weighted degree k.
+check of selftest criterion 2 and demo 01.  Variable t_i carries weight
+i; G_k and A_k are weighted homogeneous of weighted degree k.
 """
 
 from __future__ import annotations
@@ -43,15 +42,13 @@ class EcoFamily:
 
     root_polys[k] expresses the k-th square-root coefficient in the input
     coefficients (index 0 is the constant 1); tail_polys[k] predicts the
-    k-th top coefficient for k = m+1 .. 2m; tail_partials[(k, j)] is the
-    partial derivative of tail_polys[k] in its j-th argument.
+    k-th top coefficient for k = m+1 .. 2m.
     """
 
     m: int
     variables: tuple[str, ...]
     root_polys: tuple[SparsePoly, ...]
     tail_polys: dict[int, SparsePoly]
-    tail_partials: dict[tuple[int, int], SparsePoly]
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,9 @@ def _half_square(a: Sequence, top: int) -> tuple[list, list]:
     """Half-square recursion on a = (a_1, ..., a_m) over any ring.
 
     Returns (sigma_1..sigma_m, tails) with tails[k-m-1] = the predicted
-    a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l} for k = m+1 .. top, top <= 2m.
+    a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l} for k = m+1 .. top, m <= top <= 2m.
     A caller that needs only the lowest tail passes top = m+1 and pays for
-    no other.
+    no other; top = m gives the root alone.
     """
     m = len(a)
     sigma = [None]  # sigma_0 = 1 never enters a product
@@ -103,14 +100,8 @@ def build_family(m: int) -> EcoFamily:
         raise InvalidInput("m must be a positive integer")
     variables = tuple(f"t{i}" for i in range(1, m + 1))
     sigma, tails = _half_square([SparsePoly.variable(variables, v) for v in variables], 2 * m)
-    tail_polys = dict(enumerate(tails, start=m + 1))
-    partials = {
-        (k, j): tail_polys[k].partial(f"t{j}")
-        for k in tail_polys
-        for j in range(1, m + 1)
-    }
     root_polys = (SparsePoly.constant(variables, 1), *sigma)
-    return EcoFamily(m, variables, root_polys, tail_polys, partials)
+    return EcoFamily(m, variables, root_polys, dict(enumerate(tails, start=m + 1)))
 
 
 def certify(coeffs: Sequence) -> EcoCertificate:

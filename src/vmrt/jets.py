@@ -15,10 +15,10 @@ differentiated: the substitution loop of the line restriction and the
 half-square recursion `eco._half_square`, run over Jet1 up to the lowest
 tail.  tests/test_kernels.py checks each against a reference of its own
 (a term-by-term expansion; the composed certificate polynomial A_{m+1}).
-The oracle uses none of the formula's ingredients: graded parts, partial
-derivatives, the certificate family and its tail partials (it never calls
-`build_family`), so a mistake in the hand-derived formula cannot reappear
-in the oracle.
+The oracle and the formula both run `_half_square`, the definition of
+the map, and share nothing else: the oracle touches no graded parts,
+partials, inverse series or `build_family`, so a mistake in the
+hand-derived formula cannot reappear in the oracle.
 
 The jet restriction clears the point and all tangents with one
 `poly._cleared` and runs `unipoly._substitute`, the loop of

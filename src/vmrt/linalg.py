@@ -1,10 +1,10 @@
 """Exact rational matrices: rank and the dimension of column-span intersections.
 
 Rank is certified on integer lines by `_certified_rank`: the rows of a
-`QMatrix`, each cleared by `poly._cleared`, or the integer coefficient
-columns of `variation_report`.  It runs mod the Mersenne prime
-P = 2^61 - 1 first (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 5).  Reducing mod P can only lose pivots, so rank mod P <= rank over
+`QMatrix`, each cleared by `poly._cleared`, the rows `rand_invertible`
+draws, or the integer coefficient columns of `variation_report`.  It runs
+mod the Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5).  Reducing mod P can only lose pivots, so rank mod P <= rank over
 Q <= min(lines, length): one elimination over GF(P) that reaches that
 bound gives the exact rank, the same on every run.  Otherwise the lines
 go to fraction-free (Bareiss 1968) elimination over Z, whose intermediate

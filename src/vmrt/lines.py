@@ -341,8 +341,7 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
         raise ResultantDegenerate("an equation vanishes identically")
     rng = random.Random(seed)
     for _ in range(32):
-        # rand_invertible draws integer entries
-        rows = [[x.numerator for x in row] for row in rand_invertible(rng, 3).data]
+        rows = rand_invertible(rng, 3)
         c3, c4 = _linear_change(b3, rows), _linear_change(b4, rows)
         if c3.coefficient((0, 0, 3)) != 0 and c4.coefficient((0, 0, 4)) != 0:
             break

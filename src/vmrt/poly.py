@@ -351,16 +351,15 @@ class SparsePoly:
         """Substitute one ring element per variable (Fraction, SparsePoly, Jet1, ...).
 
         Arguments only need +, * and integer powers, plus multiplication by
-        int and Fraction, so the same code evaluates coefficients
-        numerically, composes with polynomials (the tail partials in
-        `dmu_formula`), or pushes jets through: over Jet1 with one slot per
-        direction, one call gives the value and the whole gradient.  Terms
-        take their integer numerators and the sum is divided by `den` once.
-        Each power of each argument is taken once and every term costs one
-        product per variable it contains, so substituting into a polynomial
-        with many terms (such as the certificate polynomials A_k) is dear;
-        the equations and the jet differential run the half-square recursion
-        of `eco` instead, and linear substitutions `unipoly._substitute`.
+        int and Fraction: the same code evaluates (`evaluate`, its one caller
+        in the library), composes with polynomials, or pushes jets through,
+        giving the value and the whole gradient over Jet1.  Terms take their
+        integer numerators and the sum is divided by `den` once.  Each power
+        of each argument is taken once and each term costs one product per
+        variable it contains, so a polynomial with many terms (such as the
+        A_k) is dear to substitute into: the equations and both differentials
+        run `eco._half_square` instead, and linear substitutions
+        `unipoly._substitute`.
         """
         if len(args) != len(self.vars):
             raise InvalidInput("wrong number of substitution arguments")

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InvalidInput
-from .linalg import QMatrix
+from .linalg import _certified_rank
 from .poly import SparsePoly, monomials_of_degree
 
 NUM_BOUND = 20
@@ -75,15 +75,15 @@ def rand_point_off_branch(rng: random.Random, hyp):
     raise InvalidInput("could not sample a point off the hypersurface")
 
 
-def rand_invertible(rng: random.Random, size: int) -> QMatrix:
-    """Random integer matrix with nonzero determinant.
+def rand_invertible(rng: random.Random, size: int) -> list[list[int]]:
+    """Rows of a random integer matrix with nonzero determinant.
 
     Entries span [-99, 99]: coordinate changes drawn from here also serve
     as projection centers, where a wider range keeps distinct solution
     points from accidentally aligning with the center.
     """
     for _ in range(_MATRIX_TRIES):
-        mat = QMatrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
-        if mat.rank() == size:
-            return mat
+        rows = [[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)]
+        if _certified_rank(rows, size) == size:
+            return rows
     raise InvalidInput("could not sample an invertible matrix")

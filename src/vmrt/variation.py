@@ -10,10 +10,13 @@ f(1, 0, ..., 0) = 1, with f_{2m+1} = 0) has the closed form
         - sum_j dA_k/dx_j(f_1..f_m) * (df_{j+1}/dt_i - f_j * df_1/dt_i),
 
 implemented in dmu_formula and cross-checked by dmu_jet, which replays
-the whole B_{m+1} pipeline once over first-order jets with one slot per
-direction and never touches the formula.  Variation is maximal when dmu
-has rank n and its image meets the tangent space of the GL(n)
-coordinate-change orbit (spanned by the forms z_i * dh/dz_j) only in 0.
+the whole B_{m+1} pipeline once over first-order jets and never touches
+the formula.  With S = 1 + sum sigma_l*lam^l the half-square root of
+1 + sum f_l*lam^l and 1/S = sum c_r*lam^r, the weights are
+dA_k/dx_j = sum_{r=0}^{m-j} c_r*sigma_{k-j-r} (sigma_l = 0 for l > m),
+and -c_{m+1-j} for k = m+1.  Variation is maximal when dmu has rank n and
+its image meets the tangent space of the GL(n) coordinate-change orbit
+(spanned by the forms z_i * dh/dz_j) only in 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .eco import _half_square, build_family
+from .eco import _half_square
 from .errors import InvalidInput, NormalizationViolated
 from .jets import restrict_to_line_jets
 from .linalg import QMatrix, _certified_rank
@@ -90,25 +93,32 @@ def _normalized_parts(hyp: Hypersurface) -> list[SparsePoly]:
     return parts
 
 
-def _dmu_forms(parts: Sequence[SparsePoly], m: int, n: int) -> Iterator[SparsePoly]:
-    """The n forms dB_{m+1}/dy_i at the origin, from the normalized graded parts."""
-    fam = build_family(m)
-    k = m + 1
-    weights = [fam.tail_partials[(k, j)].compose(parts[1 : m + 1]) for j in range(1, m + 1)]
+def _dmu_forms(parts: Sequence[SparsePoly], sigma: Sequence[SparsePoly], n: int) -> Iterator[SparsePoly]:
+    """The n forms dB_{m+1}/dy_i at the origin, from the normalized graded parts and their root sigma.
+
+    Weight j is -c_{m+1-j}, c_r = -sum_{i=1}^{r} sigma_i*c_{r-i} (c_0 = 1).  Proof: S^2 = A
+    mod lam^(m+1) gives dS/dx_j = lam^j*C/2 cut to degree m, with C = 1/S.  So dA_{m+1}/dx_j
+    = [lam^(m+1)] 2*S*dS/dx_j = [lam^(m+1-j)] S*C - sigma_0*c_{m+1-j} = -c_{m+1-j}.
+    """
+    k = len(sigma) + 1  # m + 1
+    c = [None]  # c_0 = 1 never enters a product
+    for r in range(1, k):
+        c.append(-sum((sigma[i - 1] * c[r - i] for i in range(1, r)), sigma[r - 1]))
     for i in range(1, n + 1):
         zi = f"z{i}"
         d1 = parts[1].partial(zi)
         form = parts[k + 1].partial(zi) - parts[k] * d1
-        for j in range(1, m + 1):
-            form = form - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
+        for j in range(1, k):
+            form = form + c[k - j] * (parts[j + 1].partial(zi) - parts[j] * d1)
         yield form
 
 
 def dmu_formula(hyp: Hypersurface) -> QMatrix:
     """Differential of mu at the origin by the closed-form derivative identity."""
+    parts = _normalized_parts(hyp)
+    sigma, _ = _half_square(parts[1 : hyp.m + 1], hyp.m)  # the root alone, no tail
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    forms = _dmu_forms(_normalized_parts(hyp), hyp.m, hyp.n)
-    return QMatrix.from_columns([coeff_vector(form, basis) for form in forms])
+    return QMatrix.from_columns([coeff_vector(form, basis) for form in _dmu_forms(parts, sigma, hyp.n)])
 
 
 def dmu_jet(hyp: Hypersurface) -> QMatrix:
@@ -180,10 +190,10 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     """
     parts = _normalized_parts(hyp)
     m, n = hyp.m, hyp.n
-    _, (tail,) = _half_square(parts[1 : m + 1], m + 1)
+    sigma, (tail,) = _half_square(parts[1 : m + 1], m + 1)
     basis = MonomialBasis(n, m + 1)
     # columns scaled by their dens: a nonzero scale keeps every rank
-    differential = [_int_column(form, basis) for form in _dmu_forms(parts, m, n)]
+    differential = [_int_column(form, basis) for form in _dmu_forms(parts, sigma, n)]
     orbit = [_int_column(form, basis) for form in _orbit_forms(parts[m + 1] - tail)]
     rank_dmu = _certified_rank(differential, basis.size)
     dim_orbit = _certified_rank(orbit, basis.size)

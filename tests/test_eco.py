@@ -41,10 +41,6 @@ class TestBuildFamily:
         fam = build_family(1)
         assert fam.tail_polys[2] == parse_poly("1/4*t1^2", ("t1",))
 
-    def test_partials_cached(self):
-        fam = build_family(2)
-        assert fam.tail_partials[(4, 2)] == parse_poly("1/2*t2 - 1/8*t1^2", ("t1", "t2"))
-
     def test_invalid_m(self):
         with pytest.raises(InvalidInput):
             build_family(0)

@@ -16,6 +16,13 @@ recursion by a plain symbolic loop for the certificate polynomials A_k
 and compose the A_k with the same inputs.  Results must agree by `==`
 and in their printed text.
 
+`dmu_formula` and `variation_report` take the weights dA_{m+1}/dx_j from
+the inverse series of the half-square root.  Every partial of the
+family's A_k must equal the convolution of root and inverse that the
+weights rest on, and the dmu forms must equal those of the route they
+replaced, the partials of A_{m+1} composed with f_1..f_m.  A spy checks
+that neither calls `build_family` or `compose`.
+
 `QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.  `variation_report` takes
@@ -23,6 +30,10 @@ the same certified rank on integer coefficient columns, with no QMatrix:
 its three ranks must equal the reference ranks of the public
 `dmu_formula`, `orbit_tangent` and their hstack, also when every rank is
 forced through Bareiss.
+
+`rand_invertible` draws integer rows and accepts them on the certified
+rank; its reference is the QMatrix route it replaced, which must draw
+the same rows and leave the generator in the same state.
 
 The coordinate change of `count_vmrt_points` runs the linear-substitution
 loop of the line restrictions; its reference is the route it replaced,
@@ -88,14 +99,15 @@ from vmrt import (
     variation_report,
     vmrt_equations,
 )
-from vmrt import linalg
+from vmrt import eco, linalg, variation
 from vmrt.eco import _half_square
 from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables
 from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
-from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_point, rand_point_off_branch
+from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_invertible, rand_point
+from vmrt.sampling import rand_point_off_branch
 from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS, _rng
 from vmrt.unipoly import poly_gcd
-from vmrt.variation import MonomialBasis, coeff_vector, dmu_jet
+from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
 
 import test_lines
 
@@ -778,6 +790,93 @@ def test_dmu_jet_matches_per_column_replay_on_explicit_families(n, m, b, c):
     assert_dmu_jet_matches_columns(explicit_family(n, m, b, c))
 
 
+def inverse_series(sigma, one):
+    """c_0..c_m of 1/S for S = 1 + sigma_1*lam + ... + sigma_m*lam^m, by the plain convolution loop."""
+    c = [one]
+    for r in range(1, len(sigma) + 1):
+        acc = one * 0
+        for i in range(1, r + 1):
+            acc = acc - sigma[i - 1] * c[r - i]
+        c.append(acc)
+    return c
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_every_tail_partial_is_a_convolution_of_root_and_inverse(m):
+    # dA_k/dt_j = sum_{r=0}^{m-j} c_r*sigma_{k-j-r}, sigma_l = 0 for l > m
+    fam = build_family(m)
+    sigma = fam.root_polys[1:]
+    c = inverse_series(sigma, fam.root_polys[0])
+    for k in range(m + 1, 2 * m + 1):
+        for j in range(1, m + 1):
+            expected = SparsePoly.zero(fam.variables)
+            for r in range(m - j + 1):
+                if k - j - r <= m:
+                    expected = expected + c[r] * sigma[k - j - r - 1]
+            assert fam.tail_polys[k].partial(f"t{j}") == expected
+            if k == m + 1:
+                assert expected == -c[m + 1 - j]
+
+
+def reference_dmu_forms(hyp):
+    """dB_{m+1}/dy_i at the origin with the weights dA_{m+1}/dt_j composed with f_1..f_m."""
+    m, n = hyp.m, hyp.n
+    parts = hyp.graded_parts() + [SparsePoly.zero(hyp.f.vars[1:])]
+    tail = build_family(m).tail_polys[m + 1]
+    weights = [tail.partial(f"t{j}").compose(parts[1 : m + 1]) for j in range(1, m + 1)]
+    out = []
+    for i in range(1, n + 1):
+        zi = f"z{i}"
+        d1 = parts[1].partial(zi)
+        form = parts[m + 2].partial(zi) - parts[m + 1] * d1
+        for j in range(1, m + 1):
+            form = form - weights[j - 1] * (parts[j + 1].partial(zi) - parts[j] * d1)
+        out.append(form)
+    return parts, out
+
+
+def assert_dmu_forms_match_composed_partials(hyp):
+    parts, ref = reference_dmu_forms(hyp)
+    sigma, _ = _half_square(parts[1 : hyp.m + 1], hyp.m)
+    assert list(_dmu_forms(parts, sigma, hyp.n)) == ref
+    basis = MonomialBasis(hyp.n, hyp.m + 1)
+    assert dmu_formula(hyp) == QMatrix.from_columns([coeff_vector(p, basis) for p in ref])
+
+
+@pytest.mark.parametrize("n,m", DMU_COMBOS + ((5, 4), (6, 3)))
+def test_dmu_forms_match_composed_partials_at_random_forms(n, m):
+    rng = random.Random(8600 * n + m)
+    assert_dmu_forms_match_composed_partials(Hypersurface(normalized(rand_homogeneous(rng, tvars(n), 2 * m))))
+    # converse input: f_1 = ... = f_m = 0, so the root and its inverse vanish
+    zv = tuple(f"z{i}" for i in range(1, n + 1))
+    assert_dmu_forms_match_composed_partials(build_converse([rand_homogeneous(rng, zv, k) for k in range(m + 1, 2 * m + 1)]))
+
+
+def test_dmu_forms_match_composed_partials_at_recentred_points():
+    rng = random.Random(8761)
+    for n, m in ((4, 3), (5, 2)):
+        hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
+        assert_dmu_forms_match_composed_partials(recenter(hyp, rand_point_off_branch(rng, hyp)))
+
+
+@pytest.mark.parametrize("n,m,b,c", [(4, 2, 1, 2), (5, 2, Fraction(3, 2), -1), (4, 3, 2, 5), (5, 3, -1, Fraction(1, 3))])
+def test_dmu_forms_match_composed_partials_on_explicit_families(n, m, b, c):
+    assert_dmu_forms_match_composed_partials(explicit_family(n, m, b, c))
+
+
+def test_variation_needs_no_certificate_family_and_no_compose(monkeypatch):
+    moved = recentred_surface(4, 3, 1)
+    expected = variation_report(moved), dmu_formula(moved)
+
+    def refuse(*args):
+        raise AssertionError("variation called build_family or SparsePoly.compose")
+
+    monkeypatch.setattr(eco, "build_family", refuse)
+    monkeypatch.setattr(variation, "build_family", refuse, raising=False)
+    monkeypatch.setattr(SparsePoly, "compose", refuse)
+    assert (variation_report(moved), dmu_formula(moved)) == expected
+
+
 def test_equations_at_a_point_on_the_branch_raise_with_the_point():
     hyp = Hypersurface(parse_poly("t0^4 - t1^4 + 1/2*t2^4"))
     with pytest.raises(BasePointOnBranch) as err:
@@ -1375,6 +1474,32 @@ def test_coordinate_changes_of_the_count_certificate_systems_match_compose(monke
     assert len(calls) >= 2 * runs
     for p, rows in calls:
         assert_same_coordinate_change(p, rows)
+
+
+def reference_rand_invertible(rng, size):
+    """The QMatrix route it replaced: the same draws, accepted on the Gauss-Jordan rank."""
+    while True:
+        mat = QMatrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
+        if reference_rank(mat) == size:
+            return [[int(x) for x in row] for row in mat.data]
+
+
+def test_rand_invertible_draws_the_rows_of_the_qmatrix_route():
+    for seed in range(20):
+        fast, ref = random.Random(seed), random.Random(seed)
+        for size in (1, 2, 3):
+            rows = rand_invertible(fast, size)
+            assert rows == reference_rand_invertible(ref, size)
+            assert all(type(x) is int for row in rows for x in row)
+        assert fast.getstate() == ref.getstate()
+
+    script = iter([1, 2, 2, 4, 3, 0, 0, 5])  # a singular draw, then an invertible one
+
+    class Scripted:
+        def randint(self, lo, hi):
+            return next(script)
+
+    assert rand_invertible(Scripted(), 2) == [[3, 0], [0, 5]]
 
 
 class TestResultantEdges:

@@ -14,7 +14,6 @@ from vmrt import (
     BasePointOnBranch,
     Hypersurface,
     InvalidInput,
-    QMatrix,
     ResultantDegenerate,
     SparsePoly,
     UniPoly,
@@ -271,7 +270,7 @@ class TestCount:
 
     # third column (0, 0, 1): the change sends z3 to a zero of b3 below, so
     # c3 has no z3^3 term
-    HIDING = QMatrix([[2, 1, 0], [-1, 3, 0], [4, 5, 1]])
+    HIDING = [[2, 1, 0], [-1, 3, 0], [4, 5, 1]]
 
     @staticmethod
     def _system_vanishing_at_z3():
