@@ -5,16 +5,17 @@ Griewank and Walther, *Evaluating Derivatives*, ch. 3).  Its derivative
 is a tuple with one slot per direction, so one pass of an exact rational
 pipeline yields the derivative along every direction and pays for the
 value arithmetic once.  Value and slots live in one commutative ring:
-ints (the jet restriction) or SparsePoly forms in one variable list (the
-half-square recursion).  Jets mix with jets of as many slots and with
-int or Fraction scalars.  `variation.dmu_jet`, the oracle for the
-closed-form `dmu_formula`, replays the pipeline of `vmrt_equations` once
-at a jet base point with one slot per coordinate direction.  It shares
-two pieces with `vmrt_equations`, which define the map being
-differentiated: the substitution loop of the line restriction and the
-half-square recursion `eco._half_square`, run over Jet1 up to the lowest
-tail.  tests/test_kernels.py checks each against a reference of its own
-(a term-by-term expansion; the composed certificate polynomial A_{m+1}).
+int or Fraction scalars, or SparsePoly forms in one variable list (the
+half-square recursion).  Jets mix with jets of as many slots, a jet of
+forms with a jet of scalars too, and with int or Fraction scalars.
+`variation.dmu_jet`, the oracle for the closed-form `dmu_formula`,
+replays the pipeline of `vmrt_equations` once at a jet base point with
+one slot per coordinate direction.  It shares two pieces with
+`vmrt_equations`, which define the map being differentiated: the
+substitution loop of the line restriction and the half-square recursion
+`eco._half_square`, run over Jet1 up to the lowest tail.
+tests/test_kernels.py checks each against a reference of its own (a
+term-by-term expansion; the composed certificate polynomial A_{m+1}).
 The oracle and the formula both run `_half_square`, the definition of
 the map, and share nothing else: the oracle touches no graded parts,
 partials, inverse series or `build_family`, so a mistake in the
@@ -22,10 +23,13 @@ hand-derived formula cannot reappear in the oracle.
 
 The jet restriction clears the point and all tangents with one
 `poly._cleared` and runs `unipoly._substitute`, the loop of
-`unipoly.restrict_to_line`, once with Jet1 coordinates of int parts; a
-coefficient that never meets one comes out as an int and is wrapped.
-Powers use the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by
-slot, which keeps `SparsePoly.compose` over jets cheap.
+`unipoly.restrict_to_line`, once on int images with the tangents as its
+first-order variables: the loop keeps eps-free and first-order terms
+apart and never multiplies two first-order terms, whose product is zero,
+so no Jet1 and no zero slot enters it.  The coefficients become Jet1s
+over forms only at the end.  Powers use the closed form
+(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by slot, which keeps
+`SparsePoly.compose` over jets cheap.
 """
 
 from __future__ import annotations
@@ -133,8 +137,9 @@ def restrict_to_line_jets(f: SparsePoly, point: Sequence, tangents: Sequence[Seq
     Substitutes t0 = 1, t_i = y_i + lam*z_i with symbolic z, and returns
     the list of lam^k coefficients as Jet1 over z1..zn with one slot per
     tangent (value-only jets for `tangents == []`).  The point and the
-    tangents are scaled to Jet1 with int parts by their common denominator
-    and run once through the substitution loop of the plain restriction.
+    tangents are scaled to ints by their common denominator and run once
+    through the substitution loop of the plain restriction, the tangents
+    as its first-order variables.
     """
     n = len(f.vars) - 1
     if len(point) != n:
@@ -144,11 +149,9 @@ def restrict_to_line_jets(f: SparsePoly, point: Sequence, tangents: Sequence[Seq
     d, r = f.homogeneous_degree(), len(tangents)
     nums, den = _cleared([Fraction(v) for v in point] + [Fraction(v) for t in tangents for v in t])
     # nums holds the point, then tangent after tangent: slot s of y_i is nums[i + n*(s+1)]
-    coords = [Jet1(nums[i], tuple(nums[i + n :: n])) for i in range(n)]
-    out = _substitute(f, d, _line_images(den, coords))
-    # a coefficient that never met a coordinate jet is still an int
-    out = {key: c if isinstance(c, Jet1) else Jet1(c, (0,) * r) for key, c in out.items()}
+    slopes = [(0,) * r] + [tuple(nums[i + n :: n]) for i in range(n)]
+    out, firsts = _substitute(f, d, _line_images(den, nums[:n]), slopes)
     divisor = f.den * den**d
-    values = _by_z_degree({key: c.value for key, c in out.items()}, divisor, n, d)
-    slopes = [_by_z_degree({key: c.derivative[s] for key, c in out.items()}, divisor, n, d) for s in range(r)]
-    return [Jet1(v, tuple(slope[k] for slope in slopes)) for k, v in enumerate(values)]
+    values = _by_z_degree(out, divisor, n, d)
+    derivatives = [_by_z_degree(first, divisor, n, d) for first in firsts]
+    return [Jet1(v, tuple(forms[k] for forms in derivatives)) for k, v in enumerate(values)]

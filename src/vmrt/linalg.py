@@ -4,21 +4,30 @@ Rank is certified on integer lines by `_certified_rank`: the rows of a
 `QMatrix`, each cleared by `poly._cleared`, the rows `rand_invertible`
 draws, or the integer coefficient columns of `variation_report`.  It runs
 mod the Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 5).  Reducing mod P can only lose pivots, so rank mod P <= rank over
-Q <= min(lines, length): one elimination over GF(P) that reaches that
-bound gives the exact rank, the same on every run.  Otherwise the lines
-go to fraction-free (Bareiss 1968) elimination over Z, whose intermediate
-growth stays polynomial and whose every pivot decision is exact.
+*Modern Computer Algebra*, ch. 5).  Reducing mod P can only lose pivots,
+so rank mod P <= rank over Q <= min(lines, length): one elimination over
+GF(P) that reaches that bound gives the exact rank, the same on every
+run.  Otherwise the lines go to fraction-free (Bareiss 1968) elimination
+over Z, whose intermediate growth stays polynomial and whose every pivot
+decision is exact.
 
-That GF(P) elimination, `_rank_mod_p`, is the one mod-P elimination: it
+That GF(P) elimination, `_reduce_mod_p`, is the one mod-P elimination:
+an echelon that lines are added to, reduced against the pivots so far,
+its rank read off after any addition.  `_rank_mod_p` runs it once and
 returns the rank and, for a square matrix, the determinant mod P.  The
 rank serves `_certified_rank`; the determinant serves the certificate of
 `lines.count_vmrt_points`, which evaluates a Sylvester determinant at
 13 points instead of expanding it over the integer polynomials.
+`_certified_join` continues one echelon: the rank of some lines, then of
+those lines with more, so the join of `variation_report` reduces the
+orbit columns once.  The continued count is the rank mod P of all the
+lines, so the same bound makes it exact when it is full, and Bareiss
+on the full line set judges it when it is not.
 
-That elimination, `_bareiss`, is written once for every ring: the rank
-fallback runs it over Python ints and `unipoly.resultant` over integer
-polynomials, each passing its ring's cross product and exact division.
+The Bareiss elimination, `_bareiss`, is written once for every ring:
+the rank fallback runs it over Python ints and `unipoly.resultant` over
+integer polynomials, each passing its ring's cross product and exact
+division.
 """
 
 from __future__ import annotations
@@ -85,9 +94,25 @@ class QMatrix:
 
 def _certified_rank(lines: Sequence[Sequence[int]], length: int) -> int:
     """Exact rank over Q of integer lines of `length` entries: mod P if that is full, else by Bareiss on a copy."""
-    rank = _rank_mod_p(lines, length)[0]
-    if rank == min(len(lines), length):
-        return rank
+    return _judged(_rank_mod_p(lines, length)[0], lines, length)
+
+
+def _certified_join(lines: Sequence[Sequence[int]], more: Sequence[Sequence[int]], length: int) -> tuple[int, int]:
+    """Exact ranks over Q of `lines` and of `more` and `lines` together, by one elimination mod P.
+
+    The echelon of `lines` is continued with `more`, so `lines` are
+    reduced once.  Each count is judged as `_certified_rank` judges its
+    own: a count below its bound goes to Bareiss on its full line set.
+    """
+    echelon: list = []
+    rank = _judged(_reduce_mod_p(echelon, lines), lines, length)
+    return rank, _judged(_reduce_mod_p(echelon, more), [*more, *lines], length)
+
+
+def _judged(rank_mod_p: int, lines: Sequence[Sequence[int]], length: int) -> int:
+    """The rank over Q of the lines, given their rank mod P: that count if it reaches min(len(lines), length), else Bareiss on a copy."""
+    if rank_mod_p == min(len(lines), length):
+        return rank_mod_p
     return _bareiss([list(line) for line in lines], length, _int_cross, _int_exact)[0]
 
 
@@ -137,31 +162,49 @@ def _bareiss(m: list[list], cols: int, cross, exact) -> tuple[int, int]:
     return r, sign
 
 
-def _rank_mod_p(m: list[list[int]], cols: int) -> tuple[int, int]:
-    """(rank, det) of the integer rows m over GF(P), by one Gaussian elimination; m is left as it is.
+def _reduce_mod_p(echelon: list, lines: Sequence[Sequence[int]]) -> int:
+    """Add integer lines to an echelon over GF(P), in place; returns the echelon's rank.
 
-    det is the product of the pivots, negated once per row swap: for a
-    square m it is the determinant mod P, and 0 when m is singular there.
+    `echelon` holds one (c, inverse, row) per pivot: the row, reduced mod
+    P, has its first nonzero entry at c, with that inverse, and is zero at
+    the pivot columns of the entries before it.  A line is reduced against
+    the entries in order, which keeps every earlier pivot column at zero,
+    so what is left is zero at every pivot column and, unless it is zero,
+    adds a pivot at its first nonzero entry.
     """
-    rows = [[x % _P for x in row] for row in m]
-    r, det = 0, 1
-    for c in range(cols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            det = -det
-        pivot = rows[r]
-        det = det * pivot[c] % _P
-        inv = pow(pivot[c], -1, _P)
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] * inv % _P
+    for line in lines:
+        row = [x % _P for x in line]
+        for c, inv, pivot in echelon:
+            f = row[c] * inv % _P
             if f:
-                # entries left of c are 0 in both rows; column c becomes 0
-                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], pivot)]
-        r += 1
-    return r, det if r == len(rows) else 0
+                row = [(a - f * b) % _P for a, b in zip(row, pivot)]
+        for c, x in enumerate(row):
+            if x:
+                echelon.append((c, pow(x, -1, _P), row))
+                break
+    return len(echelon)
+
+
+def _rank_mod_p(m: list[list[int]], cols: int) -> tuple[int, int]:
+    """(rank, det) of the integer rows m of `cols` entries over GF(P), by one `_reduce_mod_p`; m is left as it is.
+
+    det is the determinant mod P of a square m, and 0 when m is singular
+    there or not square.  Each reduction subtracts multiples of earlier
+    rows, which keeps the determinant, and row i of the result is zero at
+    the pivot columns of rows 0..i-1: ordered by the pivots, the columns
+    make it triangular.  So det is the product of the pivots times the sign
+    of that column permutation, the parity of its inversions.
+    """
+    echelon: list = []
+    rank = _reduce_mod_p(echelon, m)
+    if not rank == len(m) == cols:
+        return rank, 0
+    det = 1
+    for c, _, row in echelon:
+        det = det * row[c] % _P
+    columns = [c for c, _, _ in echelon]
+    swaps = sum(a > b for i, a in enumerate(columns) for b in columns[i + 1 :])
+    return rank, -det % _P if swaps % 2 else det
 
 
 def span_intersection(a: QMatrix, b: QMatrix) -> int:

@@ -258,7 +258,7 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
 def _linear_change(p: SparsePoly, rows: Sequence[Sequence[int]]) -> SparsePoly:
     """p(M*w) in p's variables for the integer matrix M with these rows, through `unipoly._substitute`."""
     images = [(0, tuple(row)) for row in rows]
-    return SparsePoly._from_ints(p.vars, _substitute(p, max(p.total_degree(), 0), images), p.den)
+    return SparsePoly._from_ints(p.vars, _substitute(p, max(p.total_degree(), 0), images)[0], p.den)
 
 
 def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:

@@ -11,10 +11,12 @@ f(1, y + lam*z): Fractions for a numeric direction, SparsePoly forms in
 z1..zn for a symbolic one.  All three flavours (these two and the jet
 restriction in `jets`) and the coordinate change of `lines.count_vmrt_points`
 run one linear-substitution loop, `_substitute`: t_i -> a_i + sum_j b_ij*w_j
-over k new variables, on f's integer numerators, with a_i an int or a
-`jets.Jet1` with int parts.  A numeric direction has k = 1 and w = lam, a
-symbolic one or a jet point k = n and w_i = lam*z_i, the coordinate change
-a_i = 0 and b the drawn matrix.  Denominators are cleared once
+over k new variables, on f's integer numerators and int images.  A
+numeric direction has k = 1 and w = lam, a symbolic one or a jet point
+k = n and w_i = lam*z_i, the coordinate change a_i = 0 and b the drawn
+matrix.  A jet point adds sum_s e_is*eps_s to each image, with
+first-order variables eps_s (eps_s*eps_t = 0) that the loop carries in
+an accumulator of their own.  Denominators are cleared once
 (`poly._cleared`) and divided out per output coefficient, like FLINT's
 fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The keys are packed
 ints, one field per w_j that never carries, so a key step is one addition.
@@ -309,58 +311,96 @@ def is_perfect_square(p: UniPoly) -> tuple[bool, UniPoly | None]:
     return True, q
 
 
-def _substitute(f: SparsePoly, d: int, images: Sequence[tuple]) -> dict:
-    """The one substitution loop: F(a_0 + b_0.w, ..., a_n + b_n.w) for F = f.nums and w = (w_1..w_k).
+def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence[tuple] = ()) -> tuple[dict, list]:
+    """The one substitution loop: F(a_0 + b_0.w + e_0.eps, ..., a_n + b_n.w + e_n.eps) for F = f.nums.
 
-    `images` holds one (a_i, b_i) per variable of f: b_i is a tuple of k
-    ints, a_i an int or a ring element with +, * and a truth value (Jet1).
-    d bounds the total degree of f.  Returns the coefficients keyed by
-    w-exponent tuples; one that never met an a_i stays an int.  A key packs
-    w^alpha into one field of `size` bytes per w_j, 256^size > d: no
-    exponent of a form of degree at most d exceeds d, so no field carries
-    and multiplying monomials is one int addition.  Keys are unpacked once.
+    `images` holds one (a_i, b_i) of ints per variable of f, b_i a tuple
+    of k for w = (w_1..w_k).  `slopes` is empty, or holds one tuple e_i of
+    r ints per variable for the first-order variables eps_1..eps_r: the
+    images are then a jet base point (forward-mode differentiation,
+    Griewank and Walther, *Evaluating Derivatives*, ch. 3).  d bounds the
+    total degree of f.  Returns (values, firsts): values maps w-exponent
+    tuples to the eps-free coefficients, firsts[s] to those of eps_s.
+
+    eps_s*eps_t = 0, so an eps-free accumulator and a first-order one are
+    kept apart, and each step forms eps-free times eps-free and the two
+    products of eps-free and first-order terms, never first-order times
+    first-order: that product is zero, and forming it is the waste of a
+    Jet1 whose zero slots are multiplied.  With no slopes the first-order
+    half stays empty and costs nothing.  A power of an image is
+    L^p + p*L^(p-1)*E for L = a + b.w and E = e.eps.  A key packs w^alpha
+    into one field of `size` bytes per w_j, 256^size > d: no exponent of a
+    form of degree at most d exceeds d, so no field carries and
+    multiplying monomials is one int addition.  A first-order key adds
+    s * 256^(size*k) for its eps_s, which a product with an eps-free key
+    keeps.  Keys are unpacked once.
     """
     size = next(s for s in (1, 2, 4, 8) if d < 256**s)
-    weights = [256 ** (size * j) for j in range(len(images[0][1]))]
+    k = len(images[0][1])
+    weights = [256 ** (size * j) for j in range(k)]
+    slot = 256 ** (size * k)
+    no_eps = [()] * (d + 1)
 
-    def powers(a, b):
-        # (key, coefficient) pairs of (a + b.w)^e, e = 0..d, by repeated products
+    def powers(a, b, e):
+        # (key, coefficient) pairs of L^p and of p*L^(p-1)*E, p = 0..d, L by repeated products
         linear = [(key, c) for key, c in zip([0, *weights], [a, *b]) if c]
         table = [[(0, 1)]]
         for _ in range(d):
-            power: dict[int, object] = {}
+            power: dict[int, int] = {}
             for key, c in table[-1]:
                 for inc, v in linear:
                     power[key + inc] = power.get(key + inc, 0) + c * v
             table.append([item for item in power.items() if item[1]])
-        return table
+        eps = [(s * slot, c) for s, c in enumerate(e) if c]
+        if not eps:
+            return table, no_eps
+        return table, [[]] + [[(key + ks, p * c * v) for key, c in table[p - 1] for ks, v in eps] for p in range(1, d + 1)]
 
-    # acc maps the exponents of the variables not yet substituted to the coefficients
-    # by packed key; the first image (t0 in a restriction) is applied as acc is built
-    (a, b), *rest = images
-    first = powers(a, b)
-    acc: dict[tuple, dict] = {}
-    for exp, c in f.nums.items():
-        tgt = acc.setdefault(exp[1:], {})
-        for key, v in first[exp[0]]:
-            tgt[key] = tgt.get(key, 0) + c * v
-    for a, b in rest:
-        table = powers(a, b)
-        nxt: dict[tuple, dict] = {}
-        for exps, cur in acc.items():
-            tgt = nxt.setdefault(exps[1:], {})
-            fac = table[exps[0]]
+    def spread(out, src, factors):
+        # out += src times the power of the next image that each group's first exponent picks
+        for exps, cur in src:
+            fac = factors[exps[0]]
+            if not fac:
+                continue
+            tgt = out.setdefault(exps[1:], {})
             get = tgt.get
             for key, ck in cur.items():
                 for inc, cj in fac:
-                    k = key + inc
-                    tgt[k] = get(k, 0) + ck * cj
+                    at = key + inc
+                    tgt[at] = get(at, 0) + ck * cj
+        return out
+
+    # acc and acc_eps map the exponents of the variables not yet substituted to the eps-free and
+    # the first-order coefficients by packed key; the first image (t0 in a restriction) is applied
+    # as they are built
+    e_first, *e_rest = slopes or [()] * len(images)
+    (a, b), *rest = images
+    table, table_eps = powers(a, b, e_first)
+    acc: dict[tuple, dict] = {}
+    for exp, c in f.nums.items():
+        tgt = acc.setdefault(exp[1:], {})
+        for key, v in table[exp[0]]:
+            tgt[key] = tgt.get(key, 0) + c * v
+    # no restriction moves t0, so this is empty there
+    acc_eps = spread({}, [(exp, {0: c}) for exp, c in f.nums.items()], table_eps) if any(table_eps) else {}
+    for (a, b), e in zip(rest, e_rest):
+        table, table_eps = powers(a, b, e)
+        nxt = spread({}, acc.items(), table)
+        acc_eps = spread(spread({}, acc_eps.items(), table), acc.items(), table_eps) if acc_eps or any(table_eps) else {}
         acc = nxt
-    # the keys' bytes, read as native fields of `size` bytes; f in t0 alone has the one key ()
-    out = acc.get((), {})
-    fields = memoryview(b"".join([key.to_bytes(size * len(weights), byteorder) for key in out]))
-    exps = zip(*[iter(fields.cast("BH_I___Q"[size - 1]))] * len(weights)) if weights else [()]
-    return dict(zip(exps, out.values()))
+
+    def unpacked(out):
+        # the keys' bytes, read as native fields of `size` bytes
+        fields = memoryview(b"".join([key.to_bytes(size * k, byteorder) for key in out]))
+        exps = zip(*[iter(fields.cast("BH_I___Q"[size - 1]))] * k) if k else [()]
+        return dict(zip(exps, out.values()))
+
+    # f in t0 alone has the one key ()
+    by_slot: list[dict] = [{} for _ in e_first]
+    for key, v in acc_eps.get((), {}).items():
+        s, key = divmod(key, slot)
+        by_slot[s][key] = v
+    return unpacked(acc.get((), {})), [unpacked(part) for part in by_slot]
 
 
 def _line_images(den: int, coords: Sequence) -> list[tuple]:
@@ -398,11 +438,11 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     # E = 1, Z = z for the symbolic one.
     ys, den_y = _cleared(y)
     if direction is None:
-        return _by_z_degree(_substitute(f, d, _line_images(den_y, ys)), f.den * den_y**d, n, d)
+        return _by_z_degree(_substitute(f, d, _line_images(den_y, ys))[0], f.den * den_y**d, n, d)
     if len(direction) != n:
         raise InvalidInput(f"direction must have {n} coordinates")
     zs, den_z = _cleared([Fraction(v) for v in direction])
-    out = _substitute(f, d, [(den_y * den_z, (0,))] + [(k * den_z, (j * den_y,)) for k, j in zip(ys, zs)])
+    out = _substitute(f, d, [(den_y * den_z, (0,))] + [(k * den_z, (j * den_y,)) for k, j in zip(ys, zs)])[0]
     den = f.den * (den_y * den_z) ** d
     return [Fraction(out.get((k,), 0), den) for k in range(d + 1)]
 

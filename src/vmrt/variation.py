@@ -29,8 +29,8 @@ from typing import Iterator, Sequence
 
 from .eco import _half_square
 from .errors import InvalidInput, NormalizationViolated
-from .jets import restrict_to_line_jets
-from .linalg import QMatrix, _certified_rank
+from .jets import Jet1, restrict_to_line_jets
+from .linalg import QMatrix, _certified_join, _certified_rank
 from .lines import Hypersurface, _from_graded_parts, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
 
@@ -128,14 +128,19 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
     base point y = eps_1*e_1 + ... + eps_n*e_n: restriction, inversion of
     a_0 = 1 + eps*(...), and the half-square recursion on the jet ratios
     up to the lowest tail.  Derivative slot i of the resulting jet is
-    dB_{m+1}/dy_i at the origin, column i of the matrix.
+    dB_{m+1}/dy_i at the origin, column i of the matrix.  a_0 is the
+    degree-0 part in z, so it is inverted as a jet of scalars and each
+    ratio a_j/a_0 scales forms instead of multiplying them by constant
+    forms.  That changes no step of the pipeline, so the oracle stays
+    independent of the formula: it touches no graded parts, partials,
+    inverse series or `build_family`.
     """
     m, n = hyp.m, hyp.n
     if hyp.f.coefficient((2 * m,) + (0,) * n) != 1:  # f(1, 0, ..., 0)
         raise NormalizationViolated("requires f(1, 0, ..., 0) = 1")
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     a = restrict_to_line_jets(hyp.f, [0] * n, identity)
-    inv0 = a[0].inverse()
+    inv0 = Jet1(a[0].value.constant_value(), tuple(d.constant_value() for d in a[0].derivative)).inverse()
     _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
     bk = a[m + 1] * inv0 - tail
     basis = MonomialBasis(n, m + 1)
@@ -186,7 +191,9 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     """Rank of dmu, orbit-tangent dimension and their intersection at the origin.
 
     Requires f_0 = 1.  Variation is maximal when dmu is injective (rank n)
-    and its image meets the orbit tangent space only in 0.
+    and its image meets the orbit tangent space only in 0.  The ranks are
+    certified on the integer coefficient columns; the join's count
+    continues the orbit's elimination mod P (`linalg._certified_join`).
     """
     parts = _normalized_parts(hyp)
     m, n = hyp.m, hyp.n
@@ -196,9 +203,10 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     differential = [_int_column(form, basis) for form in _dmu_forms(parts, sigma, n)]
     orbit = [_int_column(form, basis) for form in _orbit_forms(parts[m + 1] - tail)]
     rank_dmu = _certified_rank(differential, basis.size)
-    dim_orbit = _certified_rank(orbit, basis.size)
+    # the orbit's elimination continued with the dmu columns gives the join
+    dim_orbit, rank_join = _certified_join(orbit, differential, basis.size)
     # the span_intersection formula, reusing the two ranks just taken
-    dim_intersection = rank_dmu + dim_orbit - _certified_rank(differential + orbit, basis.size)
+    dim_intersection = rank_dmu + dim_orbit - rank_join
     maximal = rank_dmu == n and dim_intersection == 0
     return VariationReport(n, m, rank_dmu, dim_orbit, dim_intersection, maximal)
 

@@ -26,8 +26,9 @@ that neither calls `build_family` or `compose`.
 `QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
 over the integers; its reference is a plain Fraction Gauss-Jordan
 elimination that shares no code with either.  `variation_report` takes
-the same certified rank on integer coefficient columns, with no QMatrix:
-its three ranks must equal the reference ranks of the public
+the same certified rank on integer coefficient columns, with no QMatrix,
+and counts the join by continuing the orbit's elimination mod P with the
+dmu columns: its three ranks must equal the reference ranks of the public
 `dmu_formula`, `orbit_tangent` and their hstack, also when every rank is
 forced through Bareiss.
 
@@ -106,7 +107,7 @@ from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_invertible, rand_point
 from vmrt.sampling import rand_point_off_branch
 from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS, _rng
-from vmrt.unipoly import poly_gcd
+from vmrt.unipoly import _substitute, poly_gcd
 from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
 
 import test_lines
@@ -636,6 +637,8 @@ def test_jet_restriction_matches_reference_on_general_pairs(n, m):
     assert_same_jet_restriction(f, point, [tangent, [0] * n])
     # zero values: every power of a coordinate is eps^p, zero for p >= 2
     assert_same_jet_restriction(f, [0] * n, [tangent, rand_vector()])
+    # n tangents: every first-order variable is live at once
+    assert_same_jet_restriction(f, point, [rand_vector() for _ in range(n)])
 
 
 class TestJetRestrictionEdges:
@@ -685,6 +688,27 @@ def test_jet_restriction_wraps_int_coefficients_in_jets():
         assert all(type(j) is Jet1 and len(j.derivative) == len(tangents) for j in jets)
         assert [j.value for j in jets] == restrict_to_line(f, point)
         assert_same_jet_restriction(f, point, tangents)
+
+
+def test_substitution_takes_a_first_order_part_on_every_image():
+    # the line restrictions never move t0; the kernel takes eps.e_0 on the first image as on the rest
+    rng = random.Random(29)
+    f = integer_form(rng, 2, 4)
+    wv = ("w1", "w2")
+    images = [(rng.randint(-5, 5), (rng.randint(-5, 5), rng.randint(-5, 5))) for _ in f.vars]
+    slopes = [(rng.randint(-5, 5), rng.randint(-5, 5), 0) for _ in f.vars]
+    values, firsts = _substitute(f, 4, images, slopes)
+    # reference: f's integer numerators composed with jets over linear forms in w
+    args = [
+        Jet1(SparsePoly(wv, {(0, 0): a, (1, 0): b1, (0, 1): b2}), tuple(SparsePoly.constant(wv, c) for c in e))
+        for (a, (b1, b2)), e in zip(images, slopes)
+    ]
+    ref = f.compose(args) * f.den
+    assert SparsePoly._from_ints(wv, values, 1) == ref.value
+    assert len(firsts) == 3
+    for first, slope in zip(firsts, ref.derivative):
+        assert SparsePoly._from_ints(wv, first, 1) == slope
+    assert not firsts[2]
 
 
 def assert_same_polys(fast, ref):
@@ -875,6 +899,25 @@ def test_variation_needs_no_certificate_family_and_no_compose(monkeypatch):
     monkeypatch.setattr(variation, "build_family", refuse, raising=False)
     monkeypatch.setattr(SparsePoly, "compose", refuse)
     assert (variation_report(moved), dmu_formula(moved)) == expected
+
+
+def test_jet_oracle_shares_no_piece_of_the_formula(monkeypatch):
+    # dmu_jet and dmu_formula share only the half-square recursion, the definition of the map
+    moved = recentred_surface(4, 3, 1)
+    expected = dmu_jet(moved)
+
+    def refuse(*args):
+        raise AssertionError("dmu_jet used a piece of dmu_formula")
+
+    monkeypatch.setattr(Hypersurface, "graded_parts", refuse)
+    monkeypatch.setattr(SparsePoly, "partial", refuse)
+    monkeypatch.setattr(variation, "_normalized_parts", refuse)
+    monkeypatch.setattr(variation, "_dmu_forms", refuse)
+    monkeypatch.setattr(eco, "build_family", refuse)
+    monkeypatch.setattr(SparsePoly, "compose", refuse)
+    assert dmu_jet(moved) == expected
+    with pytest.raises(AssertionError, match="piece of dmu_formula"):
+        dmu_formula(moved)
 
 
 def test_equations_at_a_point_on_the_branch_raise_with_the_point():
@@ -1657,16 +1700,18 @@ def public_variation_matrices(moved):
     return dmu_formula(moved), orbit_tangent(lowest, degree=moved.m + 1)
 
 
-def ranked_lines(monkeypatch):
-    """Record the integer lines each certified rank hands to the elimination mod P."""
+def reductions(monkeypatch):
+    """Record each call of the elimination mod P: its echelon, the rank it started from, the lines and the rank it returned."""
     seen = []
-    rank_mod_p = linalg._rank_mod_p
+    reduce_mod_p = linalg._reduce_mod_p
 
-    def spy(m, cols):
-        seen.append([list(line) for line in m])
-        return rank_mod_p(m, cols)
+    def spy(echelon, lines):
+        start, lines = len(echelon), [list(line) for line in lines]
+        rank = reduce_mod_p(echelon, lines)
+        seen.append((echelon, start, lines, rank))
+        return rank
 
-    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
+    monkeypatch.setattr(linalg, "_reduce_mod_p", spy)
     return seen
 
 
@@ -1690,19 +1735,24 @@ def report_triple(report):
 )
 def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
     moved = recentred_surface(n, m, seed)
-    lines = ranked_lines(monkeypatch)
+    calls = reductions(monkeypatch)
     report = variation_report(moved)
     monkeypatch.undo()
     dmu, orbit = public_variation_matrices(moved)
     both = dmu.hstack(orbit)
     assert report_triple(report) == tuple(reference_rank(mat) for mat in (dmu, orbit, both))
-    # the ranked lines are the public matrices' columns, each scaled by a nonzero rational
-    assert len(lines) == 3
-    for seen, mat in zip(lines, (dmu, orbit, both)):
+    # dmu is eliminated on its own, then the orbit, whose echelon the dmu columns continue: the
+    # join reduces no orbit column a second time
+    assert len(calls) == 3
+    (_, start_dmu, _, _), (orbit_echelon, start_orbit, _, rank_orbit), (join_echelon, start_join, _, _) = calls
+    assert (start_dmu, start_orbit) == (0, 0)
+    assert join_echelon is orbit_echelon and start_join == rank_orbit
+    # the reduced lines are the public matrices' columns, each scaled by a nonzero rational
+    for (_, _, seen, _), mat in zip(calls, (dmu, orbit, dmu)):
         assert len(seen) == mat.cols
         for j, line in enumerate(seen):
             assert_proportional(line, mat.column(j))
-    assert max(abs(x).bit_length() for line in lines[2] for x in line) > 64
+    assert max(abs(x).bit_length() for _, _, seen, _ in calls for line in seen for x in line) > 64
     if (n, m) == (3, 2):
         # ternary cubics: the rank-3 image of dmu meets the 9-dimensional orbit tangent in a plane
         assert (report.rank_dmu, report.dim_orbit, report.dim_intersection) == (3, 9, 2)
@@ -1712,19 +1762,18 @@ def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
 def test_variation_report_is_unchanged_when_every_rank_comes_from_bareiss(monkeypatch, n, m, seed):
     moved = recentred_surface(n, m, seed)
     expected = variation_report(moved)
-    rank_mod_p, bareiss = linalg._rank_mod_p, linalg._bareiss
+    reduce_mod_p, bareiss = linalg._reduce_mod_p, linalg._bareiss
     ranks = []
 
-    def under_reported(lines, cols):
-        rank, det = rank_mod_p(lines, cols)
-        return rank - 1, det
+    def under_reported(echelon, lines):
+        return reduce_mod_p(echelon, lines) - 1
 
     def spy_bareiss(*args):
         out = bareiss(*args)
         ranks.append(out[0])
         return out
 
-    monkeypatch.setattr(linalg, "_rank_mod_p", under_reported)
+    monkeypatch.setattr(linalg, "_reduce_mod_p", under_reported)
     monkeypatch.setattr(linalg, "_bareiss", spy_bareiss)
     assert variation_report(moved) == expected
     assert ranks == list(report_triple(expected))

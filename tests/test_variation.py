@@ -26,6 +26,7 @@ from vmrt import (
     variation_report,
     vmrt_equations,
 )
+from vmrt import linalg
 from vmrt.sampling import rand_homogeneous, rand_nonzero_fraction
 from vmrt.selftest import _random_normalized
 
@@ -252,6 +253,38 @@ class TestReportsAndFamilies:
         rep = variation_report(hyp)
         triple = (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection)
         assert triple == (dmu.rank(), orbit.rank(), span_intersection(dmu, orbit)) == (n, n * n, 0)
+
+    @pytest.mark.parametrize(
+        "texts,triple,bareiss_ranks",
+        [
+            (("z1^3", "z2^4"), (1, 3, 0), [1, 3, 4]),
+            (("z1^3 + z2^3", "z1^4 + z2^4 + z3^4"), (3, 6, 2), [6, 7]),
+            # the Fermat sextic of test_missing_middle_part_is_not_maximal
+            (None, (0, 0, 0), [0, 0, 0]),
+        ],
+    )
+    def test_report_below_full_rank_matches_public_route(self, monkeypatch, texts, triple, bareiss_ranks):
+        # a count mod P below its bound goes to Bareiss on the full line set; the report's join
+        # continues the orbit's elimination mod P, the public route ranks the hstack afresh
+        if texts is None:
+            hyp = Hypersurface(parse_poly("t0^6 + t1^6 + t2^6 + t3^6 + t4^6"))
+        else:
+            hyp = build_converse([parse_poly(text, zvars(3)) for text in texts])
+        lowest = vmrt_equations(hyp, [0] * hyp.n).equations[0]
+        dmu, orbit = dmu_formula(hyp), orbit_tangent(lowest, degree=hyp.m + 1)
+        bareiss, seen = linalg._bareiss, []
+
+        def spy(*args):
+            out = bareiss(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(linalg, "_bareiss", spy)
+        rep = variation_report(hyp)
+        assert seen == bareiss_ranks
+        monkeypatch.undo()
+        triple_public = (dmu.rank(), orbit.rank(), span_intersection(dmu, orbit))
+        assert (rep.rank_dmu, rep.dim_orbit, rep.dim_intersection) == triple_public == triple
 
     def test_maximal_flag_stable_over_random_parameters(self):
         rng = random.Random(61)
