@@ -14,18 +14,18 @@ every printed or serialized polynomial is deterministic.
 The integer kernels and the text layer (`parse_poly`, `format_poly`) read
 and write `nums` and `den` directly; each builds its result through
 `SparsePoly._from_ints`, the one constructor that drops zeros and divides
-out the content.  `_add_products` is the integer product loop on
-exponent tuples, run by `SparsePoly.__mul__` and by the resultant on its
-integer Sylvester entries.  `_sum_of_products` takes a
-whole sum a_1*b_1 + ... in one accumulation over one denominator, with
-each exponent packed into one int (Monagan and Pearce, CASC 2007;
-FLINT's packed `fmpz_mpoly` exponents); `lines.eco_witness` builds its f
-with it (`unipoly._substitute` packs alike).  Packing pays only where many
-products merge into few terms, about 25,000 products onto 1,287 terms for
-a witness at (n, m) = (5, 4).
-In `__mul__` and the resultant most products have an operand of at most
-three terms and about as many terms come out as products go in, so
-packing and unpacking the keys would be pure overhead there.  `_cleared`
+out the content.  `_products` is the one integer product loop, a sum
+s_1*a_1*b_1 + ... of integer term dicts in one accumulation on packed
+exponents (Monagan and Pearce, CASC 2007; FLINT's `fmpz_mpoly`) by
+`_packing` and `_unpacked`, which `unipoly._substitute` shares.  It runs
+`SparsePoly.__mul__`, `_sum_of_products` (the f of `lines.eco_witness`)
+and the resultant's cross products.  Packing pays where products merge:
+a seed-1 pass of the benchmark's `tangent_equations` workload takes
+70,240 term products onto 13,160 terms in its 195 products of two forms
+of 4 or more terms, one of `variation` 170,244 onto 71,280 in 2,178.
+With an operand of at most one term (4,116 products of that `variation`
+pass, mainly the orbit forms z_i * dh/dz_j) nothing merges, so `__mul__`
+shifts exponents instead.  `_cleared`
 clears the other rational inputs: the Fractions of the public constructors
 (`constant`, `from_terms`, `variation.explicit_family`, `UniPoly`, which
 keeps this layout in one variable), points, directions and matrix rows.
@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
+from sys import byteorder
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, ParseError, VariableMismatch
@@ -61,47 +62,39 @@ def grevlex_key(exp: Exponent):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def _add_products(acc: dict, left: Iterable[tuple], right: Collection[tuple]) -> None:
-    """Add the product of every (exponent, int) term of `left` with every one of `right` into acc.
+def _packing(nvars: int, degree: int) -> tuple[list[int], int]:
+    """(weights, size): one field of `size` bytes per variable, 256^size > degree.
 
-    Products are keyed by the exponent sum; `right` is walked once per
-    term of `left`, so a new exponent enters acc at its first product.
+    An exponent packs to sum(map(mul, exp, weights)).  No field of a
+    monomial of degree at most `degree` carries into the next, so
+    multiplying monomials is one int addition.
     """
-    get = acc.get
-    for e1, k1 in left:
-        for e2, k2 in right:
-            exp = tuple(map(add, e1, e2))
-            acc[exp] = get(exp, 0) + k1 * k2
+    size = next(s for s in (1, 2, 4, 8) if degree < 256**s)
+    return [256 ** (size * j) for j in range(nvars)], size
 
 
-def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
-    """sum a_i*b_i for SparsePoly pairs over `variables`, on their integer numerators.
+def _unpacked(packed: dict, nvars: int, size: int) -> dict:
+    """`packed` with each key unpacked to its exponent tuple: the keys' bytes, read as native fields of `size` bytes."""
+    fields = memoryview(b"".join([key.to_bytes(size * nvars, byteorder) for key in packed]))
+    exps = zip(*[iter(fields.cast("BH_I___Q"[size - 1]))] * nvars) if nvars else [()]
+    return dict(zip(exps, packed.values()))
 
-    One accumulation over the lcm of the a.den*b.den.  Each exponent is
-    packed into one int in base 1 + max(deg a + deg b), so no field of a
-    product carries into the next and multiplying monomials is one int
-    addition; keys are unpacked once per accumulated term.  A square pair
-    (a is b) takes each cross product once and doubles it.  Terms come out
-    in the order of their first product.  `SparsePoly.__mul__` and the
-    resultant stay on `_add_products`: their products rarely merge (module
-    docstring).
+
+def _products(nvars: int, triples: Sequence[tuple[dict, dict, int]]) -> dict:
+    """sum s*a*b over the (a, b, s) of integer term dicts keyed by exponent tuples of nvars entries.
+
+    Exponents are packed for the largest deg a + deg b and unpacked once.
+    A square pair (a is b) takes each cross product once and doubles it.
+    Terms come out in the order of their first product, zeros included.
     """
-
-    def degree(p):
-        return max(map(sum, p.nums), default=0)
-
-    def packed(p, scale=1):
-        return [(sum(map(mul, exp, weights)), k * scale) for exp, k in p.nums.items()]
-
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    base = 1 + max((degree(a) + degree(b) for a, b in pairs), default=0)
-    weights = [base**i for i in range(len(variables))]
+    degree = max((max(map(sum, a)) + max(map(sum, b)) for a, b, _ in triples if a and b), default=0)
+    weights, size = _packing(nvars, degree)
     acc: dict[int, int] = {}
     get = acc.get
-    for a, b in pairs:
-        right = packed(b)
-        for i, (ka, ca) in enumerate(packed(a, den // (a.den * b.den))):
-            rest = right
+    for a, b, s in triples:
+        right = [(sum(map(mul, exp, weights)), k) for exp, k in b.items()]
+        for i, (exp, k) in enumerate(a.items()):
+            ka, ca, rest = sum(map(mul, exp, weights)), k * s, right
             if a is b:
                 key = ka + right[i][0]
                 acc[key] = get(key, 0) + ca * right[i][1]
@@ -109,7 +102,13 @@ def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly,
             for kb, cb in rest:
                 key = ka + kb
                 acc[key] = get(key, 0) + ca * cb
-    nums = {tuple(key // w % base for w in weights): v for key, v in acc.items()}
+    return _unpacked(acc, nvars, size)
+
+
+def _sum_of_products(variables: Sequence[str], pairs: Sequence[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
+    """sum a_i*b_i for SparsePoly pairs over `variables`: `_products` on their nums, over the lcm of the a.den*b.den."""
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    nums = _products(len(variables), [(a.nums, b.nums, den // (a.den * b.den)) for a, b in pairs])
     return SparsePoly._from_ints(variables, nums, den)
 
 
@@ -295,21 +294,28 @@ class SparsePoly:
     def __mul__(self, other):
         """Product with a scalar or with a polynomial over the same variables.
 
-        Two polynomials are multiplied as integer polynomials over the
-        product of their denominators: the integer products are accumulated
-        per exponent and the content is divided out once at the end.
-        Terms come out in the order of their first product.
+        A factor 1 returns self, which is immutable.  Two polynomials are
+        multiplied as integer polynomials over the product of their
+        denominators, and the content is divided out once at the end.  With
+        an operand of at most one term no two products merge, so the other
+        operand's exponents are shifted; otherwise `_products` runs.  Terms
+        come out in the order of their first product.
         """
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             c = Fraction(other)
             nums = {e: k * c.numerator for e, k in self.nums.items()}
             return SparsePoly._from_ints(self.vars, nums, self.den * c.denominator)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_vars(other)
-        acc: dict[Exponent, int] = {}
-        _add_products(acc, self.nums.items(), list(other.nums.items()))
-        return SparsePoly._from_ints(self.vars, acc, self.den * other.den)
+        left, right = self.nums, other.nums
+        if len(left) < 2 or len(right) < 2:
+            nums = {tuple(map(add, e1, e2)): k1 * k2 for e1, k1 in left.items() for e2, k2 in right.items()}
+        else:
+            nums = _products(len(self.vars), [(left, right, 1)])
+        return SparsePoly._from_ints(self.vars, nums, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -19,7 +19,8 @@ first-order variables eps_s (eps_s*eps_t = 0) that the loop carries in
 an accumulator of their own.  Denominators are cleared once
 (`poly._cleared`) and divided out per output coefficient, like FLINT's
 fmpq_poly (https://flintlib.org/doc/fmpq_poly.html).  The keys are packed
-ints, one field per w_j that never carries, so a key step is one addition.
+ints, one field per w_j that never carries, so a key step is one addition;
+the packing is the product loop's (`poly._packing`).
 
 The squarefree factorization is Yun's (1976): a chain of gcds with the
 derivative, and exact divisions by them through `_exact_quotient`, the
@@ -38,7 +39,7 @@ the integers is expanded over Z[z] by `linalg._bareiss`, the fraction-free
 elimination (Bareiss 1968) that the rank fallback runs over Z, and the
 determinant is divided once by L_p^e * L_q^d (e, d the degrees of q and
 p in the eliminated variable).  The ring operations passed to it are
-`_cross_difference`, whose products run through `poly._add_products`, the
+`_cross_difference`, whose products run through `poly._products`, the
 product loop of `SparsePoly.__mul__`, and `_exact_quotient`, an exact
 division with integer divmod.  Convention:
 coefficient rows in ascending-power layout, first argument's rows on top;
@@ -56,12 +57,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import add
-from sys import byteorder
 from typing import Sequence
 
 from .errors import InvalidInput
 from .linalg import _bareiss
-from .poly import SparsePoly, _add_products, _cleared, grevlex_key
+from .poly import SparsePoly, _cleared, _packing, _products, _unpacked, grevlex_key
 
 
 class UniPoly:
@@ -329,15 +329,14 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
     Jet1 whose zero slots are multiplied.  With no slopes the first-order
     half stays empty and costs nothing.  A power of an image is
     L^p + p*L^(p-1)*E for L = a + b.w and E = e.eps.  A key packs w^alpha
-    into one field of `size` bytes per w_j, 256^size > d: no exponent of a
-    form of degree at most d exceeds d, so no field carries and
-    multiplying monomials is one int addition.  A first-order key adds
-    s * 256^(size*k) for its eps_s, which a product with an eps-free key
-    keeps.  Keys are unpacked once.
+    by the packing of the product loop (`poly._packing`, one field of
+    `size` bytes per w_j, 256^size > d), so multiplying monomials is one
+    int addition.  A first-order key adds s * 256^(size*k) for its eps_s,
+    which a product with an eps-free key keeps.  Keys are unpacked once,
+    by `poly._unpacked`.
     """
-    size = next(s for s in (1, 2, 4, 8) if d < 256**s)
     k = len(images[0][1])
-    weights = [256 ** (size * j) for j in range(k)]
+    weights, size = _packing(k, d)
     slot = 256 ** (size * k)
     no_eps = [()] * (d + 1)
 
@@ -389,18 +388,12 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
         acc_eps = spread(spread({}, acc_eps.items(), table), acc.items(), table_eps) if acc_eps or any(table_eps) else {}
         acc = nxt
 
-    def unpacked(out):
-        # the keys' bytes, read as native fields of `size` bytes
-        fields = memoryview(b"".join([key.to_bytes(size * k, byteorder) for key in out]))
-        exps = zip(*[iter(fields.cast("BH_I___Q"[size - 1]))] * k) if k else [()]
-        return dict(zip(exps, out.values()))
-
     # f in t0 alone has the one key ()
     by_slot: list[dict] = [{} for _ in e_first]
     for key, v in acc_eps.get((), {}).items():
         s, key = divmod(key, slot)
         by_slot[s][key] = v
-    return unpacked(acc.get((), {})), [unpacked(part) for part in by_slot]
+    return _unpacked(acc.get((), {}), k, size), [_unpacked(part, k, size) for part in by_slot]
 
 
 def _line_images(den: int, coords: Sequence) -> list[tuple]:
@@ -477,10 +470,8 @@ def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
 
 def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d for integer polynomials keyed by exponent tuples, zeros dropped."""
-    acc: dict = {}
-    _add_products(acc, a.items(), b.items())
-    _add_products(acc, ((e, -k) for e, k in c.items()), d.items())
-    return {e: k for e, k in acc.items() if k}
+    nvars = len(next(iter(a or c), ()))  # any exponent of a left factor; none if neither has a term
+    return {e: k for e, k in _products(nvars, [(a, b, 1), (c, d, -1)]).items() if k}
 
 
 def _exact_quotient(num: dict, den: dict) -> dict:

@@ -106,7 +106,7 @@ def _dmu_forms(parts: Sequence[SparsePoly], sigma: Sequence[SparsePoly], n: int)
         c.append(-sum((sigma[i - 1] * c[r - i] for i in range(1, r)), sigma[r - 1]))
     for i in range(1, n + 1):
         zi = f"z{i}"
-        d1 = parts[1].partial(zi)
+        d1 = parts[1].partial(zi).constant_value()  # f_1 is linear
         form = parts[k + 1].partial(zi) - parts[k] * d1
         for j in range(1, k):
             form = form + c[k - j] * (parts[j + 1].partial(zi) - parts[j] * d1)

@@ -577,10 +577,14 @@ class TestRestrictionEdges:
 
 @pytest.mark.parametrize("d", [255, 256, 300])
 def test_restrictions_of_degree_past_one_byte_keys(d):
-    # the packed keys of the substitution widen from one byte per field at d = 256
+    # packed keys widen from one byte per field at degree 256: the substitution's at d = 256, and
+    # the product's, whose degrees here are d and d + 1, at d = 255
     f = parse_poly(f"2*t0^{d} - 3/5*t0^{d - 7}*t1^7 + t1^{d}", ("t0", "t1"))
     assert_same_restriction(f, [Fraction(-3, 2)], [Fraction(5, 7)])
     assert_same_symbolic_restriction(f, [Fraction(-3, 2)])
+    g = parse_poly("t0 - 2/3*t1", ("t0", "t1"))
+    assert_same_product(f.partial("t0"), g)
+    assert_same_product(f, g)
 
 
 class TestSymbolicRestrictionEdges:
@@ -994,10 +998,15 @@ class TestProductEdges:
         p = parse_poly("1/2*t0^2 - 3/4*t1*t2 + 5*t2^2", tvars(2))
         assert_same_product(p, SparsePoly.constant(tvars(2), Fraction(-2, 3)))
         assert_same_product(SparsePoly.constant(tvars(2), 6), p)
+        assert p * 1 is p and Fraction(1) * p is p
 
     def test_single_term_operand(self):
         p = parse_poly("1/2*t0^2 - 3/4*t1*t2 + 5*t2^2", tvars(2))
-        assert_same_product(p, parse_poly("-7/6*t1", tvars(2)))
+        for mono in (parse_poly("-7/6*t1", tvars(2)), SparsePoly.variable(tvars(2), "t2")):
+            assert_same_product(p, mono)
+            assert_same_product(mono, p)
+            assert_same_product(mono, parse_poly("3/4*t0^2*t2", tvars(2)))
+            assert_same_product(mono, SparsePoly.constant(tvars(2), Fraction(5, 2)))
 
     def test_cancellation_drops_terms(self):
         a = parse_poly("1/2*t1 + 1/3*t2", tvars(2))
