@@ -11,18 +11,15 @@ run.  Otherwise the lines go to fraction-free (Bareiss 1968) elimination
 over Z, whose intermediate growth stays polynomial and whose every pivot
 decision is exact.
 
-That GF(P) elimination, `_reduce_mod_p`, is the one mod-P elimination:
-an echelon that lines are added to, reduced against the pivots so far,
-its rank read off after any addition.  `_rank_mod_p` runs it once and
-returns the rank and, for a square matrix, the determinant mod P.  The
-rank serves `_certified_rank`; the determinant serves the certificate of
-`lines.count_vmrt_points`, which evaluates a Sylvester determinant at
-13 points instead of expanding it over the integer polynomials.
-`_certified_join` continues one echelon: the rank of some lines, then of
-those lines with more, so the join of `variation_report` reduces the
-orbit columns once.  The continued count is the rank mod P of all the
-lines, so the same bound makes it exact when it is full, and Bareiss
-on the full line set judges it when it is not.
+That GF(P) elimination, `_reduce_mod_p`, is the one mod-P elimination,
+and it computes ranks only: an echelon that lines are added to, reduced
+against the pivots so far, its rank read off after any addition.
+`_certified_rank` runs it once; `_certified_join` continues one echelon:
+the rank of some lines, then of those lines with more, so the join of
+`variation_report` reduces the orbit columns once.  The continued count
+is the rank mod P of all the lines, so the same bound makes it exact
+when it is full, and Bareiss on the full line set judges it when it is
+not.
 
 The Bareiss elimination, `_bareiss`, is written once for every ring:
 the rank fallback runs it over Python ints and `unipoly.resultant` over
@@ -94,7 +91,7 @@ class QMatrix:
 
 def _certified_rank(lines: Sequence[Sequence[int]], length: int) -> int:
     """Exact rank over Q of integer lines of `length` entries: mod P if that is full, else by Bareiss on a copy."""
-    return _judged(_rank_mod_p(lines, length)[0], lines, length)
+    return _judged(_reduce_mod_p([], lines), lines, length)
 
 
 def _certified_join(lines: Sequence[Sequence[int]], more: Sequence[Sequence[int]], length: int) -> tuple[int, int]:
@@ -183,28 +180,6 @@ def _reduce_mod_p(echelon: list, lines: Sequence[Sequence[int]]) -> int:
                 echelon.append((c, pow(x, -1, _P), row))
                 break
     return len(echelon)
-
-
-def _rank_mod_p(m: list[list[int]], cols: int) -> tuple[int, int]:
-    """(rank, det) of the integer rows m of `cols` entries over GF(P), by one `_reduce_mod_p`; m is left as it is.
-
-    det is the determinant mod P of a square m, and 0 when m is singular
-    there or not square.  Each reduction subtracts multiples of earlier
-    rows, which keeps the determinant, and row i of the result is zero at
-    the pivot columns of rows 0..i-1: ordered by the pivots, the columns
-    make it triangular.  So det is the product of the pivots times the sign
-    of that column permutation, the parity of its inversions.
-    """
-    echelon: list = []
-    rank = _reduce_mod_p(echelon, m)
-    if not rank == len(m) == cols:
-        return rank, 0
-    det = 1
-    for c, _, row in echelon:
-        det = det * row[c] % _P
-    columns = [c for c, _, _ in echelon]
-    swaps = sum(a > b for i, a in enumerate(columns) for b in columns[i + 1 :])
-    return rank, -det % _P if swaps % 2 else det
 
 
 def span_intersection(a: QMatrix, b: QMatrix) -> int:

@@ -22,12 +22,12 @@ sigma_k is a form of degree k in z, no larger than an equation.
 At a general base point off the hypersurface, the common zero locus of
 the B_k is the variety of tangent directions of ECO lines; for
 (n, m) = (3, 2) it is a finite set of length 12 counted by a resultant.
-That count is first certified mod the prime P = 2^61 - 1: the Sylvester
-determinant is evaluated at 13 points over GF(P), interpolated and tested
-for degree and squarefreeness there (Collins 1971).  A certified answer is
-exact; only when the certificate declines does the resultant over the
-integer polynomials run, with Yun's squarefree test of its
-dehomogenization.
+That count is first certified mod the prime P = 2^61 - 1: the resultant
+is evaluated at 13 points over GF(P) by Euclid, interpolated and tested
+for degree and squarefreeness there by one more resultant (Collins
+1971).  A certified answer is exact; only when the certificate declines
+does the resultant over the integer polynomials run, with Yun's
+squarefree test of its dehomogenization.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .errors import (
     InvalidInput,
     ResultantDegenerate,
 )
-from .linalg import _P, _rank_mod_p
+from .linalg import _P
 from .poly import SparsePoly, _cleared, _sum_of_products
 from .sampling import rand_homogeneous, rand_invertible
 from .unipoly import UniPoly, _by_z_degree, _substitute, is_perfect_square, restrict_to_line
-from .unipoly import _integer_coeffs_in, _sylvester_rows, resultant, squarefree_factorization
+from .unipoly import _integer_coeffs_in, resultant, squarefree_factorization
 
 
 def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, ...]:
@@ -261,35 +261,68 @@ def _linear_change(p: SparsePoly, rows: Sequence[Sequence[int]]) -> SparsePoly:
     return SparsePoly._from_ints(p.vars, _substitute(p, max(p.total_degree(), 0), images)[0], p.den)
 
 
+def _resultant_mod_p(u: Sequence[int], v: Sequence[int]) -> int:
+    """Res(u, v) mod P of ascending integer coefficient lists whose last entries are nonzero mod P.
+
+    Euclid over GF(P) on the reduced lists (Collins 1971; von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, ch. 6): for r = u mod v,
+    Res(u, v) = (-1)^(deg u*deg v) * lc(v)^(deg u - deg r) * Res(v, r),
+    Res(u, c) = c^deg u for a constant c, and the result is 0 once a
+    remainder vanishes.  u and v are left as they are.
+    """
+    u, v = [x % _P for x in u], [x % _P for x in v]
+    res = 1
+    while len(v) > 1:
+        inv, r = pow(v[-1], -1, _P), u
+        while len(r) >= len(v):
+            f, s = r[-1] * inv % _P, len(r) - len(v)
+            r = r[:s] + [(c - f * b) % _P for c, b in zip(r[s:-1], v)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return 0
+        sign = -1 if (len(u) - 1) * (len(v) - 1) % 2 else 1
+        res = sign * res * pow(v[-1], len(u) - len(r), _P) % _P
+        u, v = v, r
+    return res * pow(v[0], len(u) - 1, _P) % _P
+
+
 def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
     """Whether arithmetic mod P proves that the exact count of c3, c4 is (d*e, True).
 
-    Let R_Z be the Sylvester determinant in z3 of the integer coefficients
-    (`_integer_coeffs_in`) of c3 and c4, of degrees d and e in z3 with
-    nonzero leading coefficients: a binary form in z1, z2, homogeneous of
-    degree d*e, and a nonzero rational multiple of resultant(c3, c4, "z3")
-    when it is nonzero.  Its entries are evaluated at (z1, z2) = (a, 1) for
-    a = 0..d*e, each determinant is taken mod P (`linalg._rank_mod_p`), and
-    Newton interpolation gives R(z1) = R_Z(z1, 1) mod P.  The answer is True
-    exactly when deg R >= d*e - 1 and gcd(R, R') = 1 over GF(P).
+    Let R_Z be the resultant in z3 of the integer numerators
+    (`_integer_coeffs_in`) of the forms c3 and c4, of degrees d and e in z3:
+    a binary form in z1, z2, homogeneous of degree d*e, and a nonzero
+    rational multiple of resultant(c3, c4, "z3") when it is nonzero.  The
+    z3-leading coefficients are constants; the answer is False when one of
+    them is a multiple of P.  Otherwise both stay units mod P at every
+    point, and there evaluating and reducing commute with the resultant: at
+    (z1, z2) = (a, 1), R_Z(a, 1) mod P is the resultant over GF(P) of the
+    evaluated coefficient lists (`_resultant_mod_p`).  Its values at
+    a = 0..d*e give R(z1) = R_Z(z1, 1) mod P by Newton interpolation.  The
+    answer is True exactly when deg R >= d*e - 1 and Res(R, R') != 0 mod P,
+    that is, gcd(R, R') = 1 over GF(P): the leading coefficient of R' is
+    deg R * lc R, a unit because P > d*e.
 
     A True answer is exact.  R is nonzero, so R_Z is nonzero.  If R_Z had a
     repeated primitive factor G (a nonconstant form), the reduction of G
     would be a nonzero form of the same degree whose square divides the
     reduction of R_Z as a binary form.  That square is not a power of z2,
     since deg R >= d*e - 1 leaves z2^2 out of the reduction, so it would
-    give a repeated factor of R, against gcd(R, R') = 1 (P > d*e, so R' is
-    nonzero).  So R_Z is squarefree and z2^2 does not divide it: the
-    dehomogenization at z2 = 1 that `count_vmrt_points` hands to Yun is
-    squarefree and loses at most one degree, and the form has degree d*e.
+    give a repeated factor of R, against gcd(R, R') = 1.  So R_Z is
+    squarefree and z2^2 does not divide it: the dehomogenization at z2 = 1
+    that `count_vmrt_points` hands to Yun is squarefree and loses at most
+    one degree, and the form has degree d*e.
     """
-    pc, qc = _integer_coeffs_in(c3, "z3")[0], _integer_coeffs_in(c4, "z3")[0]
+    pc, qc = _integer_coeffs_in(c3, "z3"), _integer_coeffs_in(c4, "z3")
+    if not all(sum(c[-1].values()) % _P for c in (pc, qc)):
+        return False
     d, e = len(pc) - 1, len(qc) - 1
     top = d * e
     r = []
     for a in range(top + 1):
-        at = [[sum(k * a ** exp[0] for exp, k in c.items()) for c in cs] for cs in (pc, qc)]
-        r.append(_rank_mod_p(_sylvester_rows(*at, 0), d + e)[1])
+        u, v = ([sum(k * a ** exp[0] for exp, k in c.items()) for c in cs] for cs in (pc, qc))
+        r.append(_resultant_mod_p(u, v))
     # divided differences on the nodes 0..top, whose spacing j inverts to pow(j, -1, P)
     for j in range(1, top + 1):
         inv = pow(j, -1, _P)
@@ -302,19 +335,7 @@ def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
         poly[0] = (poly[0] + r[k]) % _P
     while poly and not poly[-1]:
         poly.pop()
-    if len(poly) < top:
-        return False
-    # Euclid over GF(P) on R and R'; a constant gcd has one coefficient
-    u, v = poly, [i * c % _P for i, c in enumerate(poly)][1:]
-    while v:
-        inv = pow(v[-1], -1, _P)
-        while len(u) >= len(v):
-            f, s = u[-1] * inv % _P, len(u) - len(v)
-            u = u[:s] + [(c - f * b) % _P for c, b in zip(u[s:-1], v)]
-            while u and not u[-1]:
-                u.pop()
-        u, v = v, u
-    return len(u) == 1
+    return len(poly) >= top and _resultant_mod_p(poly, [i * c for i, c in enumerate(poly)][1:]) != 0
 
 
 def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[int, bool]:
@@ -328,10 +349,10 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
     the equations share a positive-dimensional component.
 
     The resultant and its squarefree test are first certified mod P
-    (`_count_certified`, 13 determinants of 7x7 integer matrices over
-    GF(P)), which settles (12, True) exactly.  Only when that certificate
-    declines does the exact route run: the Sylvester resultant over the
-    integer polynomials and Yun's test of its dehomogenization.
+    (`_count_certified`), which settles (12, True) exactly.  Only when
+    that certificate declines does the exact route run: the Sylvester
+    resultant over the integer polynomials and Yun's test of its
+    dehomogenization.
     """
     if (hyp.n, hyp.m) != (3, 2):
         raise InvalidInput("point count is implemented for n=3, m=2")

@@ -44,10 +44,9 @@ product loop of `SparsePoly.__mul__`, and `_exact_quotient`, an exact
 division with integer divmod.  Convention:
 coefficient rows in ascending-power layout, first argument's rows on top;
 only vanishing and degree of the result carry meaning downstream, the sign
-is fixed for reproducibility.  One helper, `_sylvester_rows`, lays out
-those rows for any entry ring: the resultant pads with the empty integer
-polynomial, and the mod-P point-count certificate of `lines` with the
-integer 0, over the same entries evaluated at a point.
+is fixed for reproducibility.  `_sylvester_rows` lays out those rows for
+this exact resultant only; the mod-P point-count certificate of `lines`
+runs Euclid on evaluated coefficient lists instead.
 """
 
 from __future__ import annotations
@@ -443,10 +442,10 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
 # -- resultants ---------------------------------------------------------------
 
 
-def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
-    """Ascending coefficients of L*p in one variable as integer term dicts, and L.
+def _integer_coeffs_in(p: SparsePoly, var: str) -> list[dict]:
+    """Ascending coefficients of p.den*p in one variable as integer term dicts.
 
-    L = p.den, so L*p has the integer coefficients p.nums; the eliminated
+    p.den*p has the integer coefficients p.nums; the eliminated
     variable's slot of every exponent is set to 0, so entries live over the
     full ring.
     """
@@ -454,18 +453,18 @@ def _integer_coeffs_in(p: SparsePoly, var: str) -> tuple[list[dict], int]:
     buckets: list[dict] = [{} for _ in range(p.degree_in(var) + 1)]
     for exp, k in p.nums.items():
         buckets[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = k
-    return buckets, p.den
+    return buckets
 
 
-def _sylvester_rows(pc: list, qc: list, zero) -> list[list]:
-    """Sylvester matrix of the ascending coefficient lists pc and qc, entries padded with `zero`.
+def _sylvester_rows(pc: list[dict], qc: list[dict]) -> list[list[dict]]:
+    """Sylvester matrix of the ascending coefficient lists pc and qc, padded with the zero polynomial {}.
 
     With d = len(pc) - 1 and e = len(qc) - 1: e shifted copies of pc on
     top of d shifted copies of qc, each row d + e long.
     """
     d, e = len(pc) - 1, len(qc) - 1
-    rows = [[zero] * i + pc + [zero] * (e - 1 - i) for i in range(e)]
-    return rows + [[zero] * i + qc + [zero] * (d - 1 - i) for i in range(d)]
+    rows = [[{}] * i + pc + [{}] * (e - 1 - i) for i in range(e)]
+    return rows + [[{}] * i + qc + [{}] * (d - 1 - i) for i in range(d)]
 
 
 def _cross_difference(a: dict, b: dict, c: dict, d: dict) -> dict:
@@ -525,13 +524,12 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
         raise InvalidInput("resultant operands must share a variable list")
     if p.is_zero or q.is_zero:
         raise InvalidInput("resultant of a zero polynomial")
-    pc, lp = _integer_coeffs_in(p, var)
-    qc, lq = _integer_coeffs_in(q, var)
+    pc, qc = _integer_coeffs_in(p, var), _integer_coeffs_in(q, var)
     d, e = len(pc) - 1, len(qc) - 1
     if d == 0 and e == 0:
         raise InvalidInput("neither operand involves the eliminated variable")
     size = d + e
-    rows = _sylvester_rows(pc, qc, {})
+    rows = _sylvester_rows(pc, qc)
     rank, sign = _bareiss(rows, size, _cross_difference, _exact_quotient)
     det = rows[-1][-1] if rank == size else {}
     if sign < 0:
@@ -539,6 +537,5 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     if size > 1:
         # the quotient order of the last Bareiss step, also when no step divided
         det = dict(sorted(det.items(), key=lambda t: grevlex_key(t[0]), reverse=True))
-    # the rows of p were scaled by lp, those of q by lq
-    den = lp ** e * lq ** d
-    return SparsePoly._from_ints(p.vars, det, den)
+    # the rows of p were scaled by p.den, those of q by q.den
+    return SparsePoly._from_ints(p.vars, det, p.den ** e * q.den ** d)

@@ -46,7 +46,9 @@ point-count certificate tests run.
 resultant and Yun only when that declines; the point-count kernel tests
 make the certificate decline, so both exact kernels still meet their
 references on the same operands, and one test checks that a generic
-certified run calls neither.
+certified run calls neither.  The certificate's Euclidean resultants mod
+P must give, at each node, the determinant of the integer Sylvester
+matrix there, and it must build no Sylvester matrix and no mod-P echelon.
 
 The stored form of SparsePoly, integer numerators over one denominator,
 is compared with plain Fraction-dict sums, scalings, products and
@@ -100,7 +102,7 @@ from vmrt import (
     variation_report,
     vmrt_equations,
 )
-from vmrt import eco, linalg, variation
+from vmrt import eco, linalg, unipoly, variation
 from vmrt.eco import _half_square
 from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables
 from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
@@ -111,6 +113,7 @@ from vmrt.unipoly import _substitute, poly_gcd
 from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
 
 import test_lines
+from test_linalg import sylvester_det
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -1697,6 +1700,78 @@ def test_rank_with_mixed_denominators():
         assert_same_rank(rand_rational_matrix(rng, 4, 6).hstack(rand_rational_matrix(rng, 4, 2)))
 
 
+def certificate_runs(monkeypatch):
+    """(c3, c4, answer, resultant calls) of the count certificate on every count_certificate_systems() input.
+
+    The calls are the (u, v, value) of each `_resultant_mod_p` the
+    certificate makes: its 13 nodes, then the squarefree test when the
+    interpolated R has the degree for it.
+    """
+    runs = []
+    certified, resultant_mod_p = lines._count_certified, lines._resultant_mod_p
+
+    def spy_certified(c3, c4):
+        runs.append([c3, c4, None, []])
+        runs[-1][2] = certified(c3, c4)
+        return runs[-1][2]
+
+    def spy_resultant(u, v):
+        value = resultant_mod_p(u, v)
+        runs[-1][3].append((list(u), list(v), value))
+        return value
+
+    monkeypatch.setattr(lines, "_count_certified", spy_certified)
+    monkeypatch.setattr(lines, "_resultant_mod_p", spy_resultant)
+    for hyp, point, seed in count_certificate_systems():
+        try:
+            count_vmrt_points(hyp, point, seed)
+        except ResultantDegenerate:  # the shared-line system
+            pass
+    monkeypatch.undo()
+    assert len(runs) == 45
+    return runs
+
+
+def z3_coefficients_at(c, a):
+    """The ascending z3-coefficients of the integer form c.den * c at (z1, z2) = (a, 1)."""
+    out = [0] * (c.degree_in("z3") + 1)
+    for (i, _, k), x in c.nums.items():
+        out[k] += x * a**i
+    return out
+
+
+def test_count_certificate_node_values_are_the_sylvester_determinants(monkeypatch):
+    # the step the certificate's proof rests on: node a's value is R_Z(a, 1) mod P, the
+    # determinant of the integer Sylvester matrix there; (-1)^(3*4) = 1 leaves no sign to fix
+    answers = set()
+    for c3, c4, answer, calls in certificate_runs(monkeypatch):
+        nodes = [(z3_coefficients_at(c3, a), z3_coefficients_at(c4, a)) for a in range(13)]
+        assert [(u, v) for u, v, _ in calls[:13]] == nodes
+        for u, v, value in calls[:13]:
+            assert value == sylvester_det(u, v) % P
+        # the squarefree test runs on the interpolated R and R' once R has degree 11 or 12
+        assert len(calls) in (13, 14)
+        if len(calls) == 14:
+            r, derivative, value = calls[13]
+            assert len(r) - 1 in (11, 12) and derivative == [i * c for i, c in enumerate(r)][1:]
+            assert answer == (value != 0)
+        else:
+            assert not answer
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_count_certificate_builds_no_sylvester_matrix_and_no_echelon(monkeypatch):
+    runs = certificate_runs(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the count certificate built a Sylvester matrix or a mod-P echelon")
+
+    monkeypatch.setattr(unipoly, "_sylvester_rows", refuse)
+    monkeypatch.setattr(linalg, "_reduce_mod_p", refuse)
+    assert [lines._count_certified(c3, c4) for c3, c4, _, _ in runs] == [answer for _, _, answer, _ in runs]
+
+
 def recentred_surface(n, m, seed):
     rng = random.Random(seed)
     hyp = Hypersurface(rand_homogeneous(rng, tvars(n), 2 * m))
@@ -1802,16 +1877,15 @@ def test_variation_report_builds_no_qmatrix(monkeypatch):
 
 
 def modular_ranks(monkeypatch):
-    """Record the ranks the certificate mod P returns inside QMatrix.rank."""
+    """Record the ranks the elimination mod P returns inside QMatrix.rank."""
     seen = []
-    rank_mod_p = linalg._rank_mod_p
+    reduce_mod_p = linalg._reduce_mod_p
 
-    def spy(m, cols):
-        out = rank_mod_p(m, cols)
-        seen.append(out[0])
-        return out
+    def spy(echelon, lines):
+        seen.append(reduce_mod_p(echelon, lines))
+        return seen[-1]
 
-    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
+    monkeypatch.setattr(linalg, "_reduce_mod_p", spy)
     return seen
 
 

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rank and span intersections."""
+"""Exact rational linear algebra: rank and span intersections, and the resultant mod P against Bareiss."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from vmrt import InvalidInput, QMatrix, span_intersection
-from vmrt.linalg import _bareiss, _certified_rank, _int_cross, _int_exact, _rank_mod_p
+from vmrt.linalg import _bareiss, _certified_rank, _int_cross, _int_exact
+from vmrt.lines import _resultant_mod_p
 
 
 def rand_matrix(rng, rows, cols):
@@ -83,50 +84,62 @@ def bareiss_det(m):
     return sign * work[-1][-1] if rank == len(m) else 0
 
 
-def assert_det_mod_p(m):
-    rank, det = _rank_mod_p(m, len(m))
-    assert det == bareiss_det(m) % P
-    assert (det != 0) == (rank == len(m))
-    return det
+def sylvester_det(u, v):
+    """The determinant of the integer Sylvester rows of ascending lists u and v: e shifted u on d shifted v."""
+    d, e = len(u) - 1, len(v) - 1
+    rows = [[0] * i + list(u) + [0] * (e - 1 - i) for i in range(e)]
+    rows += [[0] * i + list(v) + [0] * (d - 1 - i) for i in range(d)]
+    return bareiss_det(rows) if rows else 1
+
+
+def assert_resultant_mod_p(u, v):
+    """_resultant_mod_p(u, v) against (-1)^(deg u*deg v) times the Sylvester determinant, mod P."""
+    res = _resultant_mod_p(u, v)
+    assert res == (-1) ** ((len(u) - 1) * (len(v) - 1)) * sylvester_det(u, v) % P
+    return res
 
 
 @pytest.mark.parametrize(
-    "m",
+    "u,v,expected",
     [
-        [[0, 1], [1, 0]],  # one real row swap: -1
-        [[0, 0, 2], [0, 3, 0], [5, 0, 0]],  # one swap, the middle pivot already in place
-        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # two swaps: +1
-        [[1, 2], [2, 4]],  # singular over Q
-        [[P + 3, 1], [P - 1, 2]],  # entries above P, reduced first
-        [[P, 0], [0, 1]],  # singular only mod P
-        [[2 * P + 1, 3 * P], [P + 7, -P - 5]],
-        [[7]],
+        ([P + 3, 1, P + 2], [2 * P + 1, P - 1], None),  # entries above P, reduced first
+        ([-3, 5, -7], [4, -1, 2, -9], None),  # negative entries
+        ([-2, -1, 1], [-6, 3, -2, 1], 0),  # the common factor z - 2
+        ([1, 1], [P + 1, 1], 0),  # a common root only mod P
+        ([4, -1, 2, 3], [5], 5**3),  # a constant second operand
+        ([-4], [1, 0, 7], 16),  # a constant first operand
+        ([2, 0, 1], [1, -3, 0, 0, 2], None),  # deg u < deg v
+        ([7, 1, -2, 0, 3], [-1, 4, 1], None),  # deg u > deg v
+        ([3, 2], [-1, 5], -17),  # degree 1: 2*(-1) - 3*5
     ],
 )
-def test_det_mod_p_matches_bareiss(m):
-    assert_det_mod_p(m)
+def test_resultant_mod_p_matches_the_sylvester_determinant(u, v, expected):
+    res = assert_resultant_mod_p(u, v)
+    if expected is not None:
+        assert res == expected % P
 
 
-def test_det_mod_p_matches_bareiss_on_random_matrices():
+def test_resultant_mod_p_matches_the_sylvester_determinant_on_random_pairs():
     rng = random.Random(61)
-    signs = set()
+    seen = set()
     for _ in range(200):
-        n = rng.randint(1, 6)
         big = rng.random() < 0.3
-        m = [[rng.randint(-3 * P, 3 * P) if big else rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
-             for _ in range(n)]
-        if n >= 2 and rng.random() < 0.3:  # a dependent row
-            i, j = rng.sample(range(n), 2)
-            m[i] = [rng.randint(-2, 2) * x for x in m[j]]
-        det = assert_det_mod_p(m)
-        signs.add((det == 0, det > P // 2))
-    # singular and nonsingular draws both occur, with both signs of the determinant
-    assert signs == {(True, False), (False, False), (False, True)}
+        u, v = ([rng.randint(-3 * P, 3 * P) if big else rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+                for _ in range(2))
+        u[-1], v[-1] = u[-1] % P or 1, v[-1] % P or 2  # leading entries nonzero mod P
+        if rng.random() < 0.2:  # a common factor z - c
+            c = rng.randint(-3, 3)
+            u, v = ([c * x - y for x, y in zip(w + [0], [0] + w)] for w in (u, v))
+        res = assert_resultant_mod_p(u, v)
+        seen.add((res == 0, res > P // 2))
+    # common roots and both signs of a nonzero resultant occur
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
-def test_rank_mod_p_leaves_its_input_unchanged():
-    m = [[0, P + 1], [3, 4]]
-    assert _rank_mod_p(m, 2) == (2, (-3) % P) and m == [[0, P + 1], [3, 4]]
+def test_resultant_mod_p_leaves_its_arguments_unchanged():
+    u, v = [P + 1, -2, 3], [0, 1]
+    assert _resultant_mod_p(u, v) == 1  # u(0) mod P, as v = z
+    assert (u, v) == ([P + 1, -2, 3], [0, 1])
 
 
 def test_certified_rank_leaves_its_lines_unchanged():
@@ -134,3 +147,7 @@ def test_certified_rank_leaves_its_lines_unchanged():
     lines = [[P, 1, 2], [2 * P, 3, 5], [0, 1, 1]]
     kept = [list(line) for line in lines]
     assert _certified_rank(lines, 3) == 2 and lines == kept
+    # full rank mod P, settled by the elimination mod P alone
+    lines = [[P + 1, 2, 0], [3, -5, P], [0, 2 * P, 7]]
+    kept = [list(line) for line in lines]
+    assert _certified_rank(lines, 3) == 3 and lines == kept

@@ -446,6 +446,21 @@ class TestCountCertificate:
         TestCount().test_global_square_is_degenerate()
 
 
+def test_count_certificate_declines_a_z3_leading_coefficient_that_is_a_multiple_of_p():
+    # Euclid mod P needs both leading coefficients to be units there; these
+    # forms certify with unit leads, and the exact route counts (12, True) at lead P
+    P = (1 << 61) - 1
+    tail3 = " + z1^3 - 2*z2^3 + z1*z2*z3 + 3*z1^2*z3"
+    tail4 = " + z1^4 + z2^4 - z1*z2*z3^2 + 2*z2^3*z3"
+    for lead3, lead4, certified in [(1, 1, True), (P + 1, 1, True), (P, 1, False), (1, 2 * P, False), (-P, 3, False)]:
+        c3, c4 = parse_poly(f"{lead3}*z3^3" + tail3, ZV3), parse_poly(f"{lead4}*z3^4" + tail4, ZV3)
+        assert lines._count_certified(c3, c4) is certified
+    res = resultant(parse_poly(f"{P}*z3^3" + tail3, ZV3), parse_poly("z3^4" + tail4, ZV3), "z3")
+    dehom = UniPoly([res.coefficient((k, 12 - k, 0)) for k in range(13)])
+    assert res.homogeneous_degree() == 12 and dehom.degree() >= 11
+    assert [mult for _, mult in squarefree_factorization(dehom)[1]] == [1]
+
+
 class TestRecenter:
     def test_equations_translate(self):
         rng = random.Random(101)
