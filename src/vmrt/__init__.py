@@ -19,7 +19,6 @@ from .errors import (
     VmrtError,
 )
 from .jets import Jet1, restrict_to_line_jets
-from .linalg import QMatrix, span_intersection
 from .lines import (
     Hypersurface,
     VmrtSystem,
@@ -69,7 +68,6 @@ __all__ = [
     "MonomialBasis",
     "NormalizationViolated",
     "ParseError",
-    "QMatrix",
     "ResultantDegenerate",
     "SparsePoly",
     "UniPoly",
@@ -100,7 +98,6 @@ __all__ = [
     "restrict_to_line_jets",
     "resultant",
     "run_selftest",
-    "span_intersection",
     "squarefree_factorization",
     "variation_report",
     "vmrt_equations",

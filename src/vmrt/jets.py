@@ -29,7 +29,9 @@ apart and never multiplies two first-order terms, whose product is zero,
 so no Jet1 and no zero slot enters it.  The coefficients become Jet1s
 over forms only at the end.  Powers use the closed form
 (v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by slot, which keeps
-`SparsePoly.compose` over jets cheap.
+`SparsePoly.compose` over jets cheap; the library itself composes no
+jets, so that composition now runs only in the tests' references (the
+composed tail A_{m+1} of tests/test_kernels.py).
 """
 
 from __future__ import annotations

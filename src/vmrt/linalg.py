@@ -1,14 +1,18 @@
-"""Exact rational matrices: rank and the dimension of column-span intersections.
+"""Exact rank over Q of integer lines, and the rank of a join.
 
-Rank is certified on integer lines by `_certified_rank`: the rows of a
-`QMatrix`, each cleared by `poly._cleared`, the rows `rand_invertible`
-draws, or the integer coefficient columns of `variation_report`.  It runs
-mod the Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 5).  Reducing mod P can only lose pivots,
-so rank mod P <= rank over Q <= min(lines, length): one elimination over
-GF(P) that reaches that bound gives the exact rank, the same on every
-run.  Otherwise the lines go to fraction-free (Bareiss 1968) elimination
-over Z, whose intermediate growth stays polynomial and whose every pivot
+The package's linear algebra is three numbers of `variation_report`:
+rank dmu, the dimension of the orbit tangent and the rank of both column
+sets together, on the integer coefficient columns.  `rand_invertible`
+accepts its integer rows on the same rank.  There is no matrix type:
+callers that hold `Fraction` columns clear them to integer lines first.
+
+Rank is certified on integer lines by `_certified_rank`.  It runs mod the
+Mersenne prime P = 2^61 - 1 first (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 5).  Reducing mod P can only lose pivots, so rank
+mod P <= rank over Q <= min(lines, length): one elimination over GF(P)
+that reaches that bound gives the exact rank, the same on every run.
+Otherwise the lines go to fraction-free (Bareiss 1968) elimination over
+Z, whose intermediate growth stays polynomial and whose every pivot
 decision is exact.
 
 That GF(P) elimination, `_reduce_mod_p`, is the one mod-P elimination,
@@ -29,64 +33,9 @@ division.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
-
-from .errors import InvalidInput
-from .poly import _cleared
+from typing import Sequence
 
 _P = (1 << 61) - 1
-
-
-class QMatrix:
-    """Immutable dense matrix with Fraction entries."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable]):
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise InvalidInput("ragged rows")
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "QMatrix":
-        columns = [list(c) for c in columns]
-        if not columns:
-            if rows is None:
-                raise InvalidInput("cannot infer row count of an empty column list")
-            return cls([[] for _ in range(rows)])
-        height = len(columns[0])
-        if any(len(c) != height for c in columns):
-            raise InvalidInput("columns of unequal height")
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(height)])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows:
-            raise InvalidInput("row counts differ")
-        return QMatrix([list(a) + list(b) for a, b in zip(self.data, other.data)])
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
-
-    # -- elimination ---------------------------------------------------------
-
-    def rank(self) -> int:
-        """Exact rank over Q: `_certified_rank` of the cleared rows."""
-        return _certified_rank([_cleared(row)[0] for row in self.data], self.cols)
 
 
 def _certified_rank(lines: Sequence[Sequence[int]], length: int) -> int:
@@ -181,9 +130,3 @@ def _reduce_mod_p(echelon: list, lines: Sequence[Sequence[int]]) -> int:
                 break
     return len(echelon)
 
-
-def span_intersection(a: QMatrix, b: QMatrix) -> int:
-    """Dimension of (column span of a) intersect (column span of b)."""
-    if a.rows != b.rows:
-        raise InvalidInput("matrices must share the ambient space")
-    return a.rank() + b.rank() - a.hstack(b).rank()

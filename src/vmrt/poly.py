@@ -5,8 +5,9 @@ A polynomial is stored as its variable names, integer numerators `nums`
 positive denominator `den` that shares no factor with all of them:
 FLINT's `fmpq_mpoly` layout, a content times an integer polynomial
 (https://flintlib.org/doc/fmpq_mpoly.html).  The form is canonical, so
-`==` and `hash` compare it directly; `terms` builds the Fraction
-coefficients afresh on each access.  The canonical term order for
+`==` and `hash` compare it directly, except that a constant equals and
+hashes as its scalar value; `terms` builds the Fraction coefficients
+afresh on each access.  The canonical term order for
 printing, coefficient bases and leading-term logic is graded reverse
 lexicographic (grevlex), highest term first; it is fixed globally so
 every printed or serialized polynomial is deterministic.
@@ -28,7 +29,8 @@ pass, mainly the orbit forms z_i * dh/dz_j) nothing merges, so `__mul__`
 shifts exponents instead.  `_cleared`
 clears the other rational inputs: the Fractions of the public constructors
 (`constant`, `from_terms`, `variation.explicit_family`, `UniPoly`, which
-keeps this layout in one variable), points, directions and matrix rows.
+keeps this layout in one variable), and the points, directions and jet
+tangents of the line restrictions.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 
@@ -339,6 +341,9 @@ class SparsePoly:
         return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        # a constant equals its scalar value, so it hashes as that value
+        if len(self.nums) <= 1 and self.is_constant:
+            return hash(Fraction(self.nums.get((0,) * len(self.vars), 0), self.den))
         return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # -- calculus and substitution -------------------------------------------

@@ -25,16 +25,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .eco import _half_square
 from .errors import InvalidInput, NormalizationViolated
 from .jets import Jet1, restrict_to_line_jets
-from .linalg import QMatrix, _certified_join, _certified_rank
+from .linalg import _certified_join, _certified_rank
 from .lines import Hypersurface, _from_graded_parts, vmrt_equations
 from .poly import SparsePoly, monomials_of_degree
 
 _ZERO = Fraction(0)
+
+# One immutable Fraction tuple per column: a coefficient vector in basis order.
+Columns = tuple[tuple[Fraction, ...], ...]
 
 
 class MonomialBasis:
@@ -113,22 +116,29 @@ def _dmu_forms(parts: Sequence[SparsePoly], sigma: Sequence[SparsePoly], n: int)
         yield form
 
 
-def dmu_formula(hyp: Hypersurface) -> QMatrix:
-    """Differential of mu at the origin by the closed-form derivative identity."""
+def _columns(forms: Iterable[SparsePoly], basis: MonomialBasis) -> Columns:
+    return tuple(tuple(coeff_vector(form, basis)) for form in forms)
+
+
+def dmu_formula(hyp: Hypersurface) -> Columns:
+    """Differential of mu at the origin by the closed-form derivative identity.
+
+    Column i - 1 is the coefficient vector of dB_{m+1}/dy_i in
+    MonomialBasis(n, m+1) order.
+    """
     parts = _normalized_parts(hyp)
     sigma, _ = _half_square(parts[1 : hyp.m + 1], hyp.m)  # the root alone, no tail
-    basis = MonomialBasis(hyp.n, hyp.m + 1)
-    return QMatrix.from_columns([coeff_vector(form, basis) for form in _dmu_forms(parts, sigma, hyp.n)])
+    return _columns(_dmu_forms(parts, sigma, hyp.n), MonomialBasis(hyp.n, hyp.m + 1))
 
 
-def dmu_jet(hyp: Hypersurface) -> QMatrix:
+def dmu_jet(hyp: Hypersurface) -> Columns:
     """Differential of mu at the origin by first-order jets (independent oracle).
 
     Replays the full equation pipeline once, in vector mode, at the jet
     base point y = eps_1*e_1 + ... + eps_n*e_n: restriction, inversion of
     a_0 = 1 + eps*(...), and the half-square recursion on the jet ratios
     up to the lowest tail.  Derivative slot i of the resulting jet is
-    dB_{m+1}/dy_i at the origin, column i of the matrix.  a_0 is the
+    dB_{m+1}/dy_i at the origin, column i - 1 of the result.  a_0 is the
     degree-0 part in z, so it is inverted as a jet of scalars and each
     ratio a_j/a_0 scales forms instead of multiplying them by constant
     forms.  That changes no step of the pipeline, so the oracle stays
@@ -143,8 +153,7 @@ def dmu_jet(hyp: Hypersurface) -> QMatrix:
     inv0 = Jet1(a[0].value.constant_value(), tuple(d.constant_value() for d in a[0].derivative)).inverse()
     _, (tail,) = _half_square([a[j] * inv0 for j in range(1, m + 1)], m + 1)
     bk = a[m + 1] * inv0 - tail
-    basis = MonomialBasis(n, m + 1)
-    return QMatrix.from_columns([coeff_vector(slope, basis) for slope in bk.derivative])
+    return _columns(bk.derivative, MonomialBasis(n, m + 1))
 
 
 def _orbit_forms(h: SparsePoly) -> list[SparsePoly]:
@@ -153,19 +162,18 @@ def _orbit_forms(h: SparsePoly) -> list[SparsePoly]:
     return [SparsePoly.variable(h.vars, v) * d for v in h.vars for d in partials]
 
 
-def orbit_tangent(h: SparsePoly, degree: int | None = None) -> QMatrix:
+def orbit_tangent(h: SparsePoly, degree: int | None = None) -> Columns:
     """Spanning set of the tangent space to the GL(n) orbit of a form.
 
-    Columns are the coefficient vectors of z_i * dh/dz_j for all (i, j) in
-    row-major order; they span the orbit tangent space at h and there are
+    The columns are the coefficient vectors of z_i * dh/dz_j for all (i, j)
+    in row-major order; they span the orbit tangent space at h and there are
     n^2 of them (not necessarily independent).
     """
     if degree is None:
         degree = h.homogeneous_degree()
     elif not h.is_homogeneous(degree):
         raise InvalidInput(f"form is not homogeneous of degree {degree}")
-    basis = MonomialBasis(len(h.vars), degree)
-    return QMatrix.from_columns([coeff_vector(form, basis) for form in _orbit_forms(h)])
+    return _columns(_orbit_forms(h), MonomialBasis(len(h.vars), degree))
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,7 @@ def variation_report(hyp: Hypersurface) -> VariationReport:
     rank_dmu = _certified_rank(differential, basis.size)
     # the orbit's elimination continued with the dmu columns gives the join
     dim_orbit, rank_join = _certified_join(orbit, differential, basis.size)
-    # the span_intersection formula, reusing the two ranks just taken
+    # dim(U cap W) = rank U + rank W - rank(U + W), reusing the two ranks just taken
     dim_intersection = rank_dmu + dim_orbit - rank_join
     maximal = rank_dmu == n and dim_intersection == 0
     return VariationReport(n, m, rank_dmu, dim_orbit, dim_intersection, maximal)

@@ -23,18 +23,20 @@ weights rest on, and the dmu forms must equal those of the route they
 replaced, the partials of A_{m+1} composed with f_1..f_m.  A spy checks
 that neither calls `build_family` or `compose`.
 
-`QMatrix.rank` certifies the rank mod 2^61 - 1 and falls back to Bareiss
-over the integers; its reference is a plain Fraction Gauss-Jordan
-elimination that shares no code with either.  `variation_report` takes
-the same certified rank on integer coefficient columns, with no QMatrix,
-and counts the join by continuing the orbit's elimination mod P with the
-dmu columns: its three ranks must equal the reference ranks of the public
-`dmu_formula`, `orbit_tangent` and their hstack, also when every rank is
-forced through Bareiss.
+`_certified_rank` certifies the rank of integer lines mod 2^61 - 1 and
+falls back to Bareiss over the integers; its reference is the plain
+Fraction Gauss-Jordan elimination `test_linalg.reference_rank`, which
+shares no code with either, run on the rational rows the test cleared.
+`variation_report` takes the same certified rank on integer coefficient
+columns and counts the join by continuing the orbit's elimination mod P
+with the dmu columns: its three ranks must equal the reference ranks of
+the Fraction columns of the public `dmu_formula`, `orbit_tangent` and
+their concatenation, also when every rank is forced through Bareiss.
 
 `rand_invertible` draws integer rows and accepts them on the certified
-rank; its reference is the QMatrix route it replaced, which must draw
-the same rows and leave the generator in the same state.
+rank; its reference makes the same draws and accepts them on the
+reference rank, and must draw the same rows and leave the generator in
+the same state.
 
 The coordinate change of `count_vmrt_points` runs the linear-substitution
 loop of the line restrictions; its reference is the route it replaced,
@@ -80,7 +82,6 @@ from vmrt import (
     BasePointOnBranch,
     Hypersurface,
     Jet1,
-    QMatrix,
     ResultantDegenerate,
     SparsePoly,
     UniPoly,
@@ -113,7 +114,7 @@ from vmrt.unipoly import _substitute, poly_gcd
 from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
 
 import test_lines
-from test_linalg import sylvester_det
+from test_linalg import assert_same_rank, reference_rank, sylvester_det
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -446,25 +447,6 @@ def reference_jet_tail(ratios, m):
     return reference_family(m)[1][m + 1].compose(ratios)
 
 
-def reference_rank(mat):
-    """Rank over Q by Gauss-Jordan elimination on the Fraction entries."""
-    rows = [list(row) for row in mat.data]
-    rank = 0
-    for c in range(mat.cols):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pivot = [x / rows[rank][c] for x in rows[rank]]
-        rows[rank] = pivot
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
-        rank += 1
-    return rank
-
-
 def tvars(n):
     return tuple(f"t{i}" for i in range(n + 1))
 
@@ -776,10 +758,7 @@ def reference_dmu_jet_columns(hyp):
 
 def assert_dmu_jet_matches_columns(hyp):
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    columns = dmu_jet(hyp)
-    assert [columns.column(i) for i in range(hyp.n)] == [
-        coeff_vector(p, basis) for p in reference_dmu_jet_columns(hyp)
-    ]
+    assert dmu_jet(hyp) == tuple(tuple(coeff_vector(p, basis)) for p in reference_dmu_jet_columns(hyp))
 
 
 def normalized(f):
@@ -871,7 +850,7 @@ def assert_dmu_forms_match_composed_partials(hyp):
     sigma, _ = _half_square(parts[1 : hyp.m + 1], hyp.m)
     assert list(_dmu_forms(parts, sigma, hyp.n)) == ref
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    assert dmu_formula(hyp) == QMatrix.from_columns([coeff_vector(p, basis) for p in ref])
+    assert dmu_formula(hyp) == tuple(tuple(coeff_vector(p, basis)) for p in ref)
 
 
 @pytest.mark.parametrize("n,m", DMU_COMBOS + ((5, 4), (6, 3)))
@@ -1532,11 +1511,11 @@ def test_coordinate_changes_of_the_count_certificate_systems_match_compose(monke
 
 
 def reference_rand_invertible(rng, size):
-    """The QMatrix route it replaced: the same draws, accepted on the Gauss-Jordan rank."""
+    """The same draws, accepted on the Gauss-Jordan rank."""
     while True:
-        mat = QMatrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
-        if reference_rank(mat) == size:
-            return [[int(x) for x in row] for row in mat.data]
+        rows = [[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)]
+        if reference_rank(rows, size) == size:
+            return rows
 
 
 def test_rand_invertible_draws_the_rows_of_the_qmatrix_route():
@@ -1631,16 +1610,12 @@ class TestGcdEdges:
 P = (1 << 61) - 1
 
 
-def assert_same_rank(mat):
-    fast = mat.rank()
-    assert fast == reference_rank(mat)
-    return fast
+def rand_rational_rows(rng, rows, cols):
+    return [[Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(cols)] for _ in range(rows)]
 
 
-def rand_rational_matrix(rng, rows, cols):
-    return QMatrix(
-        [[Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(cols)] for _ in range(rows)]
-    )
+def transposed(rows):
+    return [list(col) for col in zip(*rows)]
 
 
 def combine(rng, vectors, count):
@@ -1655,35 +1630,30 @@ def combine(rng, vectors, count):
 def test_rank_of_random_full_matrices(rows, cols):
     rng = random.Random(rows * 31 + cols)
     for _ in range(4):
-        mat = rand_rational_matrix(rng, rows, cols)
-        assert assert_same_rank(mat) == min(rows, cols)
+        assert assert_same_rank(rand_rational_rows(rng, rows, cols), cols) == min(rows, cols)
 
 
 @pytest.mark.parametrize("rows,cols,rank", [(6, 4, 2), (4, 6, 3), (5, 5, 4), (7, 7, 1), (8, 5, 3)])
 def test_rank_with_planted_dependent_rows_and_columns(rows, cols, rank):
     rng = random.Random(rows * 97 + cols * 7 + rank)
     # rows: `rank` independent ones and combinations of them, shuffled
-    base = rand_rational_matrix(rng, rank, cols).data
-    mixed = list(base) + combine(rng, base, rows - rank)
+    base = rand_rational_rows(rng, rank, cols)
+    mixed = base + combine(rng, base, rows - rank)
     rng.shuffle(mixed)
-    assert assert_same_rank(QMatrix(mixed)) == rank
+    assert assert_same_rank(mixed, cols) == rank
     # columns: the same, on the transpose
-    base = rand_rational_matrix(rng, rank, rows).data
-    mixed = list(base) + combine(rng, base, cols - rank)
+    base = rand_rational_rows(rng, rank, rows)
+    mixed = base + combine(rng, base, cols - rank)
     rng.shuffle(mixed)
-    assert assert_same_rank(QMatrix.from_columns(mixed)) == rank
+    assert assert_same_rank(transposed(mixed), cols) == rank
 
 
 def test_rank_of_zero_and_empty_matrices():
-    assert assert_same_rank(QMatrix([[0] * 4 for _ in range(3)])) == 0
-    assert assert_same_rank(QMatrix([[0]])) == 0
-    tall_empty = QMatrix.from_columns([], rows=4)  # 4 x 0
-    assert (tall_empty.rows, tall_empty.cols) == (4, 0)
-    assert assert_same_rank(tall_empty) == 0
-    # a matrix without rows has no columns either: 0 x k comes out 0 x 0
-    for mat in (QMatrix([]), QMatrix.from_columns([[], [], []])):
-        assert (mat.rows, mat.cols) == (0, 0)
-        assert assert_same_rank(mat) == 0
+    assert assert_same_rank([[0] * 4 for _ in range(3)], 4) == 0
+    assert assert_same_rank([[0]], 1) == 0
+    assert assert_same_rank([[] for _ in range(4)], 0) == 0  # 4 x 0
+    assert assert_same_rank([], 4) == 0  # 0 x 4
+    assert assert_same_rank([], 0) == 0
 
 
 def test_rank_with_mixed_denominators():
@@ -1693,11 +1663,12 @@ def test_rank_with_mixed_denominators():
         [half, Fraction(3, 10), 0, Fraction(-1, 9)],
         [third + half, Fraction(-5, 7) + Fraction(3, 10), Fraction(11, 4), 2 - Fraction(1, 9)],
     ]
-    assert assert_same_rank(QMatrix(rows)) == 2
-    assert assert_same_rank(QMatrix(rows[:2] + [[Fraction(1, 6), 0, 0, Fraction(-7, 8)]])) == 3
+    assert assert_same_rank(rows, 4) == 2
+    assert assert_same_rank(rows[:2] + [[Fraction(1, 6), 0, 0, Fraction(-7, 8)]], 4) == 3
     rng = random.Random(23)
     for _ in range(5):
-        assert_same_rank(rand_rational_matrix(rng, 4, 6).hstack(rand_rational_matrix(rng, 4, 2)))
+        left, right = rand_rational_rows(rng, 4, 6), rand_rational_rows(rng, 4, 2)
+        assert_same_rank([a + b for a, b in zip(left, right)], 8)
 
 
 def certificate_runs(monkeypatch):
@@ -1779,7 +1750,7 @@ def recentred_surface(n, m, seed):
 
 
 def public_variation_matrices(moved):
-    """dmu and the orbit tangent of B_{m+1} at the origin, built by the public QMatrix routes."""
+    """The Fraction columns of dmu and of the orbit tangent of B_{m+1} at the origin, by the public routes."""
     lowest = reference_vmrt_equations(moved, [0] * moved.n)[0]
     return dmu_formula(moved), orbit_tangent(lowest, degree=moved.m + 1)
 
@@ -1823,8 +1794,8 @@ def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
     report = variation_report(moved)
     monkeypatch.undo()
     dmu, orbit = public_variation_matrices(moved)
-    both = dmu.hstack(orbit)
-    assert report_triple(report) == tuple(reference_rank(mat) for mat in (dmu, orbit, both))
+    size = len(dmu[0])
+    assert report_triple(report) == tuple(reference_rank(columns, size) for columns in (dmu, orbit, dmu + orbit))
     # dmu is eliminated on its own, then the orbit, whose echelon the dmu columns continue: the
     # join reduces no orbit column a second time
     assert len(calls) == 3
@@ -1832,10 +1803,10 @@ def test_rank_of_variation_matrices_matches_reference(monkeypatch, n, m, seed):
     assert (start_dmu, start_orbit) == (0, 0)
     assert join_echelon is orbit_echelon and start_join == rank_orbit
     # the reduced lines are the public matrices' columns, each scaled by a nonzero rational
-    for (_, _, seen, _), mat in zip(calls, (dmu, orbit, dmu)):
-        assert len(seen) == mat.cols
-        for j, line in enumerate(seen):
-            assert_proportional(line, mat.column(j))
+    for (_, _, seen, _), columns in zip(calls, (dmu, orbit, dmu)):
+        assert len(seen) == len(columns)
+        for line, column in zip(seen, columns):
+            assert_proportional(line, column)
     assert max(abs(x).bit_length() for _, _, seen, _ in calls for line in seen for x in line) > 64
     if (n, m) == (3, 2):
         # ternary cubics: the rank-3 image of dmu meets the 9-dimensional orbit tangent in a plane
@@ -1863,21 +1834,8 @@ def test_variation_report_is_unchanged_when_every_rank_comes_from_bareiss(monkey
     assert ranks == list(report_triple(expected))
 
 
-def test_variation_report_builds_no_qmatrix(monkeypatch):
-    moved = recentred_surface(4, 3, 1)
-    expected = variation_report(moved)
-
-    def refuse(self, data):
-        raise AssertionError("QMatrix built")
-
-    monkeypatch.setattr(QMatrix, "__init__", refuse)
-    assert variation_report(moved) == expected
-    with pytest.raises(AssertionError, match="QMatrix built"):
-        dmu_formula(moved)
-
-
 def modular_ranks(monkeypatch):
-    """Record the ranks the elimination mod P returns inside QMatrix.rank."""
+    """Record the ranks the elimination mod P returns inside `_certified_rank`."""
     seen = []
     reduce_mod_p = linalg._reduce_mod_p
 
@@ -1907,12 +1865,11 @@ def modular_ranks(monkeypatch):
 )
 def test_rank_that_drops_only_mod_p_comes_from_bareiss(monkeypatch, rows, rank):
     mod_p = modular_ranks(monkeypatch)
-    assert assert_same_rank(QMatrix(rows)) == rank
+    assert assert_same_rank(rows, len(rows[0])) == rank
     assert mod_p == [rank - 1]
 
 
 def test_full_rank_mod_p_returns_without_bareiss(monkeypatch):
     mod_p = modular_ranks(monkeypatch)
-    mat = QMatrix([[P + 1, 2], [3, 5]])  # rank 2 mod P and over Q
-    assert assert_same_rank(mat) == 2
+    assert assert_same_rank([[P + 1, 2], [3, 5]], 2) == 2  # rank 2 mod P and over Q
     assert mod_p == [2]

@@ -1,78 +1,123 @@
-"""Exact rational linear algebra: rank and span intersections, and the resultant mod P against Bareiss."""
+"""Exact rank of integer lines and the rank of a join against Gauss-Jordan over Q, and the resultant mod P against Bareiss.
+
+The reference rank is a plain Fraction Gauss-Jordan elimination that
+shares no code with `_certified_rank`, `_certified_join` or the
+denominator clearing of `poly._cleared`: a rank test clears its rational
+rows itself (`integer_lines`) and compares the certified rank of the
+integer lines with the reference rank of the rows it started from.
+"""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from vmrt import InvalidInput, QMatrix, span_intersection
-from vmrt.linalg import _bareiss, _certified_rank, _int_cross, _int_exact
+from vmrt.linalg import _bareiss, _certified_join, _certified_rank, _int_cross, _int_exact
 from vmrt.lines import _resultant_mod_p
 
 
-def rand_matrix(rng, rows, cols):
-    return QMatrix(
-        [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)]
-    )
+def reference_rank(lines, length):
+    """Rank over Q of lines of `length` entries by Gauss-Jordan elimination on Fractions.
+
+    Row rank equals column rank, so the elimination runs on the transpose
+    when that has shorter rows, which keeps it cheap on the few long
+    coefficient columns of the variation tests.
+    """
+    rows = [[Fraction(x) for x in line] for line in lines]
+    if length > len(rows):
+        rows, length = [list(col) for col in zip(*rows)], len(rows)
+    rank = 0
+    for c in range(length):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pivot = [x / rows[rank][c] for x in rows[rank]]
+        rows[rank] = pivot
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+def integer_lines(rows):
+    """Each row of ints and Fractions times the lcm of its denominators: integer lines of the same rank."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def assert_same_rank(rows, length):
+    """The certified rank of the cleared rows, checked against the reference rank of the rows."""
+    fast = _certified_rank(integer_lines(rows), length)
+    assert fast == reference_rank(rows, length)
+    return fast
+
+
+def assert_same_join(a, b, length):
+    """The certified (rank a, rank of a and b), checked against the reference; returns dim(span a cap span b)."""
+    rank_a, rank_join = _certified_join(integer_lines(a), integer_lines(b), length)
+    assert (rank_a, rank_join) == (reference_rank(a, length), reference_rank([*a, *b], length))
+    return rank_a + reference_rank(b, length) - rank_join
+
+
+def rand_lines(rng, count, length):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(length)] for _ in range(count)]
 
 
 def test_identity_rank():
-    assert QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
+    assert assert_same_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
 
 
 def test_duplicated_columns_do_not_change_rank():
     rng = random.Random(7)
-    a = rand_matrix(rng, 4, 3)
-    doubled = a.hstack(a)
-    assert doubled.rank() == a.rank()
+    a = rand_lines(rng, 3, 4)  # three columns of height 4
+    rank = assert_same_rank(a, 4)
+    assert assert_same_rank(a + a, 4) == rank
+    assert assert_same_join(a, a, 4) == rank
 
 
 def test_column_permutation_preserves_span():
     rng = random.Random(9)
     while True:
-        a = rand_matrix(rng, 5, 3)
-        if a.rank() == 3:
+        a = rand_lines(rng, 3, 5)
+        if reference_rank(a, 5) == 3:
             break
-    b = QMatrix.from_columns([a.column(2), a.column(0), a.column(1)])
-    assert span_intersection(a, b) == 3
+    b = [a[2], a[0], a[1]]
+    assert assert_same_join(a, b, 5) == 3
 
 
 def test_span_intersection_symmetric_and_bounded():
     rng = random.Random(17)
     for _ in range(10):
-        a = rand_matrix(rng, 5, 3)
-        b = rand_matrix(rng, 5, 4)
-        d = span_intersection(a, b)
-        assert d == span_intersection(b, a)
-        assert 0 <= d <= min(a.rank(), b.rank())
+        a = rand_lines(rng, 3, 5)
+        b = rand_lines(rng, 4, 5)
+        d = assert_same_join(a, b, 5)
+        assert d == assert_same_join(b, a, 5)
+        assert 0 <= d <= min(reference_rank(a, 5), reference_rank(b, 5))
 
 
 def test_span_intersection_counts_shared_columns():
     rng = random.Random(19)
-    shared = rand_matrix(rng, 6, 2)
-    a = shared.hstack(rand_matrix(rng, 6, 2))
-    b = shared.hstack(rand_matrix(rng, 6, 2))
+    shared = rand_lines(rng, 2, 6)
+    a = shared + rand_lines(rng, 2, 6)
+    b = shared + rand_lines(rng, 2, 6)
     # two shared columns, and 4 + 4 independent columns fill only 6 dimensions
-    assert a.rank() == b.rank() == 4
-    assert a.hstack(b).rank() == 6
-    assert span_intersection(a, b) == 2
+    assert assert_same_rank(a, 6) == assert_same_rank(b, 6) == 4
+    assert assert_same_rank(a + b, 6) == 6
+    assert assert_same_join(a, b, 6) == 2
 
 
-def test_shape_mismatches_rejected():
-    a = QMatrix([[0, 0], [0, 0]])
-    b = QMatrix([[0, 0], [0, 0], [0, 0]])
-    with pytest.raises(InvalidInput):
-        a.hstack(b)
-    with pytest.raises(InvalidInput):
-        span_intersection(a, b)
-
-
-def test_from_columns_round_trip():
-    cols = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    m = QMatrix.from_columns(cols)
-    assert [m.column(j) for j in range(m.cols)] == cols
-    empty = QMatrix.from_columns([], rows=3)
-    assert empty.rows == 3 and empty.cols == 0 and empty.rank() == 0
+def test_rank_of_no_lines_and_of_empty_lines():
+    assert assert_same_rank([], 3) == 0  # no columns of height 3
+    assert assert_same_rank([[], [], []], 0) == 0  # three columns of height 0
+    assert assert_same_join([], [[1, 2, 3]], 3) == 0
 
 
 P = (1 << 61) - 1

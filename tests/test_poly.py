@@ -78,6 +78,17 @@ class TestArith:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(0), Fraction(5), Fraction(-2, 3)])
+    def test_constant_polynomials_hash_as_their_scalar_values(self, value):
+        for p in (SparsePoly.constant(("z1",), value), SparsePoly.constant(Z4, value)):
+            assert p == value and value == p
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
+        assert SparsePoly.zero(Z2) == 0 and hash(SparsePoly.zero(Z2)) == hash(0)
+        # a term of positive degree keeps the polynomial apart from the scalar
+        p = SparsePoly.constant(Z2, value) + SparsePoly.variable(Z2, "z1")
+        assert p != value and len({p, value}) == 2
+
 
 class TestPartial:
     def test_power_rule(self):

@@ -3,7 +3,8 @@
 The kernels are denominator clearing, restriction, gcd, rank and Bareiss.
 Hypothesis draws small forms, points, roots, polynomials and command
 lines.  Every test is derandomized and bounded, so a run is deterministic
-and short; the references are the Fraction loops of tests/test_kernels.py.
+and short; the references are the Fraction loops of tests/test_kernels.py
+and tests/test_linalg.py.
 """
 
 import io
@@ -24,16 +25,15 @@ from test_kernels import (
     reference_jet_restrict,
     reference_mul,
     reference_poly_gcd,
-    reference_rank,
     reference_restrict,
     reference_squarefree,
     reference_symbolic_restrict,
 )
+from test_linalg import assert_same_rank, reference_rank
 from vmrt import (
     BasePointOnBranch,
     Hypersurface,
     InvalidInput,
-    QMatrix,
     SparsePoly,
     UniPoly,
     certify,
@@ -198,7 +198,7 @@ matrix_entries = st.one_of(
 
 @st.composite
 def matrices(draw):
-    """A matrix of at most 5 x 5, sometimes with one row or column a combination of two others."""
+    """The rows of a matrix of at most 5 x 5, sometimes with one row or column a combination of two others."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     data = draw(
         st.lists(st.lists(matrix_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
@@ -212,13 +212,13 @@ def matrices(draw):
         data[k] = [a * x + b * y for x, y in zip(data[i], data[j])]
     if plant == "column":
         data = [list(row) for row in zip(*data)]
-    return QMatrix(data)
+    return data
 
 
 @PROPERTY
 @given(matrices())
-def test_rank_matches_reference(mat):
-    assert mat.rank() == reference_rank(mat)
+def test_rank_matches_reference(rows):
+    assert_same_rank(rows, len(rows[0]))
 
 
 @PROPERTY
@@ -329,7 +329,7 @@ def test_bareiss_determinant_matches_fraction_elimination(drawn):
     work = [list(row) for row in m]
     rank, sign = _bareiss(work, n, _int_cross, _int_exact)
     det = fraction_det(m)
-    assert rank == reference_rank(QMatrix(m))
+    assert rank == reference_rank(m, n)
     if rank == n:
         assert sign * work[-1][-1] == det
     else:
