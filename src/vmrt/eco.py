@@ -8,12 +8,15 @@ coefficients equal the tails of that square:
     a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l},                   k = m+1 .. 2m.
 
 This half-square recursion is written once, in `_half_square`, and needs
-only +, -, * and scaling by 1/2 of its ring.  It runs over Fractions in
+only +, -, * and a halving of its ring.  It runs over the integers in
 `certify`, over the symbolic t_i in `build_family`, over the ratio forms
 a_k/a_0 in z in `lines.vmrt_equations`, over first-order jets in
 `variation.dmu_jet` and over the graded parts of f in
 `variation.variation_report` and `variation.dmu_formula`.  Everything
 divides only by 2, so the whole certificate stays inside the rationals.
+`certify` rescales lam by s = 4*D, D the lcm of the denominators of the
+a_k: the coefficients a_k*s^k are integers, and every halving of the
+recursion on them is an exact shift (see `certify`).
 
 `build_family` keeps the symbolic solutions: root_polys[k] = G_k(t) with
 sigma_k = G_k(a_1..a_m), and the certificate polynomials
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidInput
@@ -68,13 +72,18 @@ class EcoCertificate:
         return len(self.sigma)
 
 
-def _half_square(a: Sequence, top: int) -> tuple[list, list]:
+def _halved(x):
+    return x * _HALF
+
+
+def _half_square(a: Sequence, top: int, _halve=_halved) -> tuple[list, list]:
     """Half-square recursion on a = (a_1, ..., a_m) over any ring.
 
     Returns (sigma_1..sigma_m, tails) with tails[k-m-1] = the predicted
     a_k = sum_{l=k-m}^{m} sigma_l*sigma_{k-l} for k = m+1 .. top, m <= top <= 2m.
     A caller that needs only the lowest tail passes top = m+1 and pays for
-    no other; top = m gives the root alone.
+    no other; top = m gives the root alone.  `_halve` maps a ring element
+    to its half, x * 1/2 by default; `certify` passes an exact shift.
     """
     m = len(a)
     sigma = [None]  # sigma_0 = 1 never enters a product
@@ -89,7 +98,7 @@ def _half_square(a: Sequence, top: int) -> tuple[list, list]:
 
     for k in range(1, m + 1):
         below = pair_sum(k, 1)
-        sigma.append((a[k - 1] if below is None else a[k - 1] - below) * _HALF)
+        sigma.append(_halve(a[k - 1] if below is None else a[k - 1] - below))
     return sigma[1:], [pair_sum(k, k - m) for k in range(m + 1, top + 1)]
 
 
@@ -111,15 +120,27 @@ def certify(coeffs: Sequence) -> EcoCertificate:
     root always matches a_1..a_m); the residuals compare the upper half
     against its predicted values and vanish iff 1 + sum a_k lam^k is the
     square of a polynomial of degree at most m.
+
+    The recursion runs on integers.  With D the lcm of the denominators
+    and s = 4*D, P(lam) = 1 + sum a_k lam^k has P(s*lam) = 1 + sum b_k
+    lam^k, b_k = a_k*s^k, and the root, tails and residuals of P(s*lam)
+    are those of P times s^k (sigma'_k = sigma_k*s^k).  Each b_k is an
+    integer divisible by 4^k, hence by 4; if sigma'_1..sigma'_(k-1) are
+    even, b_k minus their pair sum is divisible by 4, so sigma'_k, its
+    half, is an even integer.  By induction every halving is an exact
+    `>> 1`.
     """
     a = [Fraction(x) for x in coeffs]
     if not a or len(a) % 2:
         raise InvalidInput("coefficient vector must have even positive length 2m")
     m = len(a) // 2
-    sigma, tails = _half_square(a[:m], 2 * m)
-    residuals = tuple(ak - t for ak, t in zip(a[m:], tails))
+    s = 4 * lcm(*(x.denominator for x in a))
+    scales = [s**k for k in range(1, len(a) + 1)]
+    b = [x.numerator * (sk // x.denominator) for x, sk in zip(a, scales)]
+    sigma, tails = _half_square(b[:m], 2 * m, _halve=lambda x: x >> 1)
+    residuals = tuple(Fraction(bk - t, sk) for bk, t, sk in zip(b[m:], tails, scales[m:]))
     return EcoCertificate(
-        sigma=tuple(sigma),
+        sigma=tuple(Fraction(x, sk) for x, sk in zip(sigma, scales)),
         residuals=residuals,
         passed=all(r == 0 for r in residuals),
     )

@@ -6,10 +6,18 @@ rationals (numerators and denominators bounded well below 100) to keep
 exact arithmetic fast while staying generic enough for rank and
 squarefreeness checks.
 
-`rand_homogeneous` is the one sampler of coefficient forms: it makes the
-same two `randint` calls per monomial as `rand_fraction`, so every seeded
-draw is the same, and builds the SparsePoly from integer numerators over
-one denominator without a Fraction per draw.
+Every integer comes from one private draw, `_draw(getrandbits, lo, hi)`:
+the `getrandbits` calls and rejection loop that CPython's `randint`
+reaches through `randrange` and `Random._randbelow_with_getrandbits`
+(k = n.bit_length() bits for n = hi - lo + 1, redrawn while >= n), without
+the three Python calls in between.  It returns what `rng.randint(lo, hi)`
+would and leaves `rng` in the same state, so every seeded draw is the one
+`randint` made.  This rests on those CPython internals: a test in
+`tests/test_kernels.py` compares the draw with `randint`, and CI runs it
+on every supported interpreter.  `rand_homogeneous` is the one
+sampler of coefficient forms: it draws numerator and denominator per
+monomial as `rand_fraction` does and builds the SparsePoly from integer
+numerators over one denominator without a Fraction per draw.
 """
 
 from __future__ import annotations
@@ -30,8 +38,19 @@ _POINT_TRIES = 500
 _MATRIX_TRIES = 200
 
 
+def _draw(getrandbits, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) for getrandbits = rng.getrandbits: the same int, and the same generator state after."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-NUM_BOUND, NUM_BOUND), rng.randint(1, DEN_BOUND))
+    getrandbits = rng.getrandbits
+    return Fraction(_draw(getrandbits, -NUM_BOUND, NUM_BOUND), _draw(getrandbits, 1, DEN_BOUND))
 
 
 def rand_nonzero_fraction(rng: random.Random) -> Fraction:
@@ -56,10 +75,10 @@ def rand_homogeneous(
     rng: random.Random, variables: Sequence[str], degree: int, nonzero: bool = True
 ) -> SparsePoly:
     """Dense random form, one `rand_fraction` draw per monomial; resampled if a nonzero one is required."""
-    randint = rng.randint
+    getrandbits = rng.getrandbits
     monos = monomials_of_degree(len(variables), degree)
     while True:
-        draws = [(exp, randint(-NUM_BOUND, NUM_BOUND), randint(1, DEN_BOUND)) for exp in monos]
+        draws = [(exp, _draw(getrandbits, -NUM_BOUND, NUM_BOUND), _draw(getrandbits, 1, DEN_BOUND)) for exp in monos]
         den = lcm(*(d for _, _, d in draws))
         p = SparsePoly._from_ints(variables, {exp: k * (den // d) for exp, k, d in draws}, den)
         if not (nonzero and p.is_zero):
@@ -82,8 +101,9 @@ def rand_invertible(rng: random.Random, size: int) -> list[list[int]]:
     as projection centers, where a wider range keeps distinct solution
     points from accidentally aligning with the center.
     """
+    getrandbits = rng.getrandbits
     for _ in range(_MATRIX_TRIES):
-        rows = [[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)]
+        rows = [[_draw(getrandbits, -99, 99) for _ in range(size)] for _ in range(size)]
         if _certified_rank(rows, size) == size:
             return rows
     raise InvalidInput("could not sample an invertible matrix")

@@ -203,7 +203,7 @@ def criterion_differential_routes(seed: int) -> dict:
             parts = hyp.graded_parts()
             for i in range(1, n + 1):
                 expected = coeff_vector(parts[m + 2].partial(f"z{i}"), basis)
-                if columns[i - 1] != tuple(expected):
+                if columns[i - 1] != expected:
                     reduction_mismatches += 1
     return {
         "id": 5,

@@ -12,8 +12,11 @@ z1..zn for a symbolic one.  All three flavours (these two and the jet
 restriction in `jets`) and the coordinate change of `lines.count_vmrt_points`
 run one linear-substitution loop, `_substitute`: t_i -> a_i + sum_j b_ij*w_j
 over k new variables, on f's integer numerators and int images.  A
-numeric direction has k = 1 and w = lam, a symbolic one or a jet point
-k = n and w_i = lam*z_i, the coordinate change a_i = 0 and b the drawn
+numeric direction has k = 0: each image is the one integer a_i + b_i*2^B
+(Kronecker substitution, Harvey, J. Symb. Comput. 44, 2009), so the loop
+evaluates F at one integer point and the lam^k coefficients are read
+back as B-bit digits.  A symbolic direction or a jet point has k = n
+and w_i = lam*z_i, the coordinate change a_i = 0 and b the drawn
 matrix.  A jet point adds sum_s e_is*eps_s to each image, with
 first-order variables eps_s (eps_s*eps_t = 0) that the loop carries in
 an accumulator of their own.  Denominators are cleared once
@@ -314,11 +317,13 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
     """The one substitution loop: F(a_0 + b_0.w + e_0.eps, ..., a_n + b_n.w + e_n.eps) for F = f.nums.
 
     `images` holds one (a_i, b_i) of ints per variable of f, b_i a tuple
-    of k for w = (w_1..w_k).  `slopes` is empty, or holds one tuple e_i of
-    r ints per variable for the first-order variables eps_1..eps_r: the
-    images are then a jet base point (forward-mode differentiation,
-    Griewank and Walther, *Evaluating Derivatives*, ch. 3).  d bounds the
-    total degree of f.  Returns (values, firsts): values maps w-exponent
+    of k for w = (w_1..w_k).  With k = 0 (every b_i = ()) each image is
+    the integer a_i: each group of the loop then holds one integer, and
+    values is {(): F(a_0, ..., a_n)} ({} when every group cancels).
+    `slopes` is empty, or holds one tuple e_i of r ints per variable for
+    the first-order variables eps_1..eps_r: the images are then a jet
+    base point (forward-mode differentiation, Griewank and Walther,
+    *Evaluating Derivatives*, ch. 3).  d bounds the total degree of f.  Returns (values, firsts): values maps w-exponent
     tuples to the eps-free coefficients, firsts[s] to those of eps_s.
 
     eps_s*eps_t = 0, so an eps-free accumulator and a first-order one are
@@ -418,6 +423,18 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     direction None the z_i stay symbolic and entry k is a SparsePoly
     homogeneous of degree k in z1..zn.  The list always has d + 1 entries,
     vanishing ones included.
+
+    A rational direction is a Kronecker substitution.  With the integer
+    images t_i -> a_i + lam*b_i below, F(a + lam*b) = sum c_k lam^k, and
+    one evaluation at lam = 2^B gives V = sum c_k 2^(B*k).  Take
+    B = bitlen(S) + d*bitlen(M) + 1 for S = sum |F's coefficients| and
+    M = max_i (|a_i| + |b_i|).  Proof that the d + 1 balanced B-bit digits
+    of V are the c_k: (1) sum_k |c_k| <= sum_e |c_e| * prod_i (|a_i| +
+    |b_i|)^e_i <= S*M^d, since every monomial of F has degree d; (2) S <
+    2^bitlen(S) and M^d < 2^(d*bitlen(M)) (M^0 = 1 = 2^0 when d = 0), so
+    |c_k| < 2^(B-1); (3) a digit in [-2^(B-1), 2^(B-1)) is fixed by V mod
+    2^B, and V minus it is divisible by 2^B, so each c_k is read off
+    exactly from the bottom.
     """
     n = len(f.vars) - 1
     if len(point) != n:
@@ -434,9 +451,20 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     if len(direction) != n:
         raise InvalidInput(f"direction must have {n} coordinates")
     zs, den_z = _cleared([Fraction(v) for v in direction])
-    out = _substitute(f, d, [(den_y * den_z, (0,))] + [(k * den_z, (j * den_y,)) for k, j in zip(ys, zs)])[0]
+    pairs = [(den_y * den_z, 0)] + [(k * den_z, j * den_y) for k, j in zip(ys, zs)]
+    reach = max(abs(a) + abs(b) for a, b in pairs)  # M of the bound above
+    bits = sum(map(abs, f.nums.values())).bit_length() + d * reach.bit_length() + 1
+    value = _substitute(f, d, [(a + (b << bits), ()) for a, b in pairs])[0].get((), 0)
     den = f.den * (den_y * den_z) ** d
-    return [Fraction(out.get((k,), 0), den) for k in range(d + 1)]
+    out = []
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    for _ in range(d + 1):  # the balanced digits of value, lowest first
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        out.append(Fraction(digit, den))
+        value = (value - digit) >> bits
+    return out
 
 
 # -- resultants ---------------------------------------------------------------

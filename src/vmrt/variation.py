@@ -65,13 +65,13 @@ class MonomialBasis:
         return f"MonomialBasis(n={self.n}, degree={self.degree}, size={self.size})"
 
 
-def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> list[Fraction]:
-    """Coordinates of a homogeneous form in the basis order."""
+def coeff_vector(p: SparsePoly, basis: MonomialBasis) -> tuple[Fraction, ...]:
+    """Coordinates of a homogeneous form in the basis order, a column as `dmu_formula` returns them."""
     if p.vars != basis.variables:
         raise InvalidInput(f"expected variables {basis.variables}")
     if not p.is_homogeneous(basis.degree):
         raise InvalidInput(f"polynomial is not homogeneous of degree {basis.degree}")
-    return [Fraction(k, p.den) if k else _ZERO for k in _int_column(p, basis)]
+    return tuple(Fraction(k, p.den) if k else _ZERO for k in _int_column(p, basis))
 
 
 def _int_column(p: SparsePoly, basis: MonomialBasis) -> list[int]:
@@ -81,7 +81,7 @@ def _int_column(p: SparsePoly, basis: MonomialBasis) -> list[int]:
     return col
 
 
-def mu(hyp: Hypersurface, point: Sequence) -> list[Fraction]:
+def mu(hyp: Hypersurface, point: Sequence) -> tuple[Fraction, ...]:
     """Coefficient vector of the lowest defining equation at a base point."""
     system = vmrt_equations(hyp, point)
     return coeff_vector(system.equations[0], MonomialBasis(hyp.n, hyp.m + 1))
@@ -117,7 +117,7 @@ def _dmu_forms(parts: Sequence[SparsePoly], sigma: Sequence[SparsePoly], n: int)
 
 
 def _columns(forms: Iterable[SparsePoly], basis: MonomialBasis) -> Columns:
-    return tuple(tuple(coeff_vector(form, basis)) for form in forms)
+    return tuple(coeff_vector(form, basis) for form in forms)
 
 
 def dmu_formula(hyp: Hypersurface) -> Columns:

@@ -1,4 +1,10 @@
-"""Certificate recursion: families, certification, weighted homogeneity."""
+"""Certificate recursion: families, certification, weighted homogeneity.
+
+`certify` runs the half-square recursion on integers (the coefficients
+rescaled by s^k, s = 4 * the lcm of their denominators).  Its reference is
+the plain Fraction recursion it replaced, kept here, and the certificates
+must be equal field by field.
+"""
 
 import random
 from fractions import Fraction
@@ -6,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from vmrt import (
+    EcoCertificate,
     InvalidInput,
     UniPoly,
     build_family,
@@ -115,6 +122,56 @@ class TestCertify:
         cert = certify([2, 1, 0, 0])
         assert cert.passed
         assert cert.sigma == (Fraction(1), Fraction(0))
+
+
+def reference_certify(coeffs):
+    """The half-square recursion in Fractions: sigma_k = (a_k - sum sigma_i*sigma_(k-i)) / 2, then the tails."""
+    a = [Fraction(x) for x in coeffs]
+    m = len(a) // 2
+    sigma = [Fraction(1)]
+    for k in range(1, m + 1):
+        sigma.append((a[k - 1] - sum(sigma[i] * sigma[k - i] for i in range(1, k))) / 2)
+    tails = [sum(sigma[ell] * sigma[k - ell] for ell in range(k - m, m + 1)) for k in range(m + 1, 2 * m + 1)]
+    residuals = tuple(a[k - 1] - t for k, t in zip(range(m + 1, 2 * m + 1), tails))
+    return EcoCertificate(tuple(sigma[1:]), residuals, all(r == 0 for r in residuals))
+
+
+def big_fraction(rng):
+    num = rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
+    den = rng.choice((1, rng.randint(1, 12), rng.randint(1, 10**30), 2**64, 3**40))
+    return Fraction(num, den)
+
+
+def assert_same_certificate(a):
+    cert = certify(a)
+    assert cert == reference_certify(a)
+    assert all(type(x) is Fraction for x in cert.sigma + cert.residuals)
+    assert type(cert.passed) is bool
+
+
+class TestIntegerCertificate:
+    def test_matches_the_fraction_recursion(self):
+        rng = random.Random(59)
+        for i in range(1200):
+            m = rng.randint(1, 6)
+            if i % 3 == 0:  # a square, whose residuals vanish
+                a = square_coeffs([big_fraction(rng) for _ in range(m)])
+            else:
+                a = [big_fraction(rng) for _ in range(2 * m)]
+            assert_same_certificate(a)
+
+    def test_input_types(self):
+        assert_same_certificate([4, 6, 4, 1])  # ints
+        assert_same_certificate([-3, 0, 0, 10**30, 7, -1])
+        assert_same_certificate([Fraction(1, 3), Fraction(-5, 2**64)])  # Fractions
+        assert_same_certificate([2, Fraction(3, 4), 0, Fraction(9, 64)])  # mixed
+        assert_same_certificate([0, 0])
+        assert_same_certificate((Fraction(2), 1))  # a tuple
+
+    def test_halving_is_exact_on_odd_numerators(self):
+        # odd a_1 over an odd denominator: sigma_1 = a_1/2 needs the factor 4 of s
+        cert = certify([Fraction(1, 3), Fraction(1, 36)])
+        assert cert.sigma == (Fraction(1, 6),) and cert.passed
 
 
 class TestWeightedHomogeneity:

@@ -57,10 +57,21 @@ is compared with plain Fraction-dict sums, scalings, products and
 partial derivatives, and its canonical form is asserted after each.
 
 `rand_homogeneous` draws integers over one denominator and `eco_witness`
-builds f as one fused integer sum of products.  Their references are the
-plain `rand_fraction` loop, which must leave the generator in the same
-state, and f = Q*Q + L_1*R_1 + ... by SparsePoly products and sums of
-Fraction draws.
+builds f as one fused integer sum of products.  Their references are a
+plain loop of Fractions drawn by `rng.randint`, which must leave the
+generator in the same state, and f = Q*Q + L_1*R_1 + ... by SparsePoly
+products and sums of Fraction draws.  The samplers draw through
+`getrandbits` with the rejection loop of CPython's `randint`; over 200
+seeds `rand_fraction`, `rand_homogeneous` and `rand_invertible` must
+equal references built from `rng.randint`, and the generator's next
+`random()` must agree.
+
+The numeric line restriction evaluates f at one integer point (Kronecker
+substitution) and reads the coefficients back as balanced digits.  Its
+second reference shares no code with the substitution loop: f.evaluate
+at lam = 0..d and exact Lagrange interpolation in Fractions, on zero
+image coordinates, sign patterns, degree 1, one-term forms (one at the
+digit bound) and 10^30-sized points and directions.
 
 `parse_poly` and `format_poly` read and write the integer layout
 directly.  Their references are the Fraction routes they replaced: a
@@ -108,7 +119,7 @@ from vmrt.eco import _half_square
 from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables
 from vmrt.poly import _sum_of_products, grevlex_key, monomials_of_degree
 from vmrt.sampling import rand_direction, rand_fraction, rand_homogeneous, rand_invertible, rand_point
-from vmrt.sampling import rand_point_off_branch
+from vmrt.sampling import DEN_BOUND, NUM_BOUND, rand_point_off_branch
 from vmrt.selftest import DMU_COMBOS, WITNESS_COMBOS, _rng
 from vmrt.unipoly import _substitute, poly_gcd
 from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
@@ -246,13 +257,18 @@ def reference_mul(p, q):
     return SparsePoly(p.vars, acc)
 
 
+def reference_rand_fraction(rng):
+    """`rand_fraction` by `rng.randint`, the route of CPython's `Random` that the samplers' draw repeats."""
+    return Fraction(rng.randint(-NUM_BOUND, NUM_BOUND), rng.randint(1, DEN_BOUND))
+
+
 def reference_rand_homogeneous(rng, variables, degree, nonzero=True):
-    """One rand_fraction per monomial, kept when nonzero; resampled while all are zero."""
+    """One reference_rand_fraction per monomial, kept when nonzero; resampled while all are zero."""
     monos = monomials_of_degree(len(variables), degree)
     while True:
         terms = {}
         for exp in monos:
-            c = rand_fraction(rng)
+            c = reference_rand_fraction(rng)
             if c != 0:
                 terms[exp] = c
         if terms or not nonzero:
@@ -560,6 +576,84 @@ class TestRestrictionEdges:
         assert restrict_to_line(f, [1, 2, 3], [4, 5, 6]) == [Fraction(3, 5)] + [_ZERO] * 6
 
 
+def interpolated_restriction(f, point, direction):
+    """f(1, y + lam*z) by `SparsePoly.evaluate` at lam = 0..d and exact Lagrange interpolation in Fractions."""
+    d = f.homogeneous_degree()
+    nodes = range(d + 1)
+    out = [_ZERO] * (d + 1)
+    for i in nodes:
+        value = f.evaluate([1] + [y + i * z for y, z in zip(point, direction)])
+        basis, scale = [_ONE], 1  # prod_{j != i} (lam - j), ascending, and prod_{j != i} (i - j)
+        for j in nodes:
+            if j != i:
+                basis = [lo - j * hi for lo, hi in zip([_ZERO] + basis, basis + [_ZERO])]
+                scale *= i - j
+        for k, b in enumerate(basis):
+            out[k] += value * b / scale
+    return out
+
+
+def assert_interpolated_restriction(f, point, direction):
+    fast = restrict_to_line(f, point, direction)
+    assert all(type(c) is Fraction for c in fast)
+    assert fast == interpolated_restriction(f, [Fraction(v) for v in point], [Fraction(v) for v in direction])
+
+
+BIG = 10**30
+
+
+class TestKroneckerRestriction:
+    """The numeric restriction reads its coefficients as balanced digits of one integer evaluation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_lines(self, n):
+        rng = random.Random(6000 + n)
+        for degree in (1, 2, 4):
+            f = rand_homogeneous(rng, tvars(n), degree)
+            assert_interpolated_restriction(f, rand_point(rng, n), rand_direction(rng, n))
+
+    def test_zero_image_coordinate(self):
+        # t2 -> 0 + lam*0: every term in t2 drops out
+        f = parse_poly("2*t0^3 - t1*t2^2 + 3/4*t2^3 - 5*t1^2*t3 + t0*t2*t3", tvars(3))
+        assert_interpolated_restriction(f, [Fraction(1, 3), 0, -2], [5, 0, Fraction(-1, 7)])
+
+    def test_all_negative_coefficients(self):
+        f = parse_poly("-3*t0^4 - 1/2*t1^4 - 7/3*t0*t1*t2^2 - t2^4 - 11*t0^2*t1*t2", tvars(2))
+        assert_interpolated_restriction(f, [2, 3], [1, 4])  # every c_k < 0
+        assert_interpolated_restriction(f, [-2, Fraction(1, 3)], [Fraction(-5, 2), 4])
+
+    def test_alternating_signs(self):
+        # (1 - lam)^d alternates in sign, and (1 + lam)^d (1 - lam)^d = (1 - lam^2)^d with zeros between
+        for d in (3, 6, 11):
+            assert_interpolated_restriction(parse_poly(f"t1^{d}", tvars(1)), [1], [-1])
+            assert_interpolated_restriction(parse_poly(f"t1^{d}*t2^{d}", tvars(2)), [1, 1], [1, -1])
+
+    def test_degree_one(self):
+        f = parse_poly("-4*t0 + 1/3*t1 - 9/2*t2", tvars(2))
+        assert_interpolated_restriction(f, [Fraction(2, 5), -7], [3, Fraction(-1, 6)])
+        assert_interpolated_restriction(f, [0, 0], [0, 0])
+
+    def test_one_term_form(self):
+        f = parse_poly("-7/4*t1^2*t3^2", tvars(3))
+        assert_interpolated_restriction(f, [Fraction(2, 3), 5, Fraction(-1, 2)], [-1, 0, 3])
+        assert_interpolated_restriction(parse_poly("5*t0^5", tvars(2)), [BIG, -BIG], [1, 1])
+
+    def test_one_term_form_at_the_digit_bound(self):
+        # c_0 = (2^61 - 1) * (2^40 - 1)^d lies just under 2^(B-1), so one bit fewer would misread it
+        for d in (1, 4, 12):
+            f = parse_poly(f"{2**61 - 1}*t1^{d}", tvars(2))
+            assert_interpolated_restriction(f, [2**40 - 1, 1], [0, 1])
+            assert_interpolated_restriction(f, [1 - 2**40, 1], [0, -1])
+
+    def test_huge_point_and_direction(self):
+        rng = random.Random(6100)
+        for n in (2, 3, 4):
+            f = rand_homogeneous(rng, tvars(n), 4)
+            y = [Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(n)]
+            z = [rng.choice((0, BIG, -BIG + 1, Fraction(BIG - 7, 3))) for _ in range(n)]
+            assert_interpolated_restriction(f, y, z)
+
+
 @pytest.mark.parametrize("d", [255, 256, 300])
 def test_restrictions_of_degree_past_one_byte_keys(d):
     # packed keys widen from one byte per field at degree 256: the substitution's at d = 256, and
@@ -758,7 +852,7 @@ def reference_dmu_jet_columns(hyp):
 
 def assert_dmu_jet_matches_columns(hyp):
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    assert dmu_jet(hyp) == tuple(tuple(coeff_vector(p, basis)) for p in reference_dmu_jet_columns(hyp))
+    assert dmu_jet(hyp) == tuple(coeff_vector(p, basis) for p in reference_dmu_jet_columns(hyp))
 
 
 def normalized(f):
@@ -850,7 +944,7 @@ def assert_dmu_forms_match_composed_partials(hyp):
     sigma, _ = _half_square(parts[1 : hyp.m + 1], hyp.m)
     assert list(_dmu_forms(parts, sigma, hyp.n)) == ref
     basis = MonomialBasis(hyp.n, hyp.m + 1)
-    assert dmu_formula(hyp) == tuple(tuple(coeff_vector(p, basis)) for p in ref)
+    assert dmu_formula(hyp) == tuple(coeff_vector(p, basis) for p in ref)
 
 
 @pytest.mark.parametrize("n,m", DMU_COMBOS + ((5, 4), (6, 3)))
@@ -1140,7 +1234,7 @@ def test_rand_homogeneous_matches_the_fraction_loop(nvars, degree, nonzero, seed
 
 
 def test_rand_homogeneous_resamples_an_all_zero_draw():
-    assert rand_fraction(random.Random(7)) == 0  # the first draw of seed 7 is zero
+    assert reference_rand_fraction(random.Random(7)) == 0  # the first draw of seed 7 is zero
     rng, twin = random.Random(7), random.Random(7)
     fast = rand_homogeneous(rng, ("t0",), 3)
     assert not fast.is_zero
@@ -1530,10 +1624,34 @@ def test_rand_invertible_draws_the_rows_of_the_qmatrix_route():
     script = iter([1, 2, 2, 4, 3, 0, 0, 5])  # a singular draw, then an invertible one
 
     class Scripted:
-        def randint(self, lo, hi):
-            return next(script)
+        def getrandbits(self, k):
+            assert k == 8  # the bits of randint(-99, 99), which draws below 199 and adds -99
+            return next(script) + 99
 
     assert rand_invertible(Scripted(), 2) == [[3, 0], [0, 5]]
+
+
+# The samplers draw through getrandbits with the rejection loop of CPython's
+# Random._randbelow_with_getrandbits, which randint reaches through randrange.
+# This test pins those CPython internals: the references call rng.randint, so
+# an interpreter whose randint draws differently fails here.
+STREAM_FORMS = ((1, 0), (2, 3), (3, 2), (4, 4), (5, 3), (7, 1))
+
+
+def test_draws_are_stream_identical_to_randint():
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            c = rand_fraction(rng)
+            assert type(c) is Fraction and c == reference_rand_fraction(twin)
+        for nvars, degree in STREAM_FORMS:
+            fast = rand_homogeneous(rng, tvars(nvars - 1), degree)
+            ref = reference_rand_homogeneous(twin, tvars(nvars - 1), degree)
+            assert (fast.nums, fast.den) == (ref.nums, ref.den)
+            assert list(fast.nums) == list(ref.nums)
+        for size in (1, 2, 3):
+            assert rand_invertible(rng, size) == reference_rand_invertible(twin, size)
+        assert rng.random() == twin.random()
 
 
 class TestResultantEdges:

@@ -66,7 +66,17 @@ class TestBasisAndVectors:
     def test_zero_polynomial(self):
         basis = MonomialBasis(3, 4)
         col = coeff_vector(SparsePoly.zero(zvars(3)), basis)
-        assert col == [0] * basis.size
+        assert col == (0,) * basis.size
+
+    def test_column_equals_its_coeff_vector(self):
+        # the columns of dmu_formula and the coordinates of coeff_vector and mu are one type
+        hyp = explicit_family(4, 2, 1, 1)  # f_1 = f_2 = 0: column i is the z_i-partial of f_4
+        basis = MonomialBasis(4, 3)
+        part = hyp.graded_parts()[4]
+        for i, column in enumerate(dmu_formula(hyp), start=1):
+            assert column == coeff_vector(part.partial(f"z{i}"), basis)
+        assert type(coeff_vector(part.partial("z1"), basis)) is tuple
+        assert type(mu(hyp, [0, 0, 0, 0])) is tuple
 
     def test_round_trip(self):
         rng = random.Random(37)
@@ -92,7 +102,7 @@ class TestMu:
     def test_degenerate_power_gives_zero(self):
         hyp = Hypersurface(parse_poly("t0^4", ("t0", "t1", "t2")))
         col = mu(hyp, [0, 0])
-        assert col == [0] * MonomialBasis(2, 3).size
+        assert col == (0,) * MonomialBasis(2, 3).size
 
     def test_converse_reads_off_first_prescribed(self):
         rng = random.Random(43)
@@ -127,7 +137,7 @@ class TestDifferential:
             mat = dmu_formula(hyp)
             for i in range(1, n + 1):
                 expected = coeff_vector(parts[m + 2].partial(f"z{i}"), basis)
-                assert mat[i - 1] == tuple(expected)
+                assert mat[i - 1] == expected
 
     def test_explicit_family_columns(self):
         # m=2, n=4, b=c=1: column i should be 4*z_i^3 + sum of complement triples
@@ -143,7 +153,7 @@ class TestDifferential:
                 for j in triple:
                     term = term * gens[j - 1]
                 expected_poly = expected_poly + term
-            assert mat[i - 1] == tuple(coeff_vector(expected_poly, basis))
+            assert mat[i - 1] == coeff_vector(expected_poly, basis)
 
     def test_no_middle_part_gives_zero_matrix(self):
         # m = 3: f = t0^6 + (degree-6 part in t1..t3) has f_5 = 0, so dmu dies
