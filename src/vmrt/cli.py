@@ -23,8 +23,18 @@ whose work never ends in practice, so `eqs` and `variation` also refuse
 an (n, m) whose work estimate exceeds WORK_BUDGET = 10**7: the dense
 term products of the half-square recursion up to tail 2m (`_recursion_work`;
 5.7e5 at n = 6, degree 12) and, for `variation`, the matrix cells
-C(n+m, m+1)*(n+n^2).  The numeric commands keep at most 2m + 1
-coefficients per line and need no budget.  A rational argument in decimal
+C(n+m, m+1)*(n+n^2).  The numeric restriction of `eco-line` keeps 2m + 1
+coefficients of B bits each, B the Kronecker slot width of
+`unipoly._kronecker_slots`, which grows with the digits of the point and
+the direction; the square oracle and the certificate then work on numbers
+of that size.  So `eco-line` refuses a line with (2m + 1)*B above
+MAX_LINE_BITS = 10**5, and `eqs` and `count`, whose symbolic restriction
+has coefficients of at most B bits along z = (1, ..., 1), refuse such a
+point.  On a 2-core host the slowest `eco-line` input found below the
+limit (degree 24, 12-digit entries) ran in 3.6 s, and 3000-digit entries
+are refused at once.  The limit does not bound the products of the
+half-square recursion: `eqs` at n = 6, degree 12 ran 1.1 s with 1-digit
+entries but 250 s with 33-digit ones, just below the limit.  A rational argument in decimal
 notation may carry an exponent of at most four digits, so "1e999999999"
 is a parse error instead of a billion-digit integer.  A result with a
 number longer than Python's limit for integer-to-text conversion (4300
@@ -55,6 +65,7 @@ from .lines import (
 )
 from .poly import SparsePoly, format_poly, parse_poly
 from .selftest import run_selftest
+from .unipoly import _kronecker_slots
 from .variation import explicit_family, variation_report
 
 log = logging.getLogger("vmrt")
@@ -62,6 +73,7 @@ log = logging.getLogger("vmrt")
 MAX_N = 12
 MAX_DEGREE = 24
 WORK_BUDGET = 10**7
+MAX_LINE_BITS = 10**5
 
 _INDEXED_RE = re.compile(r"(?<![A-Za-z0-9_])[tz](\d+)(?![A-Za-z0-9_])")
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]*)")
@@ -120,6 +132,19 @@ def _recursion_work(n: int, m: int) -> int:
 def _check_work(work: int, n: int, m: int) -> None:
     if work > WORK_BUDGET:
         raise InvalidInput(f"work estimate {work:.3g} at n = {n}, m = {m} exceeds the budget {WORK_BUDGET:.0e}")
+
+
+def _check_line_bits(hyp: Hypersurface, point, direction=None) -> None:
+    """Refuse a line whose restriction carries more than MAX_LINE_BITS bits: (2m + 1) slots of B bits.
+
+    B is the slot width of the numeric restriction (`unipoly._kronecker_slots`),
+    from f's numerators and the cleared point and direction.  A symbolic
+    direction (`eqs`, `count`) is sized along z = (1, ..., 1), where B also
+    bounds every coefficient of the forms.
+    """
+    _, bits = _kronecker_slots(hyp.f, 2 * hyp.m, point, [1] * hyp.n if direction is None else direction)
+    if (2 * hyp.m + 1) * bits > MAX_LINE_BITS:
+        raise InvalidInput(f"line restriction of {(2 * hyp.m + 1) * bits} bits exceeds the limit {MAX_LINE_BITS}")
 
 
 def _read_poly(path: str, variables=None):
@@ -224,6 +249,7 @@ def _cmd_eqs(args) -> None:
     point = _fraction_list(args.point)
     hyp = _load_hypersurface(args.f, len(point))
     _check_work(_recursion_work(hyp.n, hyp.m), hyp.n, hyp.m)
+    _check_line_bits(hyp, point)
     system = vmrt_equations(hyp, point)
     report = {
         "command": "eqs",
@@ -247,6 +273,7 @@ def _cmd_eco_line(args) -> None:
     point = _fraction_list(args.point)
     direction = _fraction_list(args.dir)
     hyp = _load_hypersurface(args.f, len(point))
+    _check_line_bits(hyp, point, direction)
     verdict = is_eco_line(hyp, point, direction)
     cert = line_certificate(hyp, point, direction)
     report = {
@@ -298,6 +325,7 @@ def _cmd_converse(args) -> None:
 def _cmd_count(args) -> None:
     point = _fraction_list(args.point)
     hyp = _load_hypersurface(args.f, len(point))
+    _check_line_bits(hyp, point)
     degree, squarefree = count_vmrt_points(hyp, point, seed=args.seed)
     report = {
         "command": "count",

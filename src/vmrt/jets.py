@@ -27,11 +27,14 @@ The jet restriction clears the point and all tangents with one
 first-order variables: the loop keeps eps-free and first-order terms
 apart and never multiplies two first-order terms, whose product is zero,
 so no Jet1 and no zero slot enters it.  The coefficients become Jet1s
-over forms only at the end.  Powers use the closed form
-(v + eps*d)^k = v^k + eps*k*v^(k-1)*d, slot by slot, which keeps
-`SparsePoly.compose` over jets cheap; the library itself composes no
-jets, so that composition now runs only in the tests' references (the
-composed tail A_{m+1} of tests/test_kernels.py).
+over forms only at the end.
+
+The library raises no jet to a power and inverts only scalar jets.
+`Jet1.__pow__` (the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d,
+slot by slot) and the constant-form branch of `Jet1.inverse` serve the
+tests' generic substitution `test_poly.reference_compose`, which pushes
+jets through the certificate tail A_{m+1} in tests/test_kernels.py.  Both
+stay: they are public, and tests check them directly.
 """
 
 from __future__ import annotations

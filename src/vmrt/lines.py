@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from .eco import EcoCertificate, _half_square, certify
@@ -45,7 +45,7 @@ from .errors import (
     ResultantDegenerate,
 )
 from .linalg import _P
-from .poly import SparsePoly, _cleared, _sum_of_products
+from .poly import SparsePoly, _sum_of_products
 from .sampling import rand_homogeneous, rand_invertible
 from .unipoly import UniPoly, _by_z_degree, _substitute, is_perfect_square, restrict_to_line
 from .unipoly import _integer_coeffs_in, resultant, squarefree_factorization
@@ -224,11 +224,11 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     """Random hypersurface for which the given line is even-contact by design.
 
     Builds f = Q^2 + sum L_j R_j with Q random of degree m (resampled until
-    Q(1, y) != 0), L_j a basis of linear forms vanishing on the line
-    through y with direction z, and R_j random of degree 2m-1.  Restricted
-    to that line f is (Q restricted)^2, a perfect square.  f is one
-    integer sum of products (`poly._sum_of_products`) over the numerators
-    of Q, the L_j and the R_j.
+    Q(1, y) != 0 by `SparsePoly.evaluate`), L_j a basis of linear forms
+    vanishing on the line through y with direction z, and R_j random of
+    degree 2m-1.  Restricted to that line f is (Q restricted)^2, a perfect
+    square.  f is one integer sum of products (`poly._sum_of_products`)
+    over the numerators of Q, the L_j and the R_j.
     """
     if n < 2 or m < 1:
         raise InvalidInput("need n >= 2 and m >= 1")
@@ -244,12 +244,10 @@ def eco_witness(n: int, m: int, point: Sequence, direction: Sequence, seed: int)
     # n - 1 forms that vanish along the whole line
     shifted = [t[i + 1] - t[0] * y[i] for i in range(n)]
     linear_forms = [shifted[i] * z[pivot] - shifted[pivot] * z[i] for i in range(n) if i != pivot]
-    # Q is homogeneous, so Q(1, y) != 0 exactly when Q(den, Y) != 0 for y = Y/den
-    y_nums, y_den = _cleared(y)
-    at_y = (y_den, *y_nums)
+    at_y = (1, *y)
     while True:
         q = rand_homogeneous(rng, tvars, m)
-        if sum(k * prod(map(pow, at_y, exp)) for exp, k in q.nums.items()):
+        if q.evaluate(at_y) != 0:
             break
     pairs = [(q, q)] + [(form, rand_homogeneous(rng, tvars, 2 * m - 1)) for form in linear_forms]
     return Hypersurface(_sum_of_products(tvars, pairs))

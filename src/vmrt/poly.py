@@ -29,8 +29,14 @@ pass, mainly the orbit forms z_i * dh/dz_j) nothing merges, so `__mul__`
 shifts exponents instead.  `_cleared`
 clears the other rational inputs: the Fractions of the public constructors
 (`constant`, `from_terms`, `variation.explicit_family`, `UniPoly`, which
-keeps this layout in one variable), and the points, directions and jet
-tangents of the line restrictions.
+keeps this layout in one variable), the points, directions and jet
+tangents of the line restrictions, and the values of `SparsePoly.evaluate`.
+That evaluation is one integer sum over the terms, divided once; it shares
+no code with the product and substitution loops, so the tests can use it
+as an independent reference for the numeric line restriction.  The
+library substitutes nothing but numbers and linear images
+(`unipoly._substitute`); the tests keep the generic substitution of ring
+elements, `reference_compose` in tests/test_poly.py.
 
 Text format (whitespace-insensitive, round-trips through parse/format):
 
@@ -46,8 +52,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import add, mul
+from itertools import accumulate, repeat
+from math import gcd, lcm, prod
+from operator import add, getitem, mul
 from sys import byteorder
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -56,7 +63,6 @@ from .errors import InvalidInput, ParseError, VariableMismatch
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def grevlex_key(exp: Exponent):
@@ -355,45 +361,25 @@ class SparsePoly:
         return SparsePoly._from_ints(self.vars, nums, self.den)
 
     def evaluate(self, values: Sequence) -> Fraction:
-        """Evaluate at rational arguments, one per variable."""
-        return self.compose([Fraction(v) for v in values])
+        """The value at one rational argument per variable, always a Fraction.
 
-    def compose(self, args: Sequence):
-        """Substitute one ring element per variable (Fraction, SparsePoly, Jet1, ...).
-
-        Arguments only need +, * and integer powers, plus multiplication by
-        int and Fraction: the same code evaluates (`evaluate`, its one caller
-        in the library), composes with polynomials, or pushes jets through,
-        giving the value and the whole gradient over Jet1.  Terms take their
-        integer numerators and the sum is divided by `den` once.  Each power
-        of each argument is taken once and each term costs one product per
-        variable it contains, so a polynomial with many terms (such as the
-        A_k) is dear to substitute into: the equations and both differentials
-        run `eco._half_square` instead, and linear substitutions
-        `unipoly._substitute`.
+        Every value goes through `Fraction(v)` before the count is checked.
+        The values are cleared once (`_cleared`: v_i = N_i/D), and with top
+        the total degree, den * D^top * p(v) = sum k * prod N_i^e_i *
+        D^(top - |e|) over the terms k*t^e is one integer sum, inhomogeneous
+        terms lifted to degree top by their power of D.  Each power of each
+        N_i and of D is taken once, and the one Fraction is built last.
         """
-        if len(args) != len(self.vars):
+        vals = [Fraction(v) for v in values]
+        if len(vals) != len(self.vars):
             raise InvalidInput("wrong number of substitution arguments")
-        if not self.nums:
-            return args[0] * 0 if args else _ZERO
-        pows: list[dict[int, object]] = [dict() for _ in args]
-
-        def power(i, e):
-            cache = pows[i]
-            if e not in cache:
-                cache[e] = args[i] ** e
-            return cache[e]
-
-        total = None
-        one = args[0] ** 0 if args else _ONE
-        for exp, k in self.nums.items():
-            term = one
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            term = term * k
-            total = term if total is None else total + term
-        return total * Fraction(1, self.den)
+        top = self.total_degree()
+        if top < 0:
+            return _ZERO
+        nums, den = _cleared(vals)
+        *tables, scale = [list(accumulate(repeat(v, top), mul, initial=1)) for v in [*nums, den]]
+        total = sum(k * prod(map(getitem, tables, exp)) * scale[top - sum(exp)] for exp, k in self.nums.items())
+        return Fraction(total, self.den * scale[top])
 
     # -- printing -------------------------------------------------------------
 

@@ -18,6 +18,8 @@ on every supported interpreter.  `rand_homogeneous` is the one
 sampler of coefficient forms: it draws numerator and denominator per
 monomial as `rand_fraction` does and builds the SparsePoly from integer
 numerators over one denominator without a Fraction per draw.
+`rand_point_off_branch` keeps a drawn y when f(1, y) != 0, tested by the
+integer `SparsePoly.evaluate`.
 """
 
 from __future__ import annotations

@@ -415,6 +415,24 @@ def _by_z_degree(out: dict, den: int, n: int, d: int) -> list[SparsePoly]:
     return [SparsePoly._from_ints(zvars, b, den) for b in buckets]
 
 
+def _kronecker_slots(f: SparsePoly, d: int, point: Sequence[Fraction], direction: Sequence[Fraction]) -> tuple[list, int]:
+    """(pairs, B): the integer images (a_i, b_i) of t0..tn and the slot width of `restrict_to_line` for a d-form f.
+
+    For y = Y/D and z = Z/E cleared, t0 -> (D*E, 0) and t_i -> (E*Y_i,
+    D*Z_i), so f(1, y + lam*z) = F(a + lam*b) / (L * (D*E)^d);
+    B = bitlen(S) + d*bitlen(M) + 1 bounds the bits of every lam^k
+    coefficient of F(a + lam*b), so (d + 1)*B sizes the one integer the
+    restriction evaluates.  Along z = (1, ..., 1) it also bounds the
+    coefficients of the symbolic restriction F(D, Y + D*w), whose absolute
+    values sum to at most S*M^d there.
+    """
+    ys, den_y = _cleared(point)
+    zs, den_z = _cleared(direction)
+    pairs = [(den_y * den_z, 0)] + [(k * den_z, j * den_y) for k, j in zip(ys, zs)]
+    reach = max(abs(a) + abs(b) for a, b in pairs)  # M of the bound in `restrict_to_line`
+    return pairs, sum(map(abs, f.nums.values())).bit_length() + d * reach.bit_length() + 1
+
+
 def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None = None) -> list:
     """Coefficients of lam^0..lam^d in f(1, y + lam*z) for a form f of degree d.
 
@@ -443,19 +461,16 @@ def restrict_to_line(f: SparsePoly, point: Sequence, direction: Sequence | None 
     y = [Fraction(v) for v in point]
     # Clear denominators once: y = Y/D with Y integral (ys over den_y), and by
     # homogeneity f(1, y + lam*z) = F(t0, E*Y + lam*D*Z) / (L * t0^d), where
-    # t0 = D*E for a rational direction z = Z/E (zs over den_z), and t0 = D,
-    # E = 1, Z = z for the symbolic one.
-    ys, den_y = _cleared(y)
+    # t0 = D*E for a rational direction z = Z/E (`_kronecker_slots`), and
+    # t0 = D, E = 1, Z = z for the symbolic one.
     if direction is None:
+        ys, den_y = _cleared(y)
         return _by_z_degree(_substitute(f, d, _line_images(den_y, ys))[0], f.den * den_y**d, n, d)
     if len(direction) != n:
         raise InvalidInput(f"direction must have {n} coordinates")
-    zs, den_z = _cleared([Fraction(v) for v in direction])
-    pairs = [(den_y * den_z, 0)] + [(k * den_z, j * den_y) for k, j in zip(ys, zs)]
-    reach = max(abs(a) + abs(b) for a, b in pairs)  # M of the bound above
-    bits = sum(map(abs, f.nums.values())).bit_length() + d * reach.bit_length() + 1
+    pairs, bits = _kronecker_slots(f, d, y, [Fraction(v) for v in direction])
     value = _substitute(f, d, [(a + (b << bits), ()) for a, b in pairs])[0].get((), 0)
-    den = f.den * (den_y * den_z) ** d
+    den = f.den * pairs[0][0] ** d
     out = []
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     for _ in range(d + 1):  # the balanced digits of value, lowest first

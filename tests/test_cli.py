@@ -2,15 +2,20 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from vmrt import parse_poly
+from vmrt import Hypersurface, format_poly, parse_poly
 from vmrt import cli
 from vmrt.cli import build_parser, main
+from vmrt.sampling import rand_homogeneous
+from vmrt.unipoly import _kronecker_slots
 
 
 @pytest.fixture()
@@ -267,7 +272,8 @@ class TestSizeLimits:
         def started(*args, **kwargs):
             raise AssertionError("the computation started")
 
-        for name in ("vmrt_equations", "explicit_family", "build_converse", "certify", "variation_report"):
+        names = ("vmrt_equations", "explicit_family", "build_converse", "certify", "variation_report")
+        for name in names + ("is_eco_line", "line_certificate", "count_vmrt_points"):
             monkeypatch.setattr(cli, name, started)
 
     def assert_invalid_input(self, capsys, argv, fragment):
@@ -350,6 +356,34 @@ class TestSizeLimits:
             (12, 12): "4.9e+12",
         }
         assert estimates[(6, 6)] < cli.WORK_BUDGET < estimates[(12, 6)]
+
+    @staticmethod
+    def huge_line(tmp_path, n, degree, digits=3000):
+        """A dense random form of this degree in a file, and a point and direction of `digits`-digit fractions."""
+        rng = random.Random(2026)
+        path = tmp_path / "f.poly"
+        path.write_text(format_poly(rand_homogeneous(rng, tuple(f"t{i}" for i in range(n + 1)), degree)))
+        entries = [str(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(4 * n)]
+        fractions = [f"{a}/{b}" for a, b in zip(entries[::2], entries[1::2])]
+        return str(path), ",".join(fractions[:n]), ",".join(fractions[n:])
+
+    @pytest.mark.parametrize("command,n,degree", [("eco-line", 4, 8), ("eqs", 4, 8), ("count", 3, 4)])
+    def test_line_with_3000_digit_entries_is_refused_at_once(self, tmp_path, capsys, command, n, degree):
+        path, point, direction = self.huge_line(tmp_path, n, degree)
+        extra = {"eco-line": ["--dir", direction], "eqs": [], "count": ["--seed", "1"]}[command]
+        start = time.perf_counter()
+        self.assert_invalid_input(capsys, [command, "--f", path, "--point", point, *extra, "--json"], "line restriction")
+        assert time.perf_counter() - start < 2
+
+    def test_line_bits_limit_itself_is_accepted(self, tmp_path, monkeypatch, capsys):
+        path, point, direction = self.huge_line(tmp_path, 2, 4, digits=30)
+        hyp = Hypersurface(parse_poly(Path(path).read_text()))
+        _, bits = _kronecker_slots(hyp.f, 4, list(map(Fraction, point.split(","))), list(map(Fraction, direction.split(","))))
+        monkeypatch.setattr(cli, "MAX_LINE_BITS", 5 * bits)
+        with pytest.raises(AssertionError, match="started"):
+            main(["eco-line", "--f", path, "--point", point, "--dir", direction])
+        monkeypatch.setattr(cli, "MAX_LINE_BITS", 5 * bits - 1)
+        self.assert_invalid_input(capsys, ["eco-line", "--f", path, "--point", point, "--dir", direction, "--json"], "exceeds")
 
     def test_oversized_exponent_digits_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "f.poly"

@@ -13,15 +13,15 @@ the resultant, in the same term order).
 The certificate family, the equations and the jet differential run the
 half-square recursion `eco._half_square`.  Their references solve the
 recursion by a plain symbolic loop for the certificate polynomials A_k
-and compose the A_k with the same inputs.  Results must agree by `==`
-and in their printed text.
+and compose the A_k with the same inputs (`test_poly.reference_compose`).
+Results must agree by `==` and in their printed text.
 
 `dmu_formula` and `variation_report` take the weights dA_{m+1}/dx_j from
 the inverse series of the half-square root.  Every partial of the
 family's A_k must equal the convolution of root and inverse that the
 weights rest on, and the dmu forms must equal those of the route they
 replaced, the partials of A_{m+1} composed with f_1..f_m.  A spy checks
-that neither calls `build_family` or `compose`.
+that neither calls `build_family`.
 
 `_certified_rank` certifies the rank of integer lines mod 2^61 - 1 and
 falls back to Bareiss over the integers; its reference is the plain
@@ -40,9 +40,9 @@ the same state.
 
 The coordinate change of `count_vmrt_points` runs the linear-substitution
 loop of the line restrictions; its reference is the route it replaced,
-`compose` with linear SparsePoly images, and both must give the same nums
-and den on every matrix, singular ones included, and on every system the
-point-count certificate tests run.
+`test_poly.reference_compose` with linear SparsePoly images, and both
+must give the same nums and den on every matrix, singular ones included,
+and on every system the point-count certificate tests run.
 
 `count_vmrt_points` certifies its count mod 2^61 - 1 and runs the
 resultant and Yun only when that declines; the point-count kernel tests
@@ -126,6 +126,7 @@ from vmrt.variation import MonomialBasis, _dmu_forms, coeff_vector, dmu_jet
 
 import test_lines
 from test_linalg import assert_same_rank, reference_rank, sylvester_det
+from test_poly import reference_compose
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -446,7 +447,7 @@ def reference_vmrt_equations(hyp, point):
     inv = 1 / rest[0].constant_value()
     ratios = [rest[k] * inv for k in range(1, m + 1)]
     _, tails = reference_family(m)
-    return [rest[k] * inv - tails[k].compose(ratios) for k in range(m + 1, 2 * m + 1)]
+    return [rest[k] * inv - reference_compose(tails[k], ratios) for k in range(m + 1, 2 * m + 1)]
 
 
 def reference_recenter(hyp, point):
@@ -455,12 +456,12 @@ def reference_recenter(hyp, point):
     tv = hyp.f.vars
     t0 = SparsePoly.variable(tv, "t0")
     args = [t0] + [SparsePoly.variable(tv, v) + t0 * yi for v, yi in zip(tv[1:], y)]
-    return Hypersurface(hyp.f.compose(args) * (1 / hyp.affine_value(y)))
+    return Hypersurface(reference_compose(hyp.f, args) * (1 / hyp.affine_value(y)))
 
 
 def reference_jet_tail(ratios, m):
     """A_{m+1} composed with the Jet1 ratios a_1/a_0, ..., a_m/a_0."""
-    return reference_family(m)[1][m + 1].compose(ratios)
+    return reference_compose(reference_family(m)[1][m + 1], ratios)
 
 
 def tvars(n):
@@ -786,7 +787,7 @@ def test_substitution_takes_a_first_order_part_on_every_image():
         Jet1(SparsePoly(wv, {(0, 0): a, (1, 0): b1, (0, 1): b2}), tuple(SparsePoly.constant(wv, c) for c in e))
         for (a, (b1, b2)), e in zip(images, slopes)
     ]
-    ref = f.compose(args) * f.den
+    ref = reference_compose(f, args) * f.den
     assert SparsePoly._from_ints(wv, values, 1) == ref.value
     assert len(firsts) == 3
     for first, slope in zip(firsts, ref.derivative):
@@ -927,7 +928,7 @@ def reference_dmu_forms(hyp):
     m, n = hyp.m, hyp.n
     parts = hyp.graded_parts() + [SparsePoly.zero(hyp.f.vars[1:])]
     tail = build_family(m).tail_polys[m + 1]
-    weights = [tail.partial(f"t{j}").compose(parts[1 : m + 1]) for j in range(1, m + 1)]
+    weights = [reference_compose(tail.partial(f"t{j}"), parts[1 : m + 1]) for j in range(1, m + 1)]
     out = []
     for i in range(1, n + 1):
         zi = f"z{i}"
@@ -973,11 +974,10 @@ def test_variation_needs_no_certificate_family_and_no_compose(monkeypatch):
     expected = variation_report(moved), dmu_formula(moved)
 
     def refuse(*args):
-        raise AssertionError("variation called build_family or SparsePoly.compose")
+        raise AssertionError("variation called build_family")
 
     monkeypatch.setattr(eco, "build_family", refuse)
     monkeypatch.setattr(variation, "build_family", refuse, raising=False)
-    monkeypatch.setattr(SparsePoly, "compose", refuse)
     assert (variation_report(moved), dmu_formula(moved)) == expected
 
 
@@ -994,7 +994,6 @@ def test_jet_oracle_shares_no_piece_of_the_formula(monkeypatch):
     monkeypatch.setattr(variation, "_normalized_parts", refuse)
     monkeypatch.setattr(variation, "_dmu_forms", refuse)
     monkeypatch.setattr(eco, "build_family", refuse)
-    monkeypatch.setattr(SparsePoly, "compose", refuse)
     assert dmu_jet(moved) == expected
     with pytest.raises(AssertionError, match="piece of dmu_formula"):
         dmu_formula(moved)
@@ -1501,10 +1500,10 @@ def test_decomposable_point_count_system_matches_references(monkeypatch):
 
 
 def reference_coordinate_change(p, rows):
-    """p(M*w) by `compose` with the linear SparsePoly images sum_j M_ij*w_j, the route it replaced."""
+    """p(M*w) by `reference_compose` with the linear SparsePoly images sum_j M_ij*w_j, the route it replaced."""
     gens = [SparsePoly.variable(p.vars, v) for v in p.vars]
     images = [sum((gens[j] * c for j, c in enumerate(row)), SparsePoly.zero(p.vars)) for row in rows]
-    return p.compose(images)
+    return reference_compose(p, images)
 
 
 def assert_same_coordinate_change(p, rows):

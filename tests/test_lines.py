@@ -29,7 +29,7 @@ from vmrt import (
     squarefree_factorization,
     vmrt_equations,
 )
-from vmrt import lines, selftest
+from vmrt import eco, lines, selftest
 from vmrt.cli import main
 from vmrt.sampling import (
     rand_direction,
@@ -298,14 +298,16 @@ class TestCount:
             count_vmrt_points(self._system_vanishing_at_z3(), [0, 0, 0], seed=11)
 
     def test_makes_no_compose_call(self, monkeypatch):
+        # the equations come from the half-square recursion, not from composing the
+        # certificate family; that SparsePoly has no compose at all is a test_package check
         rng = random.Random(95)
         hyp = build_converse([rand_homogeneous(rng, ZV3, 3), rand_homogeneous(rng, ZV3, 4)])
         y = rand_point_off_branch(rng, hyp)
 
-        def refuse(self, args):
-            raise AssertionError("count_vmrt_points called SparsePoly.compose")
+        def refuse(*args):
+            raise AssertionError("count_vmrt_points called build_family")
 
-        monkeypatch.setattr(SparsePoly, "compose", refuse)
+        monkeypatch.setattr(eco, "build_family", refuse)
         assert count_vmrt_points(hyp, y, seed=11) == (12, True)
 
 class TestBezoutEnumeration:

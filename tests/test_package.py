@@ -1,4 +1,4 @@
-"""The public surface: every exported name resolves, and a star import binds exactly those names."""
+"""The public surface: every exported name resolves, a star import binds exactly those names, and removed API stays gone."""
 
 import vmrt
 
@@ -13,3 +13,9 @@ def test_star_import_binds_exactly_all():
     exec("from vmrt import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(vmrt.__all__)
+
+
+def test_sparse_poly_has_no_generic_compose():
+    # evaluation is an integer kernel; the generic substitution lives on only as
+    # the tests' reference, test_poly.reference_compose
+    assert not hasattr(vmrt.SparsePoly, "compose")

@@ -22,6 +22,7 @@ from vmrt import (
     monomials_of_degree,
     parse_poly,
 )
+from vmrt import poly, unipoly
 from vmrt.lines import _from_graded_parts
 from vmrt.poly import grevlex_key
 from vmrt.unipoly import _exact_quotient
@@ -40,6 +41,38 @@ def int_terms(p):
     """The terms of a polynomial with integer coefficients, as ints."""
     assert all(c.denominator == 1 for c in p.terms.values())
     return {e: int(c) for e, c in p.terms.items()}
+
+
+def reference_compose(p, args):
+    """p with one ring element substituted per variable (Fraction, SparsePoly, Jet1, ...).
+
+    The generic substitution the library used before its integer
+    `SparsePoly.evaluate`: arguments need only +, *, integer powers and
+    multiplication by int and Fraction, so one loop evaluates, composes with
+    polynomials or pushes jets through.  Terms take their integer numerators,
+    each power of each argument is taken once, and the sum is divided by den.
+    """
+    if len(args) != len(p.vars):
+        raise InvalidInput("wrong number of substitution arguments")
+    if not p.nums:
+        return args[0] * 0 if args else Fraction(0)
+    pows = [{} for _ in args]
+
+    def power(i, e):
+        if e not in pows[i]:
+            pows[i][e] = args[i] ** e
+        return pows[i][e]
+
+    total = None
+    one = args[0] ** 0 if args else Fraction(1)
+    for exp, k in p.nums.items():
+        term = one
+        for i, e in enumerate(exp):
+            if e:
+                term = term * power(i, e)
+        term = term * k
+        total = term if total is None else total + term
+    return total * Fraction(1, p.den)
 
 
 def rand_poly(rng, variables, max_degree=4, terms=6):
@@ -244,16 +277,69 @@ class TestSubstitution:
             p = rand_poly(rng, Z2)
             point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in Z2]
             plain = sum(c * prod(v**e for v, e in zip(point, exp)) for exp, c in p.terms.items())
-            assert p.evaluate(point) == plain == p.compose(point)
+            assert p.evaluate(point) == plain == reference_compose(p, point)
         with pytest.raises(InvalidInput):
             p.evaluate(point[:1])
         assert SparsePoly.constant((), 5).evaluate(()) == 5
+
+    def test_evaluate_matches_reference_on_seeded_polynomials(self):
+        # inhomogeneous, zero, constant and zero-variable polynomials at int, Fraction,
+        # str and float values with denominators up to about 10^30
+        rng = random.Random(27)
+        for trial in range(300):
+            nv = trial % 5
+            variables = tuple(f"t{i}" for i in range(nv))
+            terms = [
+                (tuple(rng.randint(0, 4) for _ in variables), Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)))
+                for _ in range(rng.randint(0, 7))
+            ]
+            p = SparsePoly.from_terms(variables, terms)
+            values = [
+                rng.choice([
+                    rng.randint(-10**12, 10**12),
+                    Fraction(rng.randint(-10**30, 10**30), rng.randint(10**29, 10**30)),
+                    f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}",
+                    rng.uniform(-3, 3),
+                ])
+                for _ in variables
+            ]
+            value = p.evaluate(values)
+            assert type(value) is Fraction
+            assert value == reference_compose(p, [Fraction(v) for v in values])
+        assert SparsePoly.zero(Z2).evaluate([3, 4]) == 0 and type(SparsePoly.zero(Z2).evaluate([3, 4])) is Fraction
+        assert SparsePoly.zero(()).evaluate([]) == 0
+        assert SparsePoly.constant((), Fraction(-7, 3)).evaluate(()) == Fraction(-7, 3)
+        assert SparsePoly.constant(Z2, 5).evaluate([Fraction(1, 10**30), 2]) == 5
+        assert parse_poly("z1^3 + z2 - 1/2", Z2).evaluate(["1/2", 0.5]) == Fraction(1, 8)
+
+    def test_evaluate_converts_every_value_before_checking_the_count(self):
+        p = parse_poly("z1^2 - z2", Z2)
+        for values in ([1], [1, 2, 3], [], ()):
+            with pytest.raises(InvalidInput, match="wrong number of substitution arguments"):
+                p.evaluate(values)
+        with pytest.raises(ValueError):
+            p.evaluate(["x"])
+        with pytest.raises(TypeError):
+            p.evaluate([None, 1, 2])
+        with pytest.raises(ZeroDivisionError):
+            SparsePoly.zero(Z2).evaluate(["1/0"])
+
+    def test_evaluate_runs_neither_the_substitution_loop_nor_the_product_loop(self, monkeypatch):
+        # test_kernels.interpolated_restriction rests on evaluate as a reference that
+        # shares no code with the Kronecker line restriction
+        def refuse(*args):
+            raise AssertionError("evaluate used a restriction or product kernel")
+
+        monkeypatch.setattr(unipoly, "_substitute", refuse)
+        monkeypatch.setattr(poly, "_products", refuse)
+        p = parse_poly("t0^4 - 3*t1^2*t2^2 + 1/5*t3*t0^3", ("t0", "t1", "t2", "t3"))
+        assert p.evaluate([1, 2, Fraction(1, 3), -4]) == 1 - 3 * 4 * Fraction(1, 9) + Fraction(-4, 5)
 
     def test_compose_with_polynomials(self):
         p = parse_poly("z1^2 - z2", Z2)
         z1 = SparsePoly.variable(Z2, "z1")
         z2 = SparsePoly.variable(Z2, "z2")
-        assert p.compose([z2, z1]) == parse_poly("z2^2 - z1", Z2)
+        assert reference_compose(p, [z2, z1]) == parse_poly("z2^2 - z1", Z2)
 
     def test_exact_division(self):
         # the resultant's integer exact division gives back each factor of a product
