@@ -32,13 +32,14 @@ MAX_LINE_BITS = 10**5, and `eqs` and `count`, whose symbolic restriction
 has coefficients of at most B bits along z = (1, ..., 1), refuse such a
 point.  On a 2-core host the slowest `eco-line` input found below the
 limit (degree 24, 12-digit entries) ran in 3.6 s, and 3000-digit entries
-are refused at once.  The limit does not bound the products of the
-half-square recursion: `eqs` at n = 6, degree 12 ran 1.1 s with 1-digit
-entries but 250 s with 33-digit ones, just below the limit.  A rational argument in decimal
-notation may carry an exponent of at most four digits, so "1e999999999"
-is a parse error instead of a billion-digit integer.  A result with a
-number longer than Python's limit for integer-to-text conversion (4300
-digits by default) exits 2 with an InvalidInput record.
+are refused at once.  The half-square recursion of `eqs` and `count`
+multiplies coefficients of about B bits, so their work estimate is
+weighted by (B/64)^1.6 above 64 bits (`_equation_work`).  A rational
+argument in decimal notation may carry an exponent of at most four
+digits, so "1e999999999" is a parse error instead of a billion-digit
+integer.  A result with a number longer than Python's limit for
+integer-to-text conversion (4300 digits by default) exits 2 with an
+InvalidInput record.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def _check_work(work: int, n: int, m: int) -> None:
         raise InvalidInput(f"work estimate {work:.3g} at n = {n}, m = {m} exceeds the budget {WORK_BUDGET:.0e}")
 
 
-def _check_line_bits(hyp: Hypersurface, point, direction=None) -> None:
-    """Refuse a line whose restriction carries more than MAX_LINE_BITS bits: (2m + 1) slots of B bits.
+def _check_line_bits(hyp: Hypersurface, point, direction=None) -> int:
+    """Refuse a line whose restriction carries more than MAX_LINE_BITS bits: (2m + 1) slots of B bits; returns B.
 
     B is the slot width of the numeric restriction (`unipoly._kronecker_slots`),
     from f's numerators and the cleared point and direction.  A symbolic
@@ -145,6 +146,28 @@ def _check_line_bits(hyp: Hypersurface, point, direction=None) -> None:
     _, bits = _kronecker_slots(hyp.f, 2 * hyp.m, point, [1] * hyp.n if direction is None else direction)
     if (2 * hyp.m + 1) * bits > MAX_LINE_BITS:
         raise InvalidInput(f"line restriction of {(2 * hyp.m + 1) * bits} bits exceeds the limit {MAX_LINE_BITS}")
+    return bits
+
+
+def _equation_work(n: int, m: int, bits: int) -> float:
+    """`_recursion_work` times (B/64)^1.6 for a slot width B above one 64-bit word.
+
+    The recursion multiplies forms whose coefficients grow with B, and a
+    big-integer product costs more than linearly in its bits.  1.6 is the
+    least-squares exponent of `eqs` timings on dense seeded forms at
+    (n, degree) = (6, 12), (9, 8) and (12, 6), B from 96 to 2246 bits
+    (2-core host, Python 3.11): (6, 12) took 5.4 s at B = 392 and 21.6 s
+    at 872.  The unit of 64 bits puts the budget near 5 s: the slowest
+    admitted input found at the boundary, degree 24 in 5 variables at the
+    point (62, 62, 62, 62), ran in 7.2 s.
+    """
+    return _recursion_work(n, m) * max(1, bits / 64) ** 1.6
+
+
+def _check_equations(hyp: Hypersurface, point) -> None:
+    """Refuse an `eqs` or `count` point whose restriction or half-square recursion is too large."""
+    bits = _check_line_bits(hyp, point)
+    _check_work(_equation_work(hyp.n, hyp.m, bits), hyp.n, hyp.m)
 
 
 def _read_poly(path: str, variables=None):
@@ -248,25 +271,19 @@ def _cmd_eco_cert(args) -> None:
 def _cmd_eqs(args) -> None:
     point = _fraction_list(args.point)
     hyp = _load_hypersurface(args.f, len(point))
-    _check_work(_recursion_work(hyp.n, hyp.m), hyp.n, hyp.m)
-    _check_line_bits(hyp, point)
+    _check_equations(hyp, point)
     system = vmrt_equations(hyp, point)
+    texts = [format_poly(eq) for eq in system.equations]
+    degrees = range(hyp.m + 1, 2 * hyp.m + 1)
     report = {
         "command": "eqs",
         "m": hyp.m,
         "n": hyp.n,
         "point": [str(c) for c in point],
-        "equations": [
-            {"degree": hyp.m + 1 + i, "poly": format_poly(eq)}
-            for i, eq in enumerate(system.equations)
-        ],
+        "equations": [{"degree": k, "poly": text} for k, text in zip(degrees, texts)],
         "seed": None,
     }
-    _emit(
-        report,
-        args.json,
-        [f"B_{hyp.m + 1 + i} = {format_poly(eq)}" for i, eq in enumerate(system.equations)],
-    )
+    _emit(report, args.json, [f"B_{k} = {text}" for k, text in zip(degrees, texts)])
 
 
 def _cmd_eco_line(args) -> None:
@@ -312,20 +329,21 @@ def _cmd_converse(args) -> None:
         for p in polys
     ]
     hyp = build_converse(widened)
+    f_text = format_poly(hyp.f)
     report = {
         "command": "converse",
         "m": hyp.m,
         "n": hyp.n,
-        "f": format_poly(hyp.f),
+        "f": f_text,
         "b": [format_poly(p) for p in widened],
     }
-    _emit(report, args.json, [f"f = {format_poly(hyp.f)}"])
+    _emit(report, args.json, [f"f = {f_text}"])
 
 
 def _cmd_count(args) -> None:
     point = _fraction_list(args.point)
     hyp = _load_hypersurface(args.f, len(point))
-    _check_line_bits(hyp, point)
+    _check_equations(hyp, point)
     degree, squarefree = count_vmrt_points(hyp, point, seed=args.seed)
     report = {
         "command": "count",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -42,7 +41,7 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class EcoFamily:
-    """Cached symbolic certificate data for one half-degree m.
+    """Symbolic certificate data for one half-degree m.
 
     root_polys[k] expresses the k-th square-root coefficient in the input
     coefficients (index 0 is the constant 1); tail_polys[k] predicts the
@@ -102,9 +101,8 @@ def _half_square(a: Sequence, top: int, _halve=_halved) -> tuple[list, list]:
     return sigma[1:], [pair_sum(k, k - m) for k in range(m + 1, top + 1)]
 
 
-@lru_cache(maxsize=None)
 def build_family(m: int) -> EcoFamily:
-    """Solve the half-square recursion symbolically for half-degree m."""
+    """Solve the half-square recursion symbolically for half-degree m; each call builds a fresh family."""
     if not isinstance(m, int) or m < 1:
         raise InvalidInput("m must be a positive integer")
     variables = tuple(f"t{i}" for i in range(1, m + 1))

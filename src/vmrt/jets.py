@@ -28,13 +28,6 @@ first-order variables: the loop keeps eps-free and first-order terms
 apart and never multiplies two first-order terms, whose product is zero,
 so no Jet1 and no zero slot enters it.  The coefficients become Jet1s
 over forms only at the end.
-
-The library raises no jet to a power and inverts only scalar jets.
-`Jet1.__pow__` (the closed form (v + eps*d)^k = v^k + eps*k*v^(k-1)*d,
-slot by slot) and the constant-form branch of `Jet1.inverse` serve the
-tests' generic substitution `test_poly.reference_compose`, which pushes
-jets through the certificate tail A_{m+1} in tests/test_kernels.py.  Both
-stay: they are public, and tests check them directly.
 """
 
 from __future__ import annotations
@@ -98,34 +91,20 @@ class Jet1:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        """(v + eps*d)^k = v^k + eps*k*v^(k-1)*d per slot, and 1 for k = 0."""
-        if not isinstance(k, int) or k < 0:
-            raise InvalidInput("jet power must be a non-negative integer")
-        if k == 0:
-            return Jet1(self.value ** 0, tuple([d * 0 for d in self.derivative]))
-        # with 0**0 = 1 the closed form is eps*d for v = 0, k = 1 and 0 for
-        # v = 0, k >= 2
-        below = self.value ** (k - 1)
-        return Jet1(below * self.value, tuple([below * d * k for d in self.derivative]))
-
     def __bool__(self):
         # bare bool() of a SparsePoly is always True; comparing with 0 works
         # for both rings
         return self.value != 0 or any(d != 0 for d in self.derivative)
 
     def inverse(self) -> "Jet1":
-        """1/v + eps*(-d/v^2) per slot, for an int or Fraction value v or a constant form v != 0."""
+        """1/v + eps*(-d/v^2) per slot, for an int or Fraction value v != 0."""
         v = self.value
-        if isinstance(v, SparsePoly):
-            if not v.is_constant:
-                raise InvalidInput("jet inversion needs a constant value part")
-            v = v.constant_value()
+        if not isinstance(v, (int, Fraction)):
+            raise InvalidInput("jet inversion needs an int or Fraction value part")
         if v == 0:
             raise InvalidInput("jet with zero value part is not invertible")
         inv = 1 / Fraction(v)
-        value = SparsePoly.constant(self.value.vars, inv) if isinstance(self.value, SparsePoly) else inv
-        return Jet1(value, tuple([d * (-inv * inv) for d in self.derivative]))
+        return Jet1(inv, tuple([d * (-inv * inv) for d in self.derivative]))
 
     def __eq__(self, other):
         if not isinstance(other, Jet1):

@@ -26,8 +26,8 @@ That count is first certified mod the prime P = 2^61 - 1: the resultant
 is evaluated at 13 points over GF(P) by Euclid, interpolated and tested
 for degree and squarefreeness there by one more resultant (Collins
 1971).  A certified answer is exact; only when the certificate declines
-does the resultant over the integer polynomials run, with Yun's
-squarefree test of its dehomogenization.
+does the resultant over the integer polynomials run, with a gcd
+squarefree test of its dehomogenization: gcd(p, p') = 1.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .linalg import _P
 from .poly import SparsePoly, _sum_of_products
 from .sampling import rand_homogeneous, rand_invertible
 from .unipoly import UniPoly, _by_z_degree, _substitute, is_perfect_square, restrict_to_line
-from .unipoly import _integer_coeffs_in, resultant, squarefree_factorization
+from .unipoly import _integer_coeffs_in, poly_gcd, resultant
 
 
 def _as_fractions(values: Sequence, what: str, length: int) -> tuple[Fraction, ...]:
@@ -309,8 +309,8 @@ def _count_certified(c3: SparsePoly, c4: SparsePoly) -> bool:
     since deg R >= d*e - 1 leaves z2^2 out of the reduction, so it would
     give a repeated factor of R, against gcd(R, R') = 1.  So R_Z is
     squarefree and z2^2 does not divide it: the dehomogenization at z2 = 1
-    that `count_vmrt_points` hands to Yun is squarefree and loses at most
-    one degree, and the form has degree d*e.
+    that the gcd test of `count_vmrt_points` would check is squarefree and
+    loses at most one degree, and the form has degree d*e.
     """
     pc, qc = _integer_coeffs_in(c3, "z3"), _integer_coeffs_in(c4, "z3")
     if not all(sum(c[-1].values()) % _P for c in (pc, qc)):
@@ -349,8 +349,9 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
     The resultant and its squarefree test are first certified mod P
     (`_count_certified`), which settles (12, True) exactly.  Only when
     that certificate declines does the exact route run: the Sylvester
-    resultant over the integer polynomials and Yun's test of its
-    dehomogenization.
+    resultant over the integer polynomials and a gcd test of its
+    dehomogenization p: squarefree iff gcd(p, p') is constant, as the
+    characteristic is 0.
     """
     if (hyp.n, hyp.m) != (3, 2):
         raise InvalidInput("point count is implemented for n=3, m=2")
@@ -377,8 +378,7 @@ def count_vmrt_points(hyp: Hypersurface, point: Sequence, seed: int) -> tuple[in
     for exp, k in res.nums.items():
         coeffs[exp[0]] += k
     dehom = UniPoly(coeffs)
-    _, factors = squarefree_factorization(dehom)
-    squarefree = all(mult == 1 for _, mult in factors) and degree - dehom.degree() <= 1
+    squarefree = poly_gcd(dehom, dehom.derivative()).degree() == 0 and degree - dehom.degree() <= 1
     return degree, squarefree
 
 

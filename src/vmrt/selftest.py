@@ -45,6 +45,7 @@ from .sampling import (
     rand_direction,
     rand_fraction,
     rand_homogeneous,
+    rand_nonzero_fraction,
     rand_point,
     rand_point_off_branch,
 )
@@ -83,10 +84,7 @@ def criterion_certificate_oracle(seed: int) -> dict:
         m = rng.randint(1, 6)
         _, a = _random_square(rng, m)
         k = rng.randint(m + 1, 2 * m)
-        delta = rand_fraction(rng)
-        while delta == 0:
-            delta = rand_fraction(rng)
-        a[k - 1] += delta
+        a[k - 1] += rand_nonzero_fraction(rng)
         perturbed = UniPoly([Fraction(1)] + a)
         cert = certify(a)
         oracle = is_perfect_square(perturbed)[0]

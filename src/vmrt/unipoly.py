@@ -335,13 +335,13 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
     L^p + p*L^(p-1)*E for L = a + b.w and E = e.eps.  A key packs w^alpha
     by the packing of the product loop (`poly._packing`, one field of
     `size` bytes per w_j, 256^size > d), so multiplying monomials is one
-    int addition.  A first-order key adds s * 256^(size*k) for its eps_s,
-    which a product with an eps-free key keeps.  Keys are unpacked once,
+    int addition.  A first-order key adds s times `slot`, the weight of a
+    field after the w_j's, for its eps_s, which a product with an eps-free
+    key keeps.  Keys are unpacked once,
     by `poly._unpacked`.
     """
     k = len(images[0][1])
-    weights, size = _packing(k, d)
-    slot = 256 ** (size * k)
+    (*weights, slot), size = _packing(k + 1, d)
     no_eps = [()] * (d + 1)
 
     def powers(a, b, e):

@@ -82,6 +82,67 @@ MUTANTS = (
             "tests/test_eco.py::TestIntegerCertificate::test_halving_is_exact_on_odd_numerators",
         ),
     ),
+    Mutant(
+        "half_square_without_doubling",
+        "eco.py",
+        "term = sigma[ell] * sigma[k - ell] * 2",
+        "term = sigma[ell] * sigma[k - ell]",
+        (
+            "tests/test_eco.py::TestBuildFamily::test_m2_tail_polys",
+            "tests/test_eco.py::TestIntegerCertificate::test_matches_the_fraction_recursion",
+        ),
+    ),
+    Mutant(
+        "cross_difference_adds",
+        "unipoly.py",
+        "[(a, b, 1), (c, d, -1)]",
+        "[(a, b, 1), (c, d, 1)]",
+        (
+            "tests/test_unipoly.py::TestResultant::test_linear_sign_convention",
+            "tests/test_kernels.py::TestResultantEdges::test_linear_pair",
+        ),
+    ),
+    Mutant(
+        "packing_one_byte_at_degree_256",
+        "poly.py",
+        "if degree < 256**s)",
+        "if degree <= 256**s)",
+        (
+            "tests/test_kernels.py::test_restrictions_of_degree_past_one_byte_keys",
+            "tests/test_kernels.py::TestCoordinateChange::test_degree_past_one_byte_keys",
+        ),
+    ),
+    Mutant(
+        "judged_without_full_rank_test",
+        "linalg.py",
+        "if rank_mod_p == min(len(lines), length):",
+        "if True:",
+        ("tests/test_kernels.py::test_rank_that_drops_only_mod_p_comes_from_bareiss",),
+    ),
+    Mutant(
+        "int_exact_ignores_remainder",
+        "linalg.py",
+        "    if rem:\n",
+        "    if False:\n",
+        ("tests/test_linalg.py::test_bareiss_over_int_refuses_a_step_that_does_not_divide",),
+    ),
+    Mutant(
+        "certified_join_rank_minus_1",
+        "linalg.py",
+        "return rank, _judged(_reduce_mod_p(echelon, more), [*more, *lines], length)",
+        "return rank, _judged(_reduce_mod_p(echelon, more), [*more, *lines], length) - 1",
+        (
+            "tests/test_linalg.py::test_span_intersection_counts_shared_columns",
+            "tests/test_variation.py::TestReportsAndFamilies::test_reference_family_numbers",
+        ),
+    ),
+    Mutant(
+        "squarefree_gcd_of_degree_1",
+        "lines.py",
+        "poly_gcd(dehom, dehom.derivative()).degree() == 0",
+        "poly_gcd(dehom, dehom.derivative()).degree() <= 1",
+        ("tests/test_lines.py::TestCountCertificate::test_one_double_point_declines_and_the_fallback_counts_twelve_not_squarefree",),
+    ),
 )
 
 

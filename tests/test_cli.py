@@ -375,6 +375,19 @@ class TestSizeLimits:
         self.assert_invalid_input(capsys, [command, "--f", path, "--point", point, *extra, "--json"], "line restriction")
         assert time.perf_counter() - start < 2
 
+    @pytest.mark.parametrize("n,degree,digits", [(6, 12, 32), (9, 8, 47)])
+    def test_equations_with_wide_coefficients_are_refused_at_once(self, tmp_path, capsys, n, degree, digits):
+        # within the line limit, but the half-square recursion on such coefficients ran for minutes
+        path, point, _ = self.huge_line(tmp_path, n, degree, digits)
+        start = time.perf_counter()
+        self.assert_invalid_input(capsys, ["eqs", "--f", path, "--point", point, "--json"], "budget")
+        assert time.perf_counter() - start < 2
+
+    def test_equation_work_weighs_slot_widths_above_one_word(self):
+        work = cli._recursion_work(6, 6)
+        assert cli._equation_work(6, 6, 20) == cli._equation_work(6, 6, 64) == work
+        assert cli._equation_work(6, 6, 128) == work * 2**1.6
+
     def test_line_bits_limit_itself_is_accepted(self, tmp_path, monkeypatch, capsys):
         path, point, direction = self.huge_line(tmp_path, 2, 4, digits=30)
         hyp = Hypersurface(parse_poly(Path(path).read_text()))

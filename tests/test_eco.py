@@ -52,6 +52,13 @@ class TestBuildFamily:
         with pytest.raises(InvalidInput):
             build_family(0)
 
+    def test_changing_a_returned_family_leaves_the_next_one_intact(self):
+        fam = build_family(2)
+        fam.tail_polys[3] = 0
+        again = build_family(2)
+        assert again is not fam
+        assert again.tail_polys[3] == parse_poly("1/2*t1*t2 - 1/8*t1^3", ("t1", "t2"))
+
 
 class TestCertify:
     def test_binomial_fourth_power(self):

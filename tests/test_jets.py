@@ -35,15 +35,6 @@ def test_product_rule():
 
 
 def test_inverse_is_two_sided():
-    rng = random.Random(6)
-    for _ in range(10):
-        slots = tuple(rand_poly(rng, ZV) for _ in range(rng.randint(0, 3)))
-        j = Jet1(SparsePoly.constant(ZV, Fraction(rng.randint(1, 9), rng.randint(1, 5))), slots)
-        one = j * j.inverse()
-        assert one.value == SparsePoly.constant(ZV, 1)
-        assert len(one.derivative) == len(slots)
-        assert all(d.is_zero for d in one.derivative)
-    # int and Fraction values run through the same inversion
     for value in (2, -3, Fraction(5, 7), Fraction(-1, 4)):
         j = Jet1(value, (1, Fraction(-2, 3), 0))
         inv = j.inverse()
@@ -63,6 +54,25 @@ def test_inverse_requires_constant_value():
     for zero in (0, Fraction(0)):
         with pytest.raises(InvalidInput):
             Jet1(zero, (1,)).inverse()
+
+
+def test_jets_of_forms_neither_invert_nor_take_powers():
+    # the library inverts a_0 as a jet of scalars (`dmu_jet`) and raises no jet to a power
+    j = Jet1(SparsePoly.constant(ZV, Fraction(3, 2)), (parse_poly("z1", ZV),))
+    with pytest.raises(InvalidInput, match="int or Fraction"):
+        j.inverse()
+    for jet in (j, Jet1(2, (1,))):
+        for k in (0, 2, -1, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                jet ** k
+
+
+def power_rule(j, k, one):
+    """(v + eps*d)^k = v^k + eps*k*v^(k-1)*d per slot, and `one` for k = 0."""
+    if k == 0:
+        return one
+    below = j.value ** (k - 1)
+    return Jet1(below * j.value, tuple(below * d * k for d in j.derivative))
 
 
 def test_polynomial_at_jet_point_gives_value_and_partial():
@@ -103,6 +113,7 @@ def test_jet_restriction_matches_plain_restriction_at_value_level():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_power_matches_repeated_products(k):
+    # the powers `reference_compose` builds when it pushes jets through a polynomial
     rng = random.Random(20 + k)
     zero = SparsePoly.zero(ZV)
     one = Jet1(SparsePoly.constant(ZV, 1), (zero, zero))
@@ -120,15 +131,7 @@ def test_power_matches_repeated_products(k):
         expected = one
         for _ in range(k):
             expected = expected * j
-        assert j ** k == expected
-
-
-def test_power_rejects_negative_and_non_integer_exponents():
-    j = Jet1(SparsePoly.constant(ZV, 2), (SparsePoly.constant(ZV, 1),))
-    with pytest.raises(InvalidInput):
-        j ** -1
-    with pytest.raises(InvalidInput):
-        j ** Fraction(1, 2)
+        assert power_rule(j, k, one) == expected
 
 
 def test_polynomial_parts_must_share_variables():
@@ -197,9 +200,12 @@ def test_power_over_int_parts_matches_repeated_products(k):
         expected = Jet1(1, (0, 0))
         for _ in range(k):
             expected = expected * j
-        assert j ** k == expected
-    assert Jet1(0, (5,)) ** k == Jet1(int(k == 0), (5 * int(k == 1),))
-    assert Jet1(2, ()) ** k == Jet1(2 ** k, ())
+        assert power_rule(j, k, Jet1(1, (0, 0))) == expected
+    for j, closed in ((Jet1(0, (5,)), Jet1(int(k == 0), (5 * int(k == 1),))), (Jet1(2, ()), Jet1(2**k, ()))):
+        expected = Jet1(1, tuple(0 for _ in j.derivative))
+        for _ in range(k):
+            expected = expected * j
+        assert expected == closed
 
 
 def test_truth_value_over_both_rings():

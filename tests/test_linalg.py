@@ -129,6 +129,15 @@ def bareiss_det(m):
     return sign * work[-1][-1] if rank == len(m) else 0
 
 
+def test_bareiss_over_int_refuses_a_step_that_does_not_divide():
+    # every entry is a minor of the input, so a remainder means corrupted rows
+    def corrupted_cross(a, b, c, d):
+        return _int_cross(a, b, c, d) + 1
+
+    with pytest.raises(ArithmeticError, match="divide exactly"):
+        _bareiss([[2, 1, 1], [1, 3, 2], [1, 0, 0]], 3, corrupted_cross, _int_exact)
+
+
 def sylvester_det(u, v):
     """The determinant of the integer Sylvester rows of ascending lists u and v: e shifted u on d shifted v."""
     d, e = len(u) - 1, len(v) - 1

@@ -360,6 +360,15 @@ def tangent_system_with_a_double_line():
     return build_converse([parse_poly("z1*z2*z3", ZV3), b4])
 
 
+def tangent_system_with_one_double_point():
+    """b3 = z1*z2*z3 and b4 four lines, one through the node (0:0:1) of b3: 12 points, one of them double."""
+    lines4 = ("z1 + z2", "z1 + 3*z2 + z3", "z1 + 2*z2 + 3*z3", "2*z1 - z2 + 5*z3")
+    b4 = SparsePoly.constant(ZV3, 1)
+    for text in lines4:
+        b4 = b4 * parse_poly(text, ZV3)
+    return build_converse([parse_poly("z1*z2*z3", ZV3), b4])
+
+
 def certificate_answers(monkeypatch):
     """The list that records each answer of the mod-P count certificate from now on."""
     answers = []
@@ -415,6 +424,12 @@ class TestCountCertificate:
     @pytest.mark.parametrize("seed", [2, 5, 9])
     def test_double_line_declines_and_the_fallback_counts_twelve_not_squarefree(self, monkeypatch, seed):
         fast, exact, answers = count_both_ways(monkeypatch, tangent_system_with_a_double_line(), [0, 0, 0], seed)
+        assert fast == exact == (12, False)
+        assert answers == [False]
+
+    def test_one_double_point_declines_and_the_fallback_counts_twelve_not_squarefree(self, monkeypatch):
+        # gcd(p, p') of the dehomogenized resultant has degree exactly 1 here, 3 for the double line
+        fast, exact, answers = count_both_ways(monkeypatch, tangent_system_with_one_double_point(), [0, 0, 0], 2)
         assert fast == exact == (12, False)
         assert answers == [False]
 

@@ -47,24 +47,25 @@ def reference_compose(p, args):
     """p with one ring element substituted per variable (Fraction, SparsePoly, Jet1, ...).
 
     The generic substitution the library used before its integer
-    `SparsePoly.evaluate`: arguments need only +, *, integer powers and
-    multiplication by int and Fraction, so one loop evaluates, composes with
-    polynomials or pushes jets through.  Terms take their integer numerators,
-    each power of each argument is taken once, and the sum is divided by den.
+    `SparsePoly.evaluate`: arguments need only + and *, with each other and
+    with int and Fraction, so one loop evaluates, composes with polynomials
+    or pushes jets through.  Terms take their integer numerators, each power
+    of each argument is built once by repeated multiplication, and the sum
+    is divided by den.
     """
     if len(args) != len(p.vars):
         raise InvalidInput("wrong number of substitution arguments")
     if not p.nums:
         return args[0] * 0 if args else Fraction(0)
-    pows = [{} for _ in args]
+    pows = [[None, x] for x in args]  # pows[i][e] = args[i]^e
 
     def power(i, e):
-        if e not in pows[i]:
-            pows[i][e] = args[i] ** e
+        while len(pows[i]) <= e:
+            pows[i].append(pows[i][-1] * args[i])
         return pows[i][e]
 
     total = None
-    one = args[0] ** 0 if args else Fraction(1)
+    one = args[0] * 0 + 1 if args else Fraction(1)
     for exp, k in p.nums.items():
         term = one
         for i, e in enumerate(exp):
