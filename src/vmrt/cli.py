@@ -40,6 +40,17 @@ digits, so "1e999999999" is a parse error instead of a billion-digit
 integer.  A result with a number longer than Python's limit for
 integer-to-text conversion (4300 digits by default) exits 2 with an
 InvalidInput record.
+
+A polynomial file is refused before it is parsed when its terms, cleared
+to the lcm of their denominators as the parser clears them, would carry
+more than MAX_CLEARED_BITS = 5*10**7 bits (terms times the lcm's bits),
+500 times MAX_LINE_BITS.  On a 2-core host a dense degree-8 form in
+t0..t4 with 100- or 300-digit fractions spent 10 or 85 s in the parse and
+`graded_parts` and now exits 2 at once; the slowest inputs found below
+the limit, `variation --f` on dense forms with long fractions, take under
+5 s.  The digits of the denominators would bound the lcm far too loosely
+for the texts `format_poly` writes: a witness at (n, m) = (6, 6) has
+109,643 digits of denominators over an lcm of 32 bits.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from pathlib import Path
 
 from .eco import certify
@@ -75,9 +86,12 @@ MAX_N = 12
 MAX_DEGREE = 24
 WORK_BUDGET = 10**7
 MAX_LINE_BITS = 10**5
+MAX_CLEARED_BITS = 5 * 10**7
 
 _INDEXED_RE = re.compile(r"(?<![A-Za-z0-9_])[tz](\d+)(?![A-Za-z0-9_])")
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]*)")
+_SIGN_RE = re.compile(r"[+-]")
+_DENOMINATOR_RE = re.compile(r"/(\d+)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,17 +184,41 @@ def _check_equations(hyp: Hypersurface, point) -> None:
     _check_work(_equation_work(hyp.n, hyp.m, bits), hyp.n, hyp.m)
 
 
+def _check_cleared_bits(compact: str) -> None:
+    """Refuse a text that the parser would clear to more than MAX_CLEARED_BITS bits: its terms times the lcm's bits.
+
+    A term's denominator is the product of its numbers' denominators, and
+    the parser sums the terms over their lcm.  The lcm is built term by
+    term and checked after each, so a text far over the limit is refused
+    after a small part of it.
+    """
+    bodies = _SIGN_RE.split(compact)
+    common = 1
+    for body in bodies:
+        try:
+            common = lcm(common, prod(map(int, _DENOMINATOR_RE.findall(body))))
+        except ValueError:  # more digits than int() converts: the parser refuses the number
+            return
+        if len(bodies) * common.bit_length() > MAX_CLEARED_BITS:
+            raise InvalidInput(
+                f"{len(bodies)} terms over a denominator of at least {common.bit_length()} bits exceed"
+                f" the limit of {MAX_CLEARED_BITS:.0e} cleared bits"
+            )
+
+
 def _read_poly(path: str, variables=None):
     """Parse a polynomial file, refusing oversized inputs before any heavy work."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    compact = "".join(text.split())
     # a variable index bounds n; check it before the parser builds the variable list
-    for digits in _INDEXED_RE.findall("".join(text.split())):
+    for digits in _INDEXED_RE.findall(compact):
         digits = digits.lstrip("0")
         if len(digits) > len(str(MAX_N)) or int(digits or 0) > MAX_N:
             raise InvalidInput(f"a variable index exceeds the limit n <= {MAX_N}")
+    _check_cleared_bits(compact)
     p = parse_poly(text, variables)
     _check_degree(p.total_degree())
     return p

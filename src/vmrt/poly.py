@@ -15,7 +15,13 @@ every printed or serialized polynomial is deterministic.
 The integer kernels and the text layer (`parse_poly`, `format_poly`) read
 and write `nums` and `den` directly; each builds its result through
 `SparsePoly._from_ints`, the one constructor that drops zeros and divides
-out the content.  `_products` is the one integer product loop, a sum
+out the content.  `parse_poly` reads a text in one pass: a table kept for
+the one call maps each distinct variable factor's text ("t3^2") to its
+(name, exponent), so the factor is matched once however many terms repeat
+it; each term keeps its table entries, its exponent is built by variable
+index once the variable list is known, and the terms are summed as
+integers over the lcm of their denominators.  Nothing is cached between
+calls.  `_products` is the one integer product loop, a sum
 s_1*a_1*b_1 + ... of integer term dicts in one accumulation on packed
 exponents (Monagan and Pearce, CASC 2007; FLINT's `fmpz_mpoly`) by
 `_packing` and `_unpacked`, which `unipoly._substitute` shares.  It runs
@@ -438,62 +444,62 @@ def parse_poly(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
     When `variables` is omitted the list is inferred: symbols must form a
     single family t0..tn (projective coordinates) or z1..zn (directions).
     """
-    compact = text.replace("**", "^")
-    compact = "".join(compact.split())
+    compact = "".join(text.replace("**", "^").split())
     if not compact:
         raise ParseError("empty polynomial text")
     # split into signed terms at top level (no parentheses in this format);
     # numbers are \d+(/\d+)?, so '+' and '-' only ever separate terms
-    sign = 1
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        compact = compact[1:]
+    sign = -1 if compact[0] == "-" else 1
+    compact = compact[1:] if compact[0] in "+-" else compact
     parts = _TERM_SPLIT_RE.split(compact)  # body, sign, body, ..., sign, body
     signs = [sign] + [-1 if s == "-" else 1 for s in parts[1::2]]
     terms = list(zip(signs, parts[::2]))
     if not all(body for _, body in terms):
         raise ParseError(f"dangling sign in {text!r}")
 
-    raw: list[tuple[dict[str, int], int, int]] = []
-    seen: set[str] = set()
-    for sgn, body in terms:
-        num, den = sgn, 1
-        powers: dict[str, int] = {}
+    # factor text -> (name, exponent) of the variable factors of this text
+    table: dict[str, tuple[str, int]] = {}
+    raw: list[tuple[list[tuple[str, int]], int, int]] = []
+    for num, body in terms:
+        den, entries = 1, []
         for factor in body.split("*"):
-            if not factor:
-                raise ParseError(f"empty factor in term {body!r}")
-            if _NUMBER_RE.match(factor):
-                top, _, bottom = factor.partition("/")
+            entry = table.get(factor)
+            if entry is None:
+                if not factor:
+                    raise ParseError(f"empty factor in term {body!r}")
+                if _NUMBER_RE.match(factor):
+                    top, _, bottom = factor.partition("/")
+                    try:
+                        num *= int(top)
+                        den *= int(bottom or 1)
+                    except ValueError:  # more digits than int() converts
+                        raise ParseError(f"number too long: {factor[:20]!r}...") from None
+                    if not den:
+                        raise ParseError(f"zero denominator in {factor!r}")
+                    continue
+                mt = _FACTOR_RE.match(factor)
+                if not mt:
+                    raise ParseError(f"bad factor {factor!r}")
                 try:
-                    num *= int(top)
-                    den *= int(bottom or 1)
-                except ValueError:  # more digits than int() converts
-                    raise ParseError(f"number too long: {factor[:20]!r}...") from None
-                if not den:
-                    raise ParseError(f"zero denominator in {factor!r}")
-                continue
-            mt = _FACTOR_RE.match(factor)
-            if not mt:
-                raise ParseError(f"bad factor {factor!r}")
-            try:
-                name, exp = mt.group(1), int(mt.group(2) or 1)
-            except ValueError:
-                raise ParseError(f"exponent too long: {factor[:20]!r}...") from None
-            powers[name] = powers.get(name, 0) + exp
-            seen.add(name)
-        raw.append((powers, num, den))
+                    entry = table[factor] = (mt.group(1), int(mt.group(2) or 1))
+                except ValueError:
+                    raise ParseError(f"exponent too long: {factor[:20]!r}...") from None
+            entries.append(entry)
+        raw.append((entries, num, den))
 
-    if variables is None:
-        variables = _infer_variables(seen)
-    variables = tuple(variables)
-    unknown = seen - set(variables)
-    if unknown:
+    seen = {name for name, _ in table.values()}
+    variables = tuple(_infer_variables(seen) if variables is None else variables)
+    if unknown := seen - set(variables):
         raise ParseError(f"unknown symbols {sorted(unknown)}; variables are {list(variables)}")
 
     # each term is num/den; sum them as integers over the lcm of the dens
+    slot = {v: i for i, v in enumerate(variables)}
     common = lcm(*(den for _, _, den in raw))
     acc: dict[Exponent, int] = {}
-    for powers, num, den in raw:
-        exp = tuple(powers.get(v, 0) for v in variables)
-        acc[exp] = acc.get(exp, 0) + num * (common // den)
+    for entries, num, den in raw:
+        exp = [0] * len(variables)
+        for name, e in entries:
+            exp[slot[name]] += e
+        key = tuple(exp)
+        acc[key] = acc.get(key, 0) + num * (common // den)
     return SparsePoly._from_ints(variables, acc, common)

@@ -321,7 +321,8 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
     the integer a_i: each group of the loop then holds one integer, and
     values is {(): F(a_0, ..., a_n)} ({} when every group cancels).
     `slopes` is empty, or holds one tuple e_i of r ints per variable for
-    the first-order variables eps_1..eps_r: the images are then a jet
+    the first-order variables eps_1..eps_r, e_0 all zero (no caller moves
+    t0, and a nonzero e_0 raises InvalidInput): the images are then a jet
     base point (forward-mode differentiation, Griewank and Walther,
     *Evaluating Derivatives*, ch. 3).  d bounds the total degree of f.  Returns (values, firsts): values maps w-exponent
     tuples to the eps-free coefficients, firsts[s] to those of eps_s.
@@ -374,18 +375,19 @@ def _substitute(f: SparsePoly, d: int, images: Sequence[tuple], slopes: Sequence
         return out
 
     # acc and acc_eps map the exponents of the variables not yet substituted to the eps-free and
-    # the first-order coefficients by packed key; the first image (t0 in a restriction) is applied
-    # as they are built
+    # the first-order coefficients by packed key; the first image (t0 in a restriction), which
+    # no first-order variable moves, is applied as acc is built
     e_first, *e_rest = slopes or [()] * len(images)
+    if any(e_first):
+        raise InvalidInput("the first image takes no first-order part")
     (a, b), *rest = images
-    table, table_eps = powers(a, b, e_first)
+    table, _ = powers(a, b, ())
     acc: dict[tuple, dict] = {}
     for exp, c in f.nums.items():
         tgt = acc.setdefault(exp[1:], {})
         for key, v in table[exp[0]]:
             tgt[key] = tgt.get(key, 0) + c * v
-    # no restriction moves t0, so this is empty there
-    acc_eps = spread({}, [(exp, {0: c}) for exp, c in f.nums.items()], table_eps) if any(table_eps) else {}
+    acc_eps: dict[tuple, dict] = {}
     for (a, b), e in zip(rest, e_rest):
         table, table_eps = powers(a, b, e)
         nxt = spread({}, acc.items(), table)

@@ -143,6 +143,36 @@ MUTANTS = (
         "poly_gcd(dehom, dehom.derivative()).degree() <= 1",
         ("tests/test_lines.py::TestCountCertificate::test_one_double_point_declines_and_the_fallback_counts_twelve_not_squarefree",),
     ),
+    Mutant(
+        "parse_exponent_overwritten",
+        "poly.py",
+        "exp[slot[name]] += e",
+        "exp[slot[name]] = e",
+        (
+            "tests/test_poly.py::TestParserAgainstReference::test_repeated_variable_factors_add_their_exponents",
+            "tests/test_poly.py::TestParserAgainstReference::test_matches_the_reference_on_seeded_texts",
+        ),
+    ),
+    Mutant(
+        "parse_first_sign_dropped",
+        "poly.py",
+        'sign = -1 if compact[0] == "-" else 1',
+        "sign = 1",
+        (
+            "tests/test_poly.py::TestParserAgainstReference::test_leading_sign_applies_to_the_first_term",
+            "tests/test_poly.py::TestParserAgainstReference::test_matches_the_reference_on_seeded_texts",
+        ),
+    ),
+    Mutant(
+        "parse_table_hit_skips_its_slot",
+        "poly.py",
+        "            entry = table.get(factor)\n            if entry is None:\n",
+        "            entry = table.get(factor)\n            if entry is not None:\n                continue\n            if entry is None:\n",
+        (
+            "tests/test_poly.py::TestParserAgainstReference::test_a_factor_repeated_across_terms_counts_in_each",
+            "tests/test_poly.py::TestParserAgainstReference::test_matches_the_reference_on_seeded_texts",
+        ),
+    ),
 )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vmrt import Hypersurface, format_poly, parse_poly
+from vmrt import Hypersurface, format_poly, monomials_of_degree, parse_poly
 from vmrt import cli
 from vmrt.cli import build_parser, main
 from vmrt.sampling import rand_homogeneous
@@ -397,6 +397,57 @@ class TestSizeLimits:
             main(["eco-line", "--f", path, "--point", point, "--dir", direction])
         monkeypatch.setattr(cli, "MAX_LINE_BITS", 5 * bits - 1)
         self.assert_invalid_input(capsys, ["eco-line", "--f", path, "--point", point, "--dir", direction, "--json"], "exceeds")
+
+    @staticmethod
+    def long_fractions(tmp_path, nvars, degree, digits):
+        """A dense form in t0..t(nvars-1) with `digits`-digit fractions in a file, and a point and direction."""
+        rng = random.Random(2026)
+        terms = []
+        for exp in monomials_of_degree(nvars, degree):
+            a, b = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+            terms.append("*".join([f"{a}/{b}", *(f"t{i}^{e}" for i, e in enumerate(exp) if e)]))
+        path = tmp_path / "f.poly"
+        path.write_text(" + ".join(terms))
+        return str(path), ",".join(["1/3"] * (nvars - 1)), ",".join(["2"] * (nvars - 1))
+
+    @pytest.mark.parametrize("command", ["eqs", "eco-line", "variation"])
+    @pytest.mark.parametrize("nvars,digits", [(5, 100), (5, 300), (7, 30)])
+    def test_long_fractions_are_refused_before_the_parse(self, tmp_path, capsys, monkeypatch, command, nvars, digits):
+        # the parse and graded_parts of the 100- and 300-digit forms took 10 and 85 s before this limit
+        path, point, direction = self.long_fractions(tmp_path, nvars, 8, digits)
+        monkeypatch.setattr(cli, "parse_poly", None)
+        extra = {"eqs": ["--point", point], "eco-line": ["--point", point, "--dir", direction], "variation": []}[command]
+        start = time.perf_counter()
+        self.assert_invalid_input(capsys, [command, "--f", path, *extra, "--json"], "cleared bits")
+        assert time.perf_counter() - start < 2
+
+    def test_cleared_bits_limit_itself_is_accepted(self, tmp_path, monkeypatch, capsys):
+        # 5 terms over lcm(12, 3, 100, 7*7) = 14700, 14 bits: a term's numbers multiply their denominators
+        path = tmp_path / "f.poly"
+        path.write_text("t0^4 + 1/0012*t1^4 - 7/3*t1^2*t2 ^2 + 5/ 100 * t2^4 + 2/7*1/7*t1*t2^3")
+        monkeypatch.setattr(cli, "MAX_CLEARED_BITS", 70)
+        with pytest.raises(AssertionError, match="started"):
+            main(["variation", "--f", str(path)])
+        monkeypatch.setattr(cli, "MAX_CLEARED_BITS", 69)
+        self.assert_invalid_input(capsys, ["variation", "--f", str(path), "--json"], "5 terms over a denominator of at least 14 bits")
+
+    def test_shared_denominators_count_once(self, tmp_path, monkeypatch, capsys):
+        # format_poly repeats the factors of one denominator in every term: a witness at (6, 6) has
+        # 109,643 digits of denominators over a 32-bit lcm.  Here 70 terms over 2, 4, ..., 2^70
+        # (744 digits) have an lcm of 71 bits, so they clear to 70 * 71 bits
+        monomials = monomials_of_degree(5, 4)
+        path = tmp_path / "f.poly"
+        path.write_text(
+            " + ".join(
+                "*".join([f"1/{2**j}", *(f"t{i}^{e}" for i, e in enumerate(exp) if e)])
+                for j, exp in enumerate(monomials, 1)
+            )
+        )
+        monkeypatch.setattr(cli, "MAX_CLEARED_BITS", 70 * 71)
+        with pytest.raises(AssertionError, match="started"):
+            main(["eqs", "--f", str(path), "--point", "1,1,1,1"])
+        monkeypatch.setattr(cli, "MAX_CLEARED_BITS", 70 * 71 - 1)
+        self.assert_invalid_input(capsys, ["eqs", "--f", str(path), "--point", "1,1,1,1", "--json"], "at least 71 bits")
 
     def test_oversized_exponent_digits_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "f.poly"

@@ -92,6 +92,7 @@ import pytest
 from vmrt import (
     BasePointOnBranch,
     Hypersurface,
+    InvalidInput,
     Jet1,
     ResultantDegenerate,
     SparsePoly,
@@ -779,13 +780,15 @@ def test_jet_restriction_wraps_int_coefficients_in_jets():
         assert_same_jet_restriction(f, point, tangents)
 
 
-def test_substitution_takes_a_first_order_part_on_every_image():
-    # the line restrictions never move t0; the kernel takes eps.e_0 on the first image as on the rest
+def test_substitution_takes_first_order_parts_on_the_images_after_the_first():
+    # the line restrictions never move t0, so the kernel refuses eps.e_0 on the first image
     rng = random.Random(29)
     f = integer_form(rng, 2, 4)
     wv = ("w1", "w2")
     images = [(rng.randint(-5, 5), (rng.randint(-5, 5), rng.randint(-5, 5))) for _ in f.vars]
-    slopes = [(rng.randint(-5, 5), rng.randint(-5, 5), 0) for _ in f.vars]
+    slopes = [(0, 0, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5), 0) for _ in f.vars[1:]]
+    with pytest.raises(InvalidInput, match="first image"):
+        _substitute(f, 4, images, [(0, 1, 0), *slopes[1:]])
     values, firsts = _substitute(f, 4, images, slopes)
     # reference: f's integer numerators composed with jets over linear forms in w
     args = [

@@ -24,7 +24,7 @@ from vmrt import (
 )
 from vmrt import poly, unipoly
 from vmrt.lines import _from_graded_parts
-from vmrt.poly import grevlex_key
+from vmrt.poly import _FACTOR_RE, _NUMBER_RE, _TERM_SPLIT_RE, _infer_variables, grevlex_key
 from vmrt.unipoly import _exact_quotient
 
 Z2 = ("z1", "z2")
@@ -74,6 +74,72 @@ def reference_compose(p, args):
         term = term * k
         total = term if total is None else total + term
     return total * Fraction(1, p.den)
+
+
+def reference_parse_poly(text, variables=None):
+    """The parser the library used before its one-pass `parse_poly`, kept as the tests' reference.
+
+    Each term collects a dict of powers by name, every factor is matched
+    again wherever it occurs, and the exponent tuple is read from that dict
+    by variable name; the terms are summed as integers over the lcm of
+    their denominators.
+    """
+    compact = text.replace("**", "^")
+    compact = "".join(compact.split())
+    if not compact:
+        raise ParseError("empty polynomial text")
+    sign = 1
+    if compact[0] in "+-":
+        sign = -1 if compact[0] == "-" else 1
+        compact = compact[1:]
+    parts = _TERM_SPLIT_RE.split(compact)  # body, sign, body, ..., sign, body
+    signs = [sign] + [-1 if s == "-" else 1 for s in parts[1::2]]
+    terms = list(zip(signs, parts[::2]))
+    if not all(body for _, body in terms):
+        raise ParseError(f"dangling sign in {text!r}")
+
+    raw = []
+    seen = set()
+    for sgn, body in terms:
+        num, den = sgn, 1
+        powers = {}
+        for factor in body.split("*"):
+            if not factor:
+                raise ParseError(f"empty factor in term {body!r}")
+            if _NUMBER_RE.match(factor):
+                top, _, bottom = factor.partition("/")
+                try:
+                    num *= int(top)
+                    den *= int(bottom or 1)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long: {factor[:20]!r}...") from None
+                if not den:
+                    raise ParseError(f"zero denominator in {factor!r}")
+                continue
+            mt = _FACTOR_RE.match(factor)
+            if not mt:
+                raise ParseError(f"bad factor {factor!r}")
+            try:
+                name, exp = mt.group(1), int(mt.group(2) or 1)
+            except ValueError:
+                raise ParseError(f"exponent too long: {factor[:20]!r}...") from None
+            powers[name] = powers.get(name, 0) + exp
+            seen.add(name)
+        raw.append((powers, num, den))
+
+    if variables is None:
+        variables = _infer_variables(seen)
+    variables = tuple(variables)
+    unknown = seen - set(variables)
+    if unknown:
+        raise ParseError(f"unknown symbols {sorted(unknown)}; variables are {list(variables)}")
+
+    common = lcm(*(den for _, _, den in raw))
+    acc = {}
+    for powers, num, den in raw:
+        exp = tuple(powers.get(v, 0) for v in variables)
+        acc[exp] = acc.get(exp, 0) + num * (common // den)
+    return SparsePoly._from_ints(variables, acc, common)
 
 
 def rand_poly(rng, variables, max_degree=4, terms=6):
@@ -269,6 +335,117 @@ class TestTextFormat:
             for seed in ("0", "3")
         }
         assert messages == {"unknown symbol 't' (expected t0..tn or z1..zn)\n"}
+
+
+def rand_text(rng):
+    """A seeded polynomial text and variable list (None: inferred) in the shapes users and format_poly write.
+
+    Factors come in any order, with several numbers per term, repeated
+    variables, '^' or '**' with stray blanks, denominators up to 10^30,
+    terms that cancel, and explicit lists in any order with unused names.
+    """
+    letter = rng.choice("tz")
+    start = 0 if letter == "t" else 1
+    names = [f"{letter}{i}" for i in range(start, start + rng.randint(1, 4))]
+
+    def number():
+        top = rng.choice([rng.randint(0, 9), rng.randint(1, 10**6), rng.randint(10**29, 10**30)])
+        if rng.random() < 0.5:
+            return str(top)
+        return f"{top}/{rng.choice([rng.randint(1, 9), rng.randint(10**6, 10**7), rng.randint(10**29, 10**30)])}"
+
+    def variable():
+        name, e = rng.choice(names), rng.randint(0, 3)
+        return name if e == 1 and rng.random() < 0.5 else f"{name}{rng.choice(['^', '**', ' ^ '])}{e}"
+
+    bodies = []
+    for _ in range(rng.randint(1, 6)):
+        factors = [number() for _ in range(rng.choice([0, 1, 1, 1, 2, 3]))]
+        factors += [variable() for _ in range(rng.randint(0, 4))]
+        rng.shuffle(factors)
+        bodies.append(rng.choice(["*", " * ", "*  "]).join(factors or [number()]))
+    signs = [rng.choice("+-") for _ in bodies]
+    if rng.random() < 0.3:  # a term and its negative
+        i = rng.randrange(len(bodies))
+        bodies.append(bodies[i])
+        signs.append("-" if signs[i] == "+" else "+")
+    if not any(_FACTOR_RE.match(f.replace(" ", "")) for b in bodies for f in b.replace("**", "^").split("*")):
+        bodies.append(names[0])
+        signs.append("+")
+    lead = rng.choice(["", "+", "-", " -", "+ "]) if signs[0] == "+" else "-"
+    text = lead + bodies[0] + "".join(f" {s} {b}" for s, b in zip(signs[1:], bodies[1:]))
+    if rng.random() < 0.5:
+        return text, None
+    extra = [f"{letter}{i}" for i in range(start + len(names), start + len(names) + rng.randint(0, 2))]
+    variables = names + extra
+    rng.shuffle(variables)
+    return text, tuple(variables)
+
+
+def parsed(parse, text, variables=None):
+    """What a parser makes of a text: its vars, den and (exponent, numerator) pairs in order, or its error."""
+    try:
+        p = parse(text, variables)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return p.vars, p.den, list(p.nums.items())
+
+
+class TestParserAgainstReference:
+    def test_matches_the_reference_on_seeded_texts(self):
+        rng = random.Random(29)
+        cases = [rand_text(rng) for _ in range(400)]
+        for text, variables in cases:
+            assert parsed(parse_poly, text, variables) == parsed(reference_parse_poly, text, variables), text
+        # the texts parse, some to zero, some with denominators near 10^30
+        results = [parse_poly(text, variables) for text, variables in cases]
+        assert sum(p.is_zero for p in results) >= 10
+        assert sum(p.den.bit_length() > 90 for p in results) >= 50
+
+    @pytest.mark.parametrize(
+        "text,variables",
+        [
+            ("   ", None),  # empty text
+            ("t0 +", None),  # dangling sign
+            ("-", None),
+            ("t0 - + t1", None),
+            ("2*t0*", None),  # empty factor
+            ("t0 * * t1", None),
+            ("1/0*t0", None),  # zero denominator
+            ("2*3/0*t0", None),
+            ("9" * 5000 + "*t0", None),  # number too long
+            ("t0*1/" + "9" * 5000, None),
+            ("t0^" + "9" * 5000, None),  # exponent too long
+            ("t0^^2", None),  # bad factor
+            ("2*^3", ("t1",)),
+            ("t0*t0 + t0^x", None),  # bad factor after table hits
+            ("3/4", None),  # constant: no family to infer
+            ("t0 + q1", None),  # unknown symbol while inferring
+            ("tt3 + t", None),
+            ("t1 + z1", None),  # mixed families
+            ("z1 + z5", ("z1", "z2")),  # unknown symbols of an explicit list
+            ("t0*q1 + t0*1/0", None),  # which error wins: the loop's before the family's
+            ("t0^^2 + 1/0*t1", None),
+            ("1/0*t0 + t0 +", None),
+            ("q1*t0 + t0*t0^x", ("t0",)),
+        ],
+    )
+    def test_errors_match_the_reference(self, text, variables):
+        error = parsed(reference_parse_poly, text, variables)
+        assert error[0] is ParseError
+        assert parsed(parse_poly, text, variables) == error
+
+    def test_repeated_variable_factors_add_their_exponents(self):
+        assert parse_poly("t0*t0").nums == {(2,): 1}
+        assert parse_poly("t0*t1*t0^2 + t1*t1", ("t0", "t1")).nums == {(3, 1): 1, (0, 2): 1}
+
+    def test_leading_sign_applies_to_the_first_term(self):
+        assert parse_poly("-t0 + t1").nums == {(1, 0): -1, (0, 1): 1}
+        assert parse_poly("- 2*t0 - t1").nums == {(1, 0): -2, (0, 1): -1}
+
+    def test_a_factor_repeated_across_terms_counts_in_each(self):
+        p = parse_poly("t0*t1 + t0*t2 - t2^2*t0", ("t2", "t1", "t0"))
+        assert p.nums == {(0, 1, 1): 1, (1, 0, 1): 1, (2, 0, 1): -1}
 
 
 class TestSubstitution:
